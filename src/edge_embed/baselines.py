@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .embedder import (
-    EdgeMapping,
-    EmbeddingResult,
-    ScheduleState,
-    SubproblemResult,
-    _dynamic_embed,
-)
-from .errors import UnpopulatedPredecessorError
+import numpy as np
+
+from .embedder import EdgeMapping, EmbeddingResult, _dynamic_embed
 from .model import AugmentedDag, EdgeNetwork, StreamEdge, processing_time
 from .pathfind import PathCatalog, SimplePath
-from .splitter import SplitSolution
 
 
 @dataclass(frozen=True)
@@ -57,6 +51,24 @@ def passive_routes(catalog: PathCatalog) -> PassiveRoute:
         best_path[pair] = catalog.paths[pair][winner]
         best_coeff[pair] = coeffs[winner]
     return PassiveRoute(path=best_path, _coefficient=best_coeff)
+
+
+def _single_path_mappings(
+    dag: AugmentedDag, routes: PassiveRoute, placements: dict[int, int]
+) -> dict[tuple[int, int], EdgeMapping]:
+    """Every stream of a placed DAG sent whole over its pair's passive route."""
+    mappings: dict[tuple[int, int], EdgeMapping] = {}
+    for e in dag.edges:
+        u, v = placements[e.src], placements[e.dst]
+        if u == v:
+            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
+        else:
+            mappings[(e.src, e.dst)] = EdgeMapping(
+                same_server=False,
+                paths=(routes.path[(u, v)],),
+                allocations=(e.size,),
+            )
+    return mappings
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +182,9 @@ def heft_schedule(
         busy[best_server].append((best_start, best_finish))
         busy[best_server].sort()
 
-    mappings: dict[tuple[int, int], EdgeMapping] = {}
-    for e in dag.edges:
-        u, v = placements[e.src], placements[e.dst]
-        if u == v:
-            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
-        else:
-            mappings[(e.src, e.dst)] = EdgeMapping(
-                same_server=False,
-                paths=(routes.path[(u, v)],),
-                allocations=(e.size,),
-            )
     return EmbeddingResult(
         placements=placements,
-        edge_mappings=mappings,
+        edge_mappings=_single_path_mappings(dag, routes, placements),
         finish_times=finish_times,
         makespan=finish_times[dag.dummy_id],
     )
@@ -192,54 +193,6 @@ def heft_schedule(
 # ---------------------------------------------------------------------------
 # Placement-only embedding: the dynamic program without stream splitting
 # ---------------------------------------------------------------------------
-
-
-def _solve_passive(
-    dag: AugmentedDag,
-    net: EdgeNetwork,
-    routes: PassiveRoute,
-    state: ScheduleState,
-    edge: StreamEdge,
-    fixed_dst: int,
-) -> SubproblemResult:
-    """Per-edge minimization with whole-stream single-path transfers."""
-    src_f, dst_f = edge.src, edge.dst
-    proc = processing_time(dag.by_id[dst_f], net.servers[fixed_dst])
-
-    committed = state.decided_placement.get(src_f)
-    if committed is not None:
-        candidates = [committed]
-    else:
-        candidates = [s.id for s in net.servers]
-
-    best_m = -1
-    best_phi = float("inf")
-    best_transit = 0.0
-    for m in candidates:
-        finish = state.best_finish.get((src_f, m))
-        if finish is None:
-            raise UnpopulatedPredecessorError(src_f)
-        transit = edge.size * routes.coefficient(m, fixed_dst)
-        phi = finish + transit + proc
-        if phi < best_phi:
-            best_phi = phi
-            best_m = m
-            best_transit = transit
-
-    if best_m == fixed_dst:
-        return SubproblemResult(
-            phi=best_phi, src_server=best_m, paths=(), split=None, transit=0.0
-        )
-    # The whole stream rides the one passive path: a one-branch split.
-    return SubproblemResult(
-        phi=best_phi,
-        src_server=best_m,
-        paths=(routes.path[(best_m, fixed_dst)],),
-        split=SplitSolution(
-            allocations=(edge.size,), bottleneck_time=best_transit
-        ),
-        transit=best_transit,
-    )
 
 
 def placement_only_embed(
@@ -251,13 +204,22 @@ def placement_only_embed(
     """The dynamic program with every split replaced by the passive route.
 
     Same recurrence, same commit-once rule, same tie-breaks; the only
-    difference from the full embedder is that each transfer sends the
-    whole stream over the pair's single cheapest path.
+    difference from the full embedder is the transit matrix: each transfer
+    sends the whole stream over the pair's single cheapest path, so s bits
+    take s * A_min seconds.
     """
     if routes is None:
         routes = passive_routes(catalog)
-
-    def solve(state: ScheduleState, edge: StreamEdge, fixed_dst: int):
-        return _solve_passive(dag, net, routes, state, edge, fixed_dst)
-
-    return _dynamic_embed(dag, net, solve, ready=None)
+    n = net.n_servers
+    coeff = np.array(
+        [[routes.coefficient(u, v) for v in range(n)] for u in range(n)]
+    )
+    placements, finish_times, makespan = _dynamic_embed(
+        dag, net, lambda bits: bits * coeff, ready=None
+    )
+    return EmbeddingResult(
+        placements=placements,
+        edge_mappings=_single_path_mappings(dag, routes, placements),
+        finish_times=finish_times,
+        makespan=makespan,
+    )

@@ -180,18 +180,13 @@ def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
     return records
 
 
-def generate_dag_batch(spec: WorkloadSpec) -> list[WorkloadDag]:
-    """The DAGs of the workload, without their collector edge sizes."""
-    return [r.dag for r in generate_dag_records(spec)]
-
-
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -210,11 +205,6 @@ def load_dag_records(path) -> list[DagRecord]:
             raise SchemaError(str(exc), record_index=index) from exc
         records.append(DagRecord(dag=dag, dst_out=dst_out))
     return records
-
-
-def import_dags(path) -> list[WorkloadDag]:
-    """Validated DAGs from a JSON array file."""
-    return [r.dag for r in load_dag_records(path)]
 
 
 def load_network(path) -> EdgeNetwork:

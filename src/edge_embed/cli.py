@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .baselines import heft_schedule, passive_routes, placement_only_embed
 from .bench import (
     WorkloadSpec,
+    _read_json,
     emit_report,
     load_dag_records,
     load_network,
@@ -34,14 +36,22 @@ from .pathfind import (
 from .splitter import SplitProblem, bisection_oracle, optimal_split
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+def _load_ready(raw, n_servers: int) -> dict[int, float]:
+    """Per-server ready seconds from a ``{"<server id>": seconds}`` map."""
+    if not isinstance(raw, dict):
+        raise SchemaError("ready file must map server ids to seconds")
+    ready: dict[int, float] = {}
+    for key, value in raw.items():
+        try:
+            server, seconds = int(key), float(value)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"ready entry {key!r}: {exc}") from exc
+        if not 0 <= server < n_servers:
+            raise SchemaError(f"ready file names unknown server {server}")
+        if not math.isfinite(seconds):
+            raise SchemaError(f"ready time of server {server} must be finite")
+        ready[server] = seconds
+    return ready
 
 
 def _cmd_paths(args) -> int:
@@ -79,14 +89,11 @@ def _cmd_split(args) -> int:
 
 def _cmd_embed(args) -> int:
     net = load_network(args.network)
-    dag, dst_out = dag_from_json(_load_json(args.dag))
+    dag, dst_out = dag_from_json(_read_json(args.dag))
     aug = augment_dummy_tail(dag, dst_out)
     ready = None
     if args.ready:
-        raw = _load_json(args.ready)
-        if not isinstance(raw, dict):
-            raise SchemaError("ready file must map server ids to seconds")
-        ready = {int(k): float(v) for k, v in raw.items()}
+        ready = _load_ready(_read_json(args.ready), net.n_servers)
     if ready is not None and args.algo in ("heft", "placement-only"):
         raise SchemaError(f"--ready is not supported by {args.algo}")
     catalog = build_catalog(net, resolve_path_cap())
@@ -181,7 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["dpe", "heft", "placement-only", "brute"],
         default="dpe",
     )
-    p_embed.add_argument("--ready", help="JSON map of server id to ready seconds")
+    p_embed.add_argument(
+        "--ready", help="JSON file mapping server id to ready seconds"
+    )
     p_embed.set_defaults(func=_cmd_embed)
 
     p_gen = sub.add_parser("gen", help="generate a seeded workload")

@@ -10,7 +10,9 @@ placement and stream split that deliver it soonest:
                  T*(f_i, m) + transit(m, n, s_ij) + proc(f_j, n)
 
 Transit uses the bottleneck-equalizing split over every simple path of the
-(m, n) pair, or zero when m == n. A predecessor that feeds several
+(m, n) pair, or zero when m == n. The recurrence reads transit as one dense
+server-by-server matrix per stream, so the placement-only baseline runs
+the same program with its single-path matrix. A predecessor that feeds several
 functions cannot be re-placed per consumer: the first consumer processed
 commits its placement, later consumers reuse it, and the first consumer's
 row is recomputed under that commitment so every stored finish time
@@ -24,51 +26,17 @@ finish times from nothing but the recurrence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
-from .errors import (
-    NotEntryError,
-    TooLargeError,
-    UnpopulatedPredecessorError,
-    ValidationError,
-)
-from .model import AugmentedDag, EdgeNetwork, StreamEdge, processing_time
+import numpy as np
+
+from .errors import TooLargeError
+from .model import AugmentedDag, EdgeNetwork, processing_time
 from .pathfind import PathCatalog, SimplePath, path_coefficient
-from .splitter import SplitProblem, SplitSolution, optimal_split, routing_time
+from .splitter import SplitProblem, optimal_split, routing_time
 
 EXHAUSTIVE_LIMIT = 10**6
-
-
-@dataclass
-class ScheduleState:
-    """Mutable working state of the dynamic program.
-
-    best_finish maps (function, server) to the earliest finish achievable
-    with that pairing; decided_placement pins functions whose placement
-    has been committed; server_ready holds per-server ready times applied
-    to entry functions only.
-    """
-
-    best_finish: dict[tuple[int, int], float] = field(default_factory=dict)
-    decided_placement: dict[int, int] = field(default_factory=dict)
-    server_ready: dict[int, float] = field(default_factory=dict)
-    # (src function, dst function, src server, dst server) -> transit
-    # seconds, filled once a committed source is queried. Keyed per edge:
-    # two streams leaving the same committed source carry different sizes.
-    transit_cache: dict[tuple[int, int, int, int], float] = field(
-        default_factory=dict
-    )
-
-
-@dataclass(frozen=True)
-class SubproblemResult:
-    """Outcome of one per-edge minimization at a fixed destination."""
-
-    phi: float
-    src_server: int
-    paths: tuple[SimplePath, ...]
-    split: SplitSolution | None
-    transit: float
 
 
 @dataclass(frozen=True)
@@ -90,200 +58,116 @@ class EmbeddingResult:
     makespan: float
 
 
-def entry_finish_times(
-    dag: AugmentedDag, net: EdgeNetwork, state: ScheduleState, function_id: int
-) -> ScheduleState:
-    """Populate best_finish for an entry function on every server.
-
-    An entry function has no inputs to wait for: its finish on server n is
-    its processing time there plus the server's ready time.
-    """
-    if dag.predecessors[function_id]:
-        raise NotEntryError(function_id)
-    node = dag.by_id[function_id]
-    for server in net.servers:
-        ready = state.server_ready.get(server.id, 0.0)
-        state.best_finish[(function_id, server.id)] = (
-            processing_time(node, server) + ready
-        )
-    return state
-
-
-def solve_subproblem(
-    dag: AugmentedDag,
-    net: EdgeNetwork,
-    catalog: PathCatalog,
-    state: ScheduleState,
-    edge: StreamEdge,
-    fixed_dst: int,
-) -> SubproblemResult:
-    """Cheapest way to feed ``edge`` into its function placed on fixed_dst.
-
-    When the source function's placement is already committed, only that
-    server is evaluated and its transit is served from the cache. Otherwise
-    every candidate source server m is scored as
-
-        phi(m) = T*(f_i, m) + transit(m, fixed_dst, s_ij) + proc(f_j, fixed_dst)
-
-    and the smallest phi wins, ties going to the smallest server id.
-    """
-    src_f, dst_f = edge.src, edge.dst
-    proc = processing_time(dag.by_id[dst_f], net.servers[fixed_dst])
-
-    committed = state.decided_placement.get(src_f)
-    if committed is not None:
-        finish = state.best_finish.get((src_f, committed))
-        if finish is None:
-            raise UnpopulatedPredecessorError(src_f)
-        cache_key = (src_f, dst_f, committed, fixed_dst)
-        transit = state.transit_cache.get(cache_key)
-        if transit is None:
-            transit = catalog.transit_seconds(committed, fixed_dst, edge.size)
-            state.transit_cache[cache_key] = transit
-        best_m = committed
-        best_phi = finish + transit + proc
-        best_transit = transit
-    else:
-        best_m = -1
-        best_phi = float("inf")
-        best_transit = 0.0
-        for server in net.servers:
-            m = server.id
-            finish = state.best_finish.get((src_f, m))
-            if finish is None:
-                raise UnpopulatedPredecessorError(src_f)
-            transit = catalog.transit_seconds(m, fixed_dst, edge.size)
-            phi = finish + transit + proc
-            if phi < best_phi:  # strict: first minimum keeps smallest id
-                best_phi = phi
-                best_m = m
-                best_transit = transit
-
-    if best_m == fixed_dst:
-        return SubproblemResult(
-            phi=best_phi, src_server=best_m, paths=(), split=None, transit=0.0
-        )
-    paths = catalog.pair_paths(best_m, fixed_dst)
-    split = optimal_split(
-        SplitProblem(
-            coefficients=catalog.pair_coefficients(best_m, fixed_dst),
-            stream_size=edge.size,
-        )
-    )
-    return SubproblemResult(
-        phi=best_phi,
-        src_server=best_m,
-        paths=paths,
-        split=split,
-        transit=best_transit,
-    )
-
-
-def _require_entries_first(dag: AugmentedDag) -> None:
-    """The dynamic program expects entries at the head of the order."""
-    entries = set(dag.entry_ids)
-    head = {f.id for f in dag.functions[: len(entries)]}
-    if head != entries:
-        raise ValidationError(
-            "entry functions must occupy the first positions of the stored "
-            f"topological order; entries are {sorted(entries)}"
-        )
-
-
 def _ready_map(net: EdgeNetwork, ready) -> dict[int, float]:
     if ready is None:
         return {s.id: 0.0 for s in net.servers}
     return {s.id: float(ready.get(s.id, 0.0)) for s in net.servers}
 
 
-def _dynamic_embed(dag: AugmentedDag, net: EdgeNetwork, solve, ready) -> EmbeddingResult:
-    """Shared DP driver; ``solve(state, edge, fixed_dst)`` scores one edge.
+def _dynamic_embed(
+    dag: AugmentedDag,
+    net: EdgeNetwork,
+    transit: Callable[[float], np.ndarray],
+    ready,
+) -> tuple[dict[int, int], dict[int, float], float]:
+    """Shared DP driver; ``transit(bits)`` is the n x n matrix of seconds
+    a stream of ``bits`` takes from server m (row) to server n (column).
 
-    Runs the recurrence over non-entry functions, applies the commit-once
-    rule for shared predecessors (recomputing the committing row so stored
-    values stay consistent), then walks pointers backward from the best
-    collector placement to materialize one embedding.
+    Visits every function in stored topological order. An entry's row is
+    its processing time plus the server's ready time; any other row is the
+    slowest over its inputs of one min-plus step per predecessor, where the
+    smallest source server id wins ties. The commit-once rule pins a
+    predecessor feeding more than one function to the source it used at
+    the committing row's best destination, and recomputes that row so
+    stored values describe one single embedding. Pointers are then walked
+    backward from the best collector placement. Returns placements, finish
+    times and the makespan.
     """
-    _require_entries_first(dag)
-    state = ScheduleState(server_ready=_ready_map(net, ready))
-    for entry in dag.entry_ids:
-        entry_finish_times(dag, net, state, entry)
-
     n_servers = net.n_servers
-    edge_by_pair = {(e.src, e.dst): e for e in dag.edges}
-    pointers: dict[tuple[int, int], dict[int, SubproblemResult]] = {}
+    ready_map = _ready_map(net, ready)
+    ready_row = np.array([ready_map[s.id] for s in net.servers])
+    finish: dict[int, np.ndarray] = {}
+    # sources[fj][fi][n]: server of predecessor fi when fj runs on n.
+    sources: dict[int, dict[int, np.ndarray]] = {}
+    committed: dict[int, int] = {}
 
-    for fj in dag.topo_non_entries:
+    for node in dag.functions:
+        fj = node.id
+        proc = np.array([processing_time(node, s) for s in net.servers])
         preds = dag.predecessors[fj]
+        if not preds:
+            finish[fj] = proc + ready_row
+            continue
+        cost = {fi: transit(dag.stream_size[(fi, fj)]) for fi in preds}
 
-        def compute_row() -> list[float]:
-            row = []
-            for n in range(n_servers):
-                per_pred = {
-                    fi: solve(state, edge_by_pair[(fi, fj)], n) for fi in preds
-                }
-                pointers[(fj, n)] = per_pred
-                row.append(max(r.phi for r in per_pred.values()))
-            return row
+        def compute_row() -> tuple[np.ndarray, dict[int, np.ndarray]]:
+            arrivals = []
+            picks = {}
+            for fi in preds:
+                c = committed.get(fi)
+                if c is None:
+                    phi = (finish[fi][:, None] + cost[fi]) + proc[None, :]
+                    picks[fi] = phi.argmin(axis=0)
+                    arrivals.append(phi.min(axis=0))
+                else:
+                    picks[fi] = np.full(n_servers, c)
+                    arrivals.append((finish[fi][c] + cost[fi][c]) + proc)
+            return np.max(arrivals, axis=0), picks
 
-        row = compute_row()
-        # Commit-once: a predecessor feeding more than one function is
-        # pinned to the source it used at this row's best destination; the
-        # row is then recomputed so its values describe the pinned world.
-        n_hat = min(range(n_servers), key=lambda k: (row[k], k))
+        row, picks = compute_row()
+        n_hat = int(row.argmin())
         newly_committed = False
         for fi in preds:
-            if fi not in state.decided_placement and dag.out_degree[fi] >= 2:
-                state.decided_placement[fi] = pointers[(fj, n_hat)][fi].src_server
+            if fi not in committed and dag.out_degree[fi] >= 2:
+                committed[fi] = int(picks[fi][n_hat])
                 newly_committed = True
         if newly_committed:
-            row = compute_row()
-        for n in range(n_servers):
-            state.best_finish[(fj, n)] = row[n]
+            row, picks = compute_row()
+        finish[fj] = row
+        sources[fj] = picks
 
     dummy = dag.dummy_id
-    n_star = min(
-        range(n_servers), key=lambda k: (state.best_finish[(dummy, k)], k)
-    )
-    makespan = state.best_finish[(dummy, n_star)]
-
-    # Materialize placements and mappings by following the pointers back
-    # from the collector; reverse topological order guarantees a function's
-    # own placement is known before its in-edges are resolved.
+    n_star = int(finish[dummy].argmin())
+    # Reverse topological order guarantees a function's own placement is
+    # known before its in-edges are resolved.
     placements: dict[int, int] = {dummy: n_star}
-    mappings: dict[tuple[int, int], EdgeMapping] = {}
     for node in reversed(dag.functions):
         fj = node.id
-        if not dag.predecessors[fj]:
-            continue
-        n_j = placements[fj]
-        for fi, res in pointers[(fj, n_j)].items():
-            src = res.src_server
-            prior = placements.get(fi)
-            if prior is None:
-                placements[fi] = src
-            elif prior != src:
+        for fi, src_row in sources.get(fj, {}).items():
+            src = int(src_row[placements[fj]])
+            prior = placements.setdefault(fi, src)
+            if prior != src:
                 raise AssertionError(
                     f"inconsistent placement for function {fi}: {prior} vs {src}"
                 )
-            if src == n_j:
-                mappings[(fi, fj)] = EdgeMapping(same_server=True)
-            else:
-                mappings[(fi, fj)] = EdgeMapping(
-                    same_server=False,
-                    paths=res.paths,
-                    allocations=res.split.allocations,
-                )
-
     finish_times = {
-        f.id: state.best_finish[(f.id, placements[f.id])] for f in dag.functions
+        f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions
     }
-    return EmbeddingResult(
-        placements=placements,
-        edge_mappings=mappings,
-        finish_times=finish_times,
-        makespan=makespan,
-    )
+    return placements, finish_times, finish_times[dummy]
+
+
+def _split_mappings(
+    dag: AugmentedDag, catalog: PathCatalog, placements: dict[int, int]
+) -> dict[tuple[int, int], EdgeMapping]:
+    """Every stream of a placed DAG spread over all paths of its pair."""
+    mappings: dict[tuple[int, int], EdgeMapping] = {}
+    for e in dag.edges:
+        m, v = placements[e.src], placements[e.dst]
+        if m == v:
+            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
+        else:
+            split = optimal_split(
+                SplitProblem(
+                    coefficients=catalog.pair_coefficients(m, v),
+                    stream_size=e.size,
+                )
+            )
+            mappings[(e.src, e.dst)] = EdgeMapping(
+                same_server=False,
+                paths=catalog.pair_paths(m, v),
+                allocations=split.allocations,
+            )
+    return mappings
 
 
 def dpe_embed(
@@ -292,12 +176,24 @@ def dpe_embed(
     catalog: PathCatalog,
     ready=None,
 ) -> EmbeddingResult:
-    """Minimize the collector's finish time over placements and splits."""
+    """Minimize the collector's finish time over placements and splits.
 
-    def solve(state: ScheduleState, edge: StreamEdge, fixed_dst: int):
-        return solve_subproblem(dag, net, catalog, state, edge, fixed_dst)
-
-    return _dynamic_embed(dag, net, solve, ready)
+    A stream of s bits from m to n takes s / sum(1/A_k) over the pair's
+    paths; the infinite diagonal makes same-server transit exactly 0.
+    """
+    n = net.n_servers
+    inv = np.full((n, n), np.inf)
+    for (u, v), inv_sum in catalog.inv_coeff_sum.items():
+        inv[u, v] = inv_sum
+    placements, finish_times, makespan = _dynamic_embed(
+        dag, net, lambda bits: bits / inv, ready
+    )
+    return EmbeddingResult(
+        placements=placements,
+        edge_mappings=_split_mappings(dag, catalog, placements),
+        finish_times=finish_times,
+        makespan=makespan,
+    )
 
 
 def brute_force_embed(
@@ -364,23 +260,7 @@ def brute_force_embed(
 
     assert best_vector is not None
     placements = {fid: best_vector[index_of[fid]] for fid in order}
-    mappings: dict[tuple[int, int], EdgeMapping] = {}
-    for e in dag.edges:
-        m, v = placements[e.src], placements[e.dst]
-        if m == v:
-            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
-        else:
-            split = optimal_split(
-                SplitProblem(
-                    coefficients=catalog.pair_coefficients(m, v),
-                    stream_size=e.size,
-                )
-            )
-            mappings[(e.src, e.dst)] = EdgeMapping(
-                same_server=False,
-                paths=catalog.pair_paths(m, v),
-                allocations=split.allocations,
-            )
+    mappings = _split_mappings(dag, catalog, placements)
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)
     return EmbeddingResult(
         placements=placements,

@@ -135,24 +135,6 @@ class PathExplosionError(EdgeEmbedError):
         super().__init__(f"simple-path count exceeded the cap of {cap}")
 
 
-class UnpopulatedPredecessorError(EdgeEmbedError):
-    """A subproblem needs finish times that were never computed."""
-
-    def __init__(self, function_id: int):
-        self.function_id = function_id
-        super().__init__(
-            f"finish times for function {function_id} are not populated"
-        )
-
-
-class NotEntryError(EdgeEmbedError):
-    """An entry-only operation was applied to a non-entry function."""
-
-    def __init__(self, function_id: int):
-        self.function_id = function_id
-        super().__init__(f"function {function_id} has predecessors")
-
-
 class TooLargeError(EdgeEmbedError):
     """Exhaustive search was asked for an infeasibly large instance."""
 

@@ -10,6 +10,7 @@ single finish time defines the makespan.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -99,10 +100,15 @@ def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwor
     return EdgeNetwork(servers=servers, links=links, adjacency=frozen)
 
 
+def _require_finite(what: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"{what} must be finite, got {value!r}")
+
+
 def validate_network(net: EdgeNetwork) -> None:
     """Check every network invariant; raises a ValidationError subclass.
 
-    Invariants: dense 0-based ids, positive parameters, distinct link
+    Invariants: dense 0-based ids, finite positive parameters, distinct link
     endpoints, at most one link per server pair, and every server
     reachable from server 0.
     """
@@ -114,6 +120,7 @@ def validate_network(net: EdgeNetwork) -> None:
                 f"server ids must be dense and ordered; position {index} "
                 f"holds id {server.id}"
             )
+        _require_finite(f"server {server.id} psi", server.psi)
         if server.psi <= 0:
             raise NonPositiveParameterError(f"server {server.id} psi", server.psi)
     n = len(net.servers)
@@ -131,6 +138,7 @@ def validate_network(net: EdgeNetwork) -> None:
             )
         if link.u == link.v:
             raise SelfLoopLinkError(link.id, link.u)
+        _require_finite(f"link {link.id} throughput", link.throughput)
         if link.throughput <= 0:
             raise NonPositiveParameterError(
                 f"link {link.id} throughput", link.throughput
@@ -198,6 +206,7 @@ def validate_dag(dag: WorkloadDag) -> None:
             f"function ids must be dense 0-based integers, got {sorted(ids)}"
         )
     for f in dag.functions:
+        _require_finite(f"function {f.id} flops", f.flops)
         if f.flops < 0:
             raise ValidationError(f"function {f.id} has negative flops")
         if f.is_dummy and f.flops != 0:
@@ -209,6 +218,7 @@ def validate_dag(dag: WorkloadDag) -> None:
             raise ValidationError(
                 f"edge {e.src}->{e.dst} references an unknown function"
             )
+        _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
         if e.size <= 0:
             raise NonPositiveStreamError(f"stream {e.src}->{e.dst}", e.size)
         key = (e.src, e.dst)
@@ -297,25 +307,15 @@ class AugmentedDag:
             deg[e.src] += 1
         return deg
 
-    @cached_property
-    def entry_ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.functions if not self.predecessors[f.id])
-
-    @cached_property
-    def topo_non_entries(self) -> tuple[int, ...]:
-        """Non-entry function ids in the stored topological order."""
-        entries = set(self.entry_ids)
-        return tuple(f.id for f in self.functions if f.id not in entries)
-
 
 def augment_dummy_tail(
     dag: WorkloadDag, dst_out_sizes: Mapping[int, float]
 ) -> AugmentedDag:
     """Append the collector tail fed by every destination function.
 
-    ``dst_out_sizes`` must cover exactly the destination set with positive
-    bit counts. A workload whose destination already has zero flops looks
-    like an augmented one and is rejected.
+    ``dst_out_sizes`` must cover exactly the destination set with finite
+    positive bit counts. A workload whose destination already has zero
+    flops looks like an augmented one and is rejected.
     """
     validate_dag(dag)
     destinations = dag.destination_ids
@@ -328,6 +328,7 @@ def augment_dummy_tail(
     if missing or unexpected:
         raise MissingOutputSizeError(missing, unexpected)
     for d in destinations:
+        _require_finite(f"output of destination {d}", dst_out_sizes[d])
         if dst_out_sizes[d] <= 0:
             raise NonPositiveStreamError(
                 f"output of destination {d}", dst_out_sizes[d]
@@ -338,21 +339,6 @@ def augment_dummy_tail(
         for d in sorted(destinations)
     )
     return AugmentedDag(base=dag, dummy_id=dummy_id, dummy_edges=dummy_edges)
-
-
-def normalize_entry_order(dag: WorkloadDag) -> WorkloadDag:
-    """Reorder the stored topological order so entries come first.
-
-    Entry functions have no in-edges, so moving them (keeping their
-    relative order, and the relative order of everything else) to the
-    front preserves topological validity. The dynamic program requires
-    this layout.
-    """
-    entries = set(dag.entry_ids)
-    reordered = tuple(f for f in dag.functions if f.id in entries) + tuple(
-        f for f in dag.functions if f.id not in entries
-    )
-    return WorkloadDag(functions=reordered, edges=dag.edges)
 
 
 def processing_time(function: FunctionNode, server: Server) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import PathExplosionError, SamePairError
+from .errors import PathExplosionError, SamePairError, ValidationError
 from .model import EdgeNetwork
 
 DEFAULT_PATH_CAP = 10**6
@@ -97,9 +97,15 @@ def enumerate_simple_paths(
     """Every simple path from ``src`` to ``dst`` in canonical order.
 
     Canonical order is (path length, node sequence) ascending, so output
-    is stable across runs. Raises SamePairError when src == dst, and
+    is stable across runs. Raises ValidationError when an end is not a
+    server of ``net``, SamePairError when src == dst, and
     PathExplosionError when more than ``path_cap`` paths exist.
     """
+    for end in (src, dst):
+        if not 0 <= end < net.n_servers:
+            raise ValidationError(
+                f"server {end} is not in the network ({net.n_servers} servers)"
+            )
     if src == dst:
         raise SamePairError(src)
     budget = None if path_cap is None else _Budget(path_cap)

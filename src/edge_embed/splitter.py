@@ -10,13 +10,14 @@ independent check of the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class SplitProblem:
-    """Path coefficients (s/bit, all > 0) and a stream size in bits."""
+    """Path coefficients (s/bit, all finite > 0) and a stream size in bits."""
 
     coefficients: tuple[float, ...]
     stream_size: float
@@ -24,6 +25,8 @@ class SplitProblem:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("a split needs at least one path")
+        if not all(map(math.isfinite, (*self.coefficients, self.stream_size))):
+            raise ValueError("path coefficients and stream size must be finite")
         if any(a <= 0 for a in self.coefficients):
             raise ValueError("path coefficients must be > 0")
         if self.stream_size <= 0:
@@ -78,10 +81,6 @@ def bisection_oracle(problem: SplitProblem, tol: float = 1e-12) -> float:
         else:
             lo = mid
     return hi
-
-
-# Marker for a transfer whose endpoints share a server: no routing happens.
-SAME_SERVER = "same-server"
 
 
 def routing_time(

@@ -12,9 +12,7 @@ from edge_embed import (
     SchemaError,
     WorkloadSpec,
     emit_report,
-    generate_dag_batch,
     generate_network,
-    import_dags,
     load_dag_records,
     load_network,
     nested_networks,
@@ -102,7 +100,8 @@ def test_dag_batch_is_deterministic_and_in_range():
         dag_to_json(r.dag, r.dst_out) for r in generate_dag_records(SMALL)
     ]
     assert first == second
-    for dag in generate_dag_batch(SMALL):
+    for record in generate_dag_records(SMALL):
+        dag = record.dag
         validate_dag(dag)
         assert 2 <= len(dag.functions) <= 6
         for f in dag.functions:
@@ -142,7 +141,7 @@ def test_import_dags_happy_path(tmp_path):
     docs = [dag_to_json(r.dag, r.dst_out) for r in generate_dag_records(SMALL)[:2]]
     path = tmp_path / "two.json"
     path.write_text(json.dumps(docs), encoding="utf-8")
-    assert len(import_dags(path)) == 2
+    assert len(load_dag_records(path)) == 2
 
 
 def test_import_dags_names_the_bad_record(tmp_path):
@@ -194,7 +193,7 @@ def test_import_dags_rejects_invalid_json(tmp_path):
 def test_import_dags_empty_array(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("[]", encoding="utf-8")
-    assert import_dags(path) == []
+    assert load_dag_records(path) == []
 
 
 # ---------------------------------------------------------------------------

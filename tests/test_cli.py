@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from edge_embed.cli import main
 from edge_embed.model import network_to_json
 
@@ -32,10 +34,19 @@ def write_triangle(tmp_path):
     return str(path)
 
 
-def write_diamond(tmp_path):
+def write_diamond(tmp_path, doc=DIAMOND):
     path = tmp_path / "dag.json"
-    path.write_text(json.dumps(DIAMOND), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def assert_one_error(capsys, code):
+    """Exit 2 with exactly one ``error:`` line and no traceback."""
+    assert code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +81,13 @@ def test_paths_missing_network_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ends", [("0", "9"), ("9", "0"), ("-1", "1")])
+def test_paths_rejects_unknown_server(tmp_path, capsys, ends):
+    net = write_triangle(tmp_path)
+    code = main(["paths", "--network", net, "--src", ends[0], "--dst", ends[1]])
+    assert_one_error(capsys, code)
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------
@@ -92,6 +110,8 @@ def test_split_rejects_garbage_coefficients(capsys):
     assert main(["split", "--coeffs", "a,b", "--size", "6"]) == 2
     assert main(["split", "--coeffs", "0.5,-1", "--size", "6"]) == 2
     assert main(["split", "--coeffs", "0.5", "--size", "0"]) == 2
+    assert main(["split", "--coeffs", "0.5,nan", "--size", "6"]) == 2
+    assert main(["split", "--coeffs", "0.5", "--size", "inf"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +166,75 @@ def test_embed_rejects_malformed_dag(tmp_path, capsys):
     bad.write_text(json.dumps({"functions": []}), encoding="utf-8")
     assert main(["embed", "--network", net, "--dag", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_embed_rejects_unreadable_dag(tmp_path, capsys, kind):
+    net = write_triangle(tmp_path)
+    dag = tmp_path / "dags"
+    if kind == "directory":
+        dag.mkdir()
+    else:
+        dag.write_bytes(b'{"functions": "\xff"}')
+    code = main(["embed", "--network", net, "--dag", str(dag)])
+    assert_one_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "ready", [{"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0]]
+)
+def test_embed_rejects_malformed_ready_map(tmp_path, capsys, ready):
+    net = write_triangle(tmp_path)
+    dag = write_diamond(tmp_path)
+    path = tmp_path / "ready.json"
+    path.write_text(json.dumps(ready), encoding="utf-8")
+    code = main(["embed", "--network", net, "--dag", dag, "--ready", str(path)])
+    assert_one_error(capsys, code)
+
+
+def _set_psi(net, dag, ready, value):
+    net["servers"][0]["psi"] = value
+
+
+def _set_throughput(net, dag, ready, value):
+    net["links"][0]["b"] = value
+
+
+def _set_flops(net, dag, ready, value):
+    dag["functions"][1]["flops"] = value
+
+
+def _set_bits(net, dag, ready, value):
+    dag["edges"][0]["bits"] = value
+
+
+def _set_dst_out(net, dag, ready, value):
+    dag["dst_out"]["3"] = value
+
+
+def _set_ready(net, dag, ready, value):
+    ready["1"] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "mutate",
+    [_set_psi, _set_throughput, _set_flops, _set_bits, _set_dst_out, _set_ready],
+)
+def test_embed_rejects_non_finite_numbers(tmp_path, capsys, mutate, value):
+    net_doc = network_to_json(triangle_network())
+    dag_doc = json.loads(json.dumps(DIAMOND))
+    ready_doc = {"0": 0.0}
+    mutate(net_doc, dag_doc, ready_doc, value)
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(net_doc), encoding="utf-8")
+    ready = tmp_path / "ready.json"
+    ready.write_text(json.dumps(ready_doc), encoding="utf-8")
+    dag = write_diamond(tmp_path, dag_doc)
+    code = main(
+        ["embed", "--network", str(net), "--dag", dag, "--ready", str(ready)]
+    )
+    assert_one_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------

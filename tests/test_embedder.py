@@ -7,25 +7,18 @@ import pytest
 from edge_embed import (
     FunctionNode,
     Link,
-    NotEntryError,
-    ScheduleState,
     Server,
     StreamEdge,
     TooLargeError,
-    UnpopulatedPredecessorError,
-    ValidationError,
     WorkloadDag,
     augment_dummy_tail,
     brute_force_embed,
     build_catalog,
     dpe_embed,
     embedding_to_json,
-    entry_finish_times,
     make_network,
-    normalize_entry_order,
     placement_only_embed,
     simulate_embedding,
-    solve_subproblem,
     validate_network,
 )
 
@@ -47,112 +40,136 @@ def two_server_line():
     return net
 
 
+def both_algorithms(aug, net):
+    catalog = build_catalog(net)
+    return [dpe_embed(aug, net, catalog), placement_only_embed(aug, net, catalog)]
+
+
 # ---------------------------------------------------------------------------
 # entry rows
 # ---------------------------------------------------------------------------
 
 
-def test_entry_finish_times_per_server():
+def test_entry_row_is_processing_time_per_server():
     net = make_network(
         [Server(0, 1.5e10), Server(1, 2.0e10)], [Link(0, 0, 1, 1.0)]
     )
-    aug = chain_dag([3.0e9, 1.0e9], sizes=[1.0])
-    state = ScheduleState(server_ready={0: 0.0, 1: 0.0})
-    entry_finish_times(aug, net, state, 0)
-    assert state.best_finish[(0, 0)] == 0.2
-    assert state.best_finish[(0, 1)] == 0.15
+    aug = chain_dag([3.0e9], sizes=[])
+    for result in both_algorithms(aug, net):
+        assert result.placements[0] == 1
+        assert result.finish_times[0] == 0.15
+    # a late server 1 exposes the entry's row on server 0
+    pinned = dpe_embed(aug, net, build_catalog(net), ready={1: 0.1})
+    assert pinned.placements[0] == 0
+    assert pinned.finish_times[0] == 0.2
 
 
-def test_entry_finish_times_respects_server_ready():
+def test_entry_rows_honor_ready_times():
     net = make_network(
         [Server(0, 1.5e10), Server(1, 2.0e10)], [Link(0, 0, 1, 1.0)]
     )
-    aug = chain_dag([3.0e9, 1.0e9], sizes=[1.0])
-    state = ScheduleState(server_ready={0: 0.0, 1: 0.05})
-    entry_finish_times(aug, net, state, 0)
-    assert state.best_finish[(0, 0)] == 0.2
-    assert state.best_finish[(0, 1)] == pytest.approx(0.2, rel=1e-12)
-
-
-def test_entry_finish_times_rejects_non_entry():
-    net = two_server_line()
-    aug = chain_dag([1.0, 1.0], sizes=[1.0])
-    state = ScheduleState()
-    with pytest.raises(NotEntryError):
-        entry_finish_times(aug, net, state, 1)
+    aug = chain_dag([3.0e9], sizes=[])
+    result = dpe_embed(aug, net, build_catalog(net), ready={0: 0.5, 1: 0.25})
+    assert result.placements[0] == 1
+    assert result.finish_times[0] == 0.15 + 0.25
+    # ready times are not a function's own delay: a missing server is idle
+    idle_one = dpe_embed(aug, net, build_catalog(net), ready={0: 0.5})
+    assert idle_one.finish_times[0] == 0.15
 
 
 # ---------------------------------------------------------------------------
-# per-edge subproblem
+# per-edge choices
 # ---------------------------------------------------------------------------
 
 
-def test_solve_subproblem_picks_cheapest_source():
-    # link 0-1 at 2 bit/s => 0.5 s/bit; stream of 2 bits => 1 s transit.
-    # phi(src on 0) = 5 + 1 + 1 = 7 beats phi(src on 1) = 9 + 0 + 1 = 10.
-    net = two_server_line()
-    aug = chain_dag([1.0, 1.0], sizes=[2.0])
-    catalog = build_catalog(net)
-    state = ScheduleState(best_finish={(0, 0): 5.0, (0, 1): 9.0})
-    res = solve_subproblem(aug, net, catalog, state, aug.edges[0], fixed_dst=1)
-    assert res.phi == 7.0
-    assert res.src_server == 0
-    assert res.transit == 1.0
-    assert [p.nodes for p in res.paths] == [(0, 1)]
-    assert res.split.allocations == (2.0,)
+def test_cheapest_source_feeds_each_destination():
+    # Entry f0 finishes at 5 s on server 0 and 9 s on server 1 (ready 4 and
+    # 8.75); f1 (8 flops) prefers the 4x faster server 1, and its 2-bit
+    # input pays 1 s over the 2 bit/s link: 5 + 1 + 2 = 8 beats 9 + 0 + 2.
+    net = make_network([Server(0, 1.0), Server(1, 4.0)], [Link(0, 0, 1, 2.0)])
+    validate_network(net)
+    aug = chain_dag([1.0, 8.0], sizes=[2.0], dst_out=2.0)
+    result = dpe_embed(aug, net, build_catalog(net), ready={0: 4.0, 1: 8.75})
+    assert result.placements == {0: 0, 1: 1, 2: 1}
+    assert result.finish_times == {0: 5.0, 1: 8.0, 2: 8.0}
+    mapping = result.edge_mappings[(0, 1)]
+    assert [p.nodes for p in mapping.paths] == [(0, 1)]
+    assert mapping.allocations == (2.0,)
 
 
-def test_solve_subproblem_breaks_ties_toward_smallest_server():
-    # finish times are rigged so every source scores phi = 3 + proc
-    net = complete_network(3)
+def test_ties_go_to_the_smallest_server():
+    # Servers 1 and 2 are equally fast and the links equally quick, so every
+    # row ties between them; both algorithms must settle on server 1.
+    net = make_network(
+        [Server(0, 0.5), Server(1, 1.0), Server(2, 1.0)],
+        [Link(0, 0, 1, 1.0), Link(1, 0, 2, 1.0), Link(2, 1, 2, 1.0)],
+    )
+    validate_network(net)
     aug = chain_dag([1.0, 1.0], sizes=[3.0])
-    catalog = build_catalog(net)
-    transit = catalog.transit_seconds(0, 1, 3.0)
-    assert transit == 2.0  # paths (0,1) and (0,2,1): 3 / (1 + 1/2)
-    state = ScheduleState(
-        best_finish={(0, 0): 1.0, (0, 1): 3.0, (0, 2): 1.0}
+    for result in both_algorithms(aug, net):
+        assert set(result.placements.values()) == {1}
+    # A tie among sources: f0 finishes at 1, 3 and 1 s on servers 0-2 and
+    # 3 bits take 2 s between any two servers, so every source delivers to
+    # f1 on the fast server 1 at 3 s; the smallest source id, 0, wins.
+    fast = make_network(
+        [Server(0, 1.0), Server(1, 8.0), Server(2, 1.0)],
+        [Link(0, 0, 1, 1.0), Link(1, 0, 2, 1.0), Link(2, 1, 2, 1.0)],
     )
-    res = solve_subproblem(aug, net, catalog, state, aug.edges[0], fixed_dst=1)
-    assert res.phi == 4.0  # 3 + proc(1 flop on unit server)
-    assert res.src_server == 0
+    aug = chain_dag([1.0, 8.0], sizes=[3.0])
+    result = dpe_embed(aug, fast, build_catalog(fast), ready={1: 2.875})
+    assert result.placements == {0: 0, 1: 1, 2: 1}
+    assert result.makespan == 4.0
 
 
-def test_solve_subproblem_same_server_has_no_paths():
-    net = two_server_line()
+def test_same_server_stream_has_no_paths():
     aug = chain_dag([1.0, 1.0], sizes=[2.0])
-    catalog = build_catalog(net)
-    state = ScheduleState(best_finish={(0, 0): 1.0, (0, 1): 100.0})
-    res = solve_subproblem(aug, net, catalog, state, aug.edges[0], fixed_dst=0)
-    assert res.src_server == 0
-    assert res.paths == ()
-    assert res.split is None
-    assert res.transit == 0.0
+    for result in both_algorithms(aug, two_server_line()):
+        mapping = result.edge_mappings[(0, 1)]
+        assert mapping.same_server
+        assert mapping.paths == () and mapping.allocations == ()
 
 
-def test_solve_subproblem_honors_commitment_and_caches_transit():
-    net = two_server_line()
-    aug = chain_dag([1.0, 1.0], sizes=[2.0])
-    catalog = build_catalog(net)
-    state = ScheduleState(
-        best_finish={(0, 0): 5.0, (0, 1): 9.0},
-        decided_placement={0: 1},
+def test_committed_source_is_not_re_placed_per_consumer():
+    # f0 fans out to f1 and f2; f3 feeds f2 a large stream. f1 is embedded
+    # first and commits f0 to server 0. f2 then lands on server 1 next to
+    # f3 and must wait for f0's 16 bits over the link (1 + 16 + 1 = 18 s),
+    # although f0 on server 1 would have delivered at 4.5 + 1 = 5.5 s and
+    # let f2 finish at 15 s, the exhaustive optimum.
+    net = make_network([Server(0, 1.0), Server(1, 2.0)], [Link(0, 0, 1, 1.0)])
+    validate_network(net)
+    dag = WorkloadDag(
+        functions=(
+            FunctionNode(0, 1.0),
+            FunctionNode(1, 1.0),
+            FunctionNode(3, 20.0),
+            FunctionNode(2, 2.0),
+        ),
+        edges=(
+            StreamEdge(0, 1, 1.0),
+            StreamEdge(0, 2, 16.0),
+            StreamEdge(3, 2, 8.0),
+        ),
     )
-    res = solve_subproblem(aug, net, catalog, state, aug.edges[0], fixed_dst=0)
-    # the cheaper uncommitted source (server 0) must not be considered
-    assert res.src_server == 1
-    assert res.phi == 9.0 + 1.0 + 1.0
-    assert state.transit_cache[(0, 1, 1, 0)] == 1.0
+    aug = augment_dummy_tail(dag, {1: 1.0, 2: 1.0})
+    catalog = build_catalog(net)
+    ready = {0: 0.0, 1: 4.0}
+    result = dpe_embed(aug, net, catalog, ready)
+    assert result.placements == {0: 0, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert result.finish_times[2] == 18.0
+    assert result.makespan == 18.0
+    assert brute_force_embed(aug, net, catalog, ready).makespan == 15.0
 
 
-def test_committed_source_transits_are_cached_per_edge():
+def test_committed_source_charges_each_stream_its_own_bits():
     # A committed fan-out source ships two streams of different sizes; each
-    # edge must be charged for its own bits, not a sibling's cached transit.
-    net = two_server_line()  # single link, throughput 2.0 -> 0.5 s per bit
+    # edge must be charged for its own bits, not a sibling's transit.
+    net = make_network([Server(0, 1.0), Server(1, 8.0)], [Link(0, 0, 1, 2.0)])
+    validate_network(net)
     dag = WorkloadDag(
         functions=(
             FunctionNode(id=0, flops=1.0),
-            FunctionNode(id=1, flops=1.0),
-            FunctionNode(id=2, flops=1.0),
+            FunctionNode(id=1, flops=8.0),
+            FunctionNode(id=2, flops=8.0),
         ),
         edges=(
             StreamEdge(src=0, dst=1, size=2.0),
@@ -160,25 +177,11 @@ def test_committed_source_transits_are_cached_per_edge():
         ),
     )
     aug = augment_dummy_tail(dag, {1: 1.0, 2: 1.0})
-    catalog = build_catalog(net)
-    state = ScheduleState(
-        best_finish={(0, 0): 5.0, (0, 1): 5.0},
-        decided_placement={0: 1},
-    )
-    small = solve_subproblem(aug, net, catalog, state, aug.edges[0], fixed_dst=0)
-    large = solve_subproblem(aug, net, catalog, state, aug.edges[1], fixed_dst=0)
-    assert small.transit == 2.0 * 0.5
-    assert large.transit == 8.0 * 0.5
-    assert state.transit_cache[(0, 1, 1, 0)] == 1.0
-    assert state.transit_cache[(0, 2, 1, 0)] == 4.0
-
-
-def test_solve_subproblem_requires_populated_predecessor():
-    net = two_server_line()
-    aug = chain_dag([1.0, 1.0], sizes=[2.0])
-    catalog = build_catalog(net)
-    with pytest.raises(UnpopulatedPredecessorError):
-        solve_subproblem(aug, net, catalog, ScheduleState(), aug.edges[0], 0)
+    result = dpe_embed(aug, net, build_catalog(net), ready={1: 10.0})
+    assert result.placements == {0: 0, 1: 1, 2: 1, 3: 1}
+    # 0.5 s per bit: f0 ends at 1 s, then 1 s and 4 s of transit, 1 s of work
+    assert result.finish_times[1] == 1.0 + 2.0 * 0.5 + 1.0
+    assert result.finish_times[2] == 1.0 + 8.0 * 0.5 + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -250,25 +253,40 @@ def test_split_strictly_beats_single_path_embedding():
     assert passive_transit == pytest.approx(2.0, rel=REL)
 
 
-def test_entries_must_lead_the_stored_order():
-    dag = WorkloadDag(
-        functions=(
-            FunctionNode(0, 1.0),
-            FunctionNode(1, 1.0),
-            FunctionNode(3, 1.0),
-            FunctionNode(2, 1.0),
-        ),
-        edges=(StreamEdge(0, 1, 1.0), StreamEdge(3, 2, 1.0)),
+def test_late_entries_embed_like_entries_first():
+    # Entry 3 is stored after the non-entry 1; the same DAG with its entries
+    # first must give the identical embedding, and the exact optimum.
+    functions = {f: FunctionNode(f, float(f + 1)) for f in range(4)}
+    edges = (StreamEdge(0, 1, 3.0), StreamEdge(3, 2, 5.0))
+    late = WorkloadDag(
+        functions=tuple(functions[f] for f in (0, 1, 3, 2)), edges=edges
     )
-    aug = augment_dummy_tail(dag, {1: 1.0, 2: 1.0})
-    net = two_server_line()
+    early = WorkloadDag(
+        functions=tuple(functions[f] for f in (0, 3, 1, 2)), edges=edges
+    )
+    net = make_network(
+        [Server(0, 1.0), Server(1, 2.0), Server(2, 1.5)],
+        [Link(0, 0, 1, 2.0), Link(1, 1, 2, 1.0), Link(2, 0, 2, 4.0)],
+    )
+    validate_network(net)
     catalog = build_catalog(net)
-    with pytest.raises(ValidationError):
-        dpe_embed(aug, net, catalog)
-    # after normalization the same workload embeds fine
-    fixed = augment_dummy_tail(normalize_entry_order(dag), {1: 1.0, 2: 1.0})
-    result = dpe_embed(fixed, net, catalog)
-    assert result.makespan > 0
+    ready = {0: 0.0, 1: 6.0, 2: 2.0}
+    dst_out = {1: 1.0, 2: 2.0}
+    aug_late = augment_dummy_tail(late, dst_out)
+    aug_early = augment_dummy_tail(early, dst_out)
+    for embed, oracle in (
+        (
+            lambda aug: dpe_embed(aug, net, catalog, ready),
+            brute_force_embed(aug_late, net, catalog, ready),
+        ),
+        (
+            lambda aug: placement_only_embed(aug, net, catalog),
+            brute_force_embed(aug_late, net, catalog),
+        ),
+    ):
+        result = embed(aug_late)
+        assert result == embed(aug_early)
+        assert result.makespan == pytest.approx(oracle.makespan, rel=REL)
 
 
 # ---------------------------------------------------------------------------

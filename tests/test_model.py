@@ -30,7 +30,6 @@ from edge_embed import (
     make_network,
     network_from_json,
     network_to_json,
-    normalize_entry_order,
     processing_time,
     validate_dag,
     validate_network,
@@ -171,18 +170,6 @@ def test_validate_dag_rejects_negative_flops():
         validate_dag(dag)
 
 
-def test_normalize_entry_order_moves_entries_first():
-    # stored order interleaves an entry (id 2) after a non-entry (id 1)
-    dag = WorkloadDag(
-        functions=(FunctionNode(0, 1.0), FunctionNode(2, 1.0), FunctionNode(1, 1.0)),
-        edges=(StreamEdge(0, 1, 1.0), StreamEdge(2, 1, 1.0)),
-    )
-    fixed = normalize_entry_order(dag)
-    ids = [f.id for f in fixed.functions]
-    assert ids == [0, 2, 1]
-    validate_dag(fixed)
-
-
 # ---------------------------------------------------------------------------
 # dummy-tail augmentation
 # ---------------------------------------------------------------------------
@@ -195,7 +182,7 @@ def test_augment_single_destination():
     assert dummy.is_dummy and dummy.flops == 0.0
     assert aug.stream_size[(1, 2)] == 5.0
     assert aug.out_degree[1] == 1
-    assert aug.topo_non_entries[-1] == 2
+    assert aug.functions[-1].id == 2
 
 
 def test_augment_two_destinations_adds_two_edges():
