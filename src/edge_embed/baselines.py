@@ -211,9 +211,9 @@ def placement_only_embed(
     if routes is None:
         routes = passive_routes(catalog)
     n = net.n_servers
-    coeff = np.array(
-        [[routes.coefficient(u, v) for v in range(n)] for u in range(n)]
-    )
+    coeff = np.zeros((n, n))
+    for (u, v), a_min in routes._coefficient.items():
+        coeff[u, v] = a_min
     placements, finish_times, makespan = _dynamic_embed(
         dag, net, lambda bits: bits * coeff, ready=None
     )

@@ -44,7 +44,7 @@ def _load_ready(raw, n_servers: int) -> dict[int, float]:
     for key, value in raw.items():
         try:
             server, seconds = int(key), float(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"ready entry {key!r}: {exc}") from exc
         if not 0 <= server < n_servers:
             raise SchemaError(f"ready file names unknown server {server}")

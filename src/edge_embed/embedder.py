@@ -14,9 +14,9 @@ Transit uses the bottleneck-equalizing split over every simple path of the
 server-by-server matrix per stream, so the placement-only baseline runs
 the same program with its single-path matrix. A predecessor that feeds several
 functions cannot be re-placed per consumer: the first consumer processed
-commits its placement, later consumers reuse it, and the first consumer's
-row is recomputed under that commitment so every stored finish time
-describes one single consistent embedding.
+commits its placement and later consumers reuse it. The first consumer's row
+reads the input's arrival from the committed server's row of its min-plus
+block, equal to a recompute, so every finish time is one embedding's.
 
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
@@ -25,6 +25,7 @@ finish times from nothing but the recurrence.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -75,74 +76,69 @@ def _dynamic_embed(
 
     Visits every function in stored topological order. An entry's row is
     its processing time plus the server's ready time; any other row is the
-    slowest over its inputs of one min-plus step per predecessor, where the
-    smallest source server id wins ties. The commit-once rule pins a
-    predecessor feeding more than one function to the source it used at
-    the committing row's best destination, and recomputes that row so
-    stored values describe one single embedding. Pointers are then walked
-    backward from the best collector placement. Returns placements, finish
-    times and the makespan.
+    slowest over its inputs of one min-plus step per uncommitted
+    predecessor (the smallest source server id wins ties). The commit-once
+    rule pins a predecessor feeding more than one function to the source
+    it used at the committing row's best destination c; its arrival is then
+    row c of its min-plus block, equal to a recompute under that commitment.
+    Pointers are walked backward from the best collector placement. Returns
+    placements, finish times and the makespan.
     """
-    n_servers = net.n_servers
-    ready_map = _ready_map(net, ready)
-    ready_row = np.array([ready_map[s.id] for s in net.servers])
+    psi = np.array([s.psi for s in net.servers])
+    ready_row = np.zeros(net.n_servers)
+    if ready is not None:
+        ready_row = np.array([float(ready.get(s.id, 0.0)) for s in net.servers])
     finish: dict[int, np.ndarray] = {}
-    # sources[fj][fi][n]: server of predecessor fi when fj runs on n.
-    sources: dict[int, dict[int, np.ndarray]] = {}
+    # sources[fj][fi]: fi's server per server of fj, or one int if committed.
+    sources: dict[int, dict[int, np.ndarray | int]] = {}
     committed: dict[int, int] = {}
 
     for node in dag.functions:
         fj = node.id
-        proc = np.array([processing_time(node, s) for s in net.servers])
+        proc = node.flops / psi  # the collector's flops are 0
         preds = dag.predecessors[fj]
         if not preds:
             finish[fj] = proc + ready_row
             continue
-        cost = {fi: transit(dag.stream_size[(fi, fj)]) for fi in preds}
-
-        def compute_row() -> tuple[np.ndarray, dict[int, np.ndarray]]:
-            arrivals = []
-            picks = {}
-            for fi in preds:
-                c = committed.get(fi)
-                if c is None:
-                    phi = (finish[fi][:, None] + cost[fi]) + proc[None, :]
-                    picks[fi] = phi.argmin(axis=0)
-                    arrivals.append(phi.min(axis=0))
-                else:
-                    picks[fi] = np.full(n_servers, c)
-                    arrivals.append((finish[fi][c] + cost[fi][c]) + proc)
-            return np.max(arrivals, axis=0), picks
-
-        row, picks = compute_row()
-        n_hat = int(row.argmin())
-        newly_committed = False
+        arrivals: dict[int, np.ndarray] = {}
+        picks: dict[int, np.ndarray | int] = {}
+        blocks: dict[int, np.ndarray] = {}  # fan-out inputs this row commits
         for fi in preds:
-            if fi not in committed and dag.out_degree[fi] >= 2:
-                committed[fi] = int(picks[fi][n_hat])
-                newly_committed = True
-        if newly_committed:
-            row, picks = compute_row()
+            cost = transit(dag.stream_size[(fi, fj)])
+            c = committed.get(fi)
+            if c is None:
+                phi = (finish[fi][:, None] + cost) + proc[None, :]
+                picks[fi] = phi.argmin(axis=0)
+                arrivals[fi] = phi.min(axis=0)
+                if dag.out_degree[fi] >= 2:
+                    blocks[fi] = phi
+            else:
+                picks[fi] = c
+                arrivals[fi] = (finish[fi][c] + cost[c]) + proc
+        row = functools.reduce(np.maximum, arrivals.values())
+        if blocks:
+            n_hat = int(row.argmin())
+            for fi, phi in blocks.items():
+                c = int(picks[fi][n_hat])
+                committed[fi] = picks[fi] = c
+                arrivals[fi] = phi[c]
+            row = functools.reduce(np.maximum, arrivals.values())
         finish[fj] = row
         sources[fj] = picks
 
     dummy = dag.dummy_id
-    n_star = int(finish[dummy].argmin())
     # Reverse topological order guarantees a function's own placement is
     # known before its in-edges are resolved.
-    placements: dict[int, int] = {dummy: n_star}
-    for node in reversed(dag.functions):
-        fj = node.id
-        for fi, src_row in sources.get(fj, {}).items():
-            src = int(src_row[placements[fj]])
+    placements: dict[int, int] = {dummy: int(finish[dummy].argmin())}
+    for fj, inputs in reversed(sources.items()):
+        for fi, pick in inputs.items():
+            src = pick if isinstance(pick, int) else int(pick[placements[fj]])
             prior = placements.setdefault(fi, src)
             if prior != src:
                 raise AssertionError(
                     f"inconsistent placement for function {fi}: {prior} vs {src}"
                 )
-    finish_times = {
-        f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions
-    }
+    finish_times = {f: float(row[placements[f]]) for f, row in finish.items()}
     return placements, finish_times, finish_times[dummy]
 
 

@@ -367,7 +367,7 @@ def network_from_json(obj: Mapping) -> EdgeNetwork:
             )
             for l in obj["links"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed network document: {exc}") from exc
     net = make_network(servers, links)
     validate_network(net)
@@ -400,7 +400,7 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
             for e in obj["edges"]
         )
         dst_out = {int(k): float(v) for k, v in obj["dst_out"].items()}
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed workload document: {exc}") from exc
     dag = WorkloadDag(functions=functions, edges=edges)
     validate_dag(dag)

@@ -149,13 +149,17 @@ class PathCatalog:
 
 
 def resolve_path_cap(explicit: int | None = None) -> int:
-    """Path cap precedence: explicit argument, then env var, then default."""
+    """Path cap: explicit argument, then env var (>= 0), then default."""
     if explicit is not None:
         return explicit
     env = os.environ.get(PATH_CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_PATH_CAP
+    if env is None:
+        return DEFAULT_PATH_CAP
+    if not env.strip().isdecimal():
+        raise ValidationError(
+            f"{PATH_CAP_ENV_VAR} must be a non-negative integer, got {env!r}"
+        )
+    return int(env)
 
 
 def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:

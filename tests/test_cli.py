@@ -74,6 +74,16 @@ def test_paths_honors_cap_from_environment(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+def test_paths_rejects_malformed_cap_from_environment(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("EDGE_EMBED_PATH_CAP", value)
+    net = write_triangle(tmp_path)
+    code = main(["paths", "--network", net, "--src", "0", "--dst", "1"])
+    assert_one_error(capsys, code)
+
+
 def test_paths_missing_network_file(tmp_path, capsys):
     code = main(
         ["paths", "--network", str(tmp_path / "none.json"), "--src", "0", "--dst", "1"]
@@ -222,6 +232,11 @@ def _set_ready(net, dag, ready, value):
     [_set_psi, _set_throughput, _set_flops, _set_bits, _set_dst_out, _set_ready],
 )
 def test_embed_rejects_non_finite_numbers(tmp_path, capsys, mutate, value):
+    assert_one_error(capsys, _embed_mutated(tmp_path, mutate, value))
+
+
+def _embed_mutated(tmp_path, mutate, value):
+    """Run ``embed --ready`` on the diamond after ``mutate`` sets ``value``."""
     net_doc = network_to_json(triangle_network())
     dag_doc = json.loads(json.dumps(DIAMOND))
     ready_doc = {"0": 0.0}
@@ -231,10 +246,30 @@ def test_embed_rejects_non_finite_numbers(tmp_path, capsys, mutate, value):
     ready = tmp_path / "ready.json"
     ready.write_text(json.dumps(ready_doc), encoding="utf-8")
     dag = write_diamond(tmp_path, dag_doc)
-    code = main(
+    return main(
         ["embed", "--network", str(net), "--dag", dag, "--ready", str(ready)]
     )
-    assert_one_error(capsys, code)
+
+
+def _set_server_id(net, dag, ready, value):
+    net["servers"][0]["id"] = value
+
+
+def _set_function_id(net, dag, ready, value):
+    dag["functions"][0]["id"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        (_set_server_id, float("inf")),  # int(inf) overflows
+        (_set_function_id, float("-inf")),
+        (_set_psi, 10**400),  # float(10**400) overflows
+        (_set_ready, 10**400),
+    ],
+)
+def test_embed_rejects_overflowing_numbers(tmp_path, capsys, mutate, value):
+    assert_one_error(capsys, _embed_mutated(tmp_path, mutate, value))
 
 
 # ---------------------------------------------------------------------------

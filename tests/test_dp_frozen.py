@@ -1,0 +1,148 @@
+"""The shared dynamic program's output on a fixed set of desk DAGs, frozen.
+
+Each embedding's makespan (as ``float.hex()``) and placement tuple, in
+stored function order, are literals, so a later change to the DP that
+alters a single bit of any result fails here. Rows hold, per DAG, ``dpe``
+on idle servers, ``dpe`` with ``READY``, and ``placement-only``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from edge_embed import (
+    WorkloadSpec,
+    build_catalog,
+    dpe_embed,
+    generate_dag_records,
+    generate_network,
+    placement_only_embed,
+)
+
+READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
+
+FROZEN = [
+    (
+        ('0x1.d81284af0fd48p-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.00729da11e266p+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.d81284af0fd48p-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.016aab198c17dp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.1a141f74a14eep+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.016aab198c17dp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.3c8dcbbb56516p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.740d343bbcdeap+0', (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.3c8dcbbb56516p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.66d8ffaa5ea7ep-2', (0, 0, 0)),
+        ('0x1.e94b3938d6034p-2', (1, 0, 0)),
+        ('0x1.66d8ffaa5ea7ep-2', (0, 0, 0)),
+    ),
+    (
+        ('0x1.112b9f840e2b2p-1', (0, 0, 0, 0, 0)),
+        ('0x1.4fab12155cb04p-1', (1, 0, 0, 0, 0)),
+        ('0x1.112b9f840e2b2p-1', (0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.bb0d802143554p-2', (0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.17924d3529136p-1', (1, 0, 1, 0, 0, 0, 0)),
+        ('0x1.bb0d802143554p-2', (0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.3eb5c60a07f82p-1', (0, 0, 0, 0, 0)),
+        ('0x1.7e8d726d5df28p-1', (1, 1, 0, 0, 0)),
+        ('0x1.3eb5c60a07f82p-1', (0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.abb92212e9b1ap-1', (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.dc22b663bbdefp-1', (1, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.abb92212e9b1ap-1', (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.5d5e32b84163bp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.7f53da24de625p+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.5d5e32b84163bp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.10a307a502e16p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.43114f23116aep+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.10a307a502e16p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.bbdaba27f13ecp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.f801231c95f3ap+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.bbdaba27f13ecp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.e644e66cc77cap-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.14984c5a318f6p+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.e644e66cc77cap-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.3a95624fc415bp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.614640db6c986p+0', (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.3a95624fc415bp+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.07eb4bc9146e7p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.2f48d4f915529p+0', (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.07eb4bc9146e7p+0', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.ebb35ad0f3730p-2', (0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.3b02916e43582p-1', (1, 0, 0, 0, 0, 0, 0)),
+        ('0x1.ebb35ad0f3730p-2', (0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.9d655c553d28dp-2', (0, 0, 0, 0, 0)),
+        ('0x1.1abb5c8874d40p-1', (1, 0, 0, 0, 0)),
+        ('0x1.9d655c553d28dp-2', (0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.9c0e9b0c8446cp-1', (0, 0, 0, 0, 0, 0)),
+        ('0x1.e8a9e26e8d1b1p-1', (1, 0, 0, 0, 0, 0)),
+        ('0x1.9c0e9b0c8446cp-1', (0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.6b28b046cc877p-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.a4fff183a3a0dp-1', (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+        ('0x1.6b28b046cc877p-1', (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.c9e8f0753eb76p-2', (0, 0, 0, 0)),
+        ('0x1.0d5343a5128ebp-1', (1, 0, 0, 0)),
+        ('0x1.c9e8f0753eb76p-2', (0, 0, 0, 0)),
+    ),
+    (
+        ('0x1.2bc37a8432562p-2', (0, 0, 0)),
+        ('0x1.ba74dd58654d5p-2', (1, 1, 1)),
+        ('0x1.2bc37a8432562p-2', (0, 0, 0)),
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def desk():
+    net = generate_network(WorkloadSpec(seed=0))
+    records = generate_dag_records(WorkloadSpec(seed=11, n_dags=len(FROZEN)))
+    return net, build_catalog(net), [r.augmented() for r in records]
+
+
+@pytest.mark.parametrize("k", range(len(FROZEN)))
+def test_dp_output_is_frozen(desk, k):
+    net, catalog, dags = desk
+    aug = dags[k]
+    results = (
+        dpe_embed(aug, net, catalog),
+        dpe_embed(aug, net, catalog, READY),
+        placement_only_embed(aug, net, catalog),
+    )
+    got = tuple(
+        (r.makespan.hex(), tuple(r.placements[f.id] for f in aug.functions))
+        for r in results
+    )
+    assert got == FROZEN[k]

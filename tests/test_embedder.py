@@ -184,6 +184,54 @@ def test_committed_source_charges_each_stream_its_own_bits():
     assert result.finish_times[2] == 1.0 + 8.0 * 0.5 + 1.0
 
 
+def test_row_commits_two_sources_beside_an_earlier_commitment():
+    # Servers run at 1 and 2 flop/s, server 1 is ready at 2 s and one link
+    # moves a bit per second. Entries A=0, B=1, C=2 (1 flop each) finish at
+    # [1, 2.5] s. X=3 (2 flops, 2 bits from C) has the row [3, 3.5], best
+    # on server 0 with C on 0, so C is committed to 0 and X's row becomes
+    # [3, 4]. Y=4 (4 flops) reads A (1 bit), B (2 bits) and committed C
+    # (1 bit): arrivals [5, 4] from A on 0, [5, 4.5] from B on 0 and 1, and
+    # [5, 4] from C; the row [5, 4.5] is best on server 1, so this one row
+    # commits A to 0 and B to 1. B's arrival at Y on server 0 is then
+    # 2.5 + 2 + 4 = 8.5 and Y's row [8.5, 4.5]. Z=5 (2 flops) reads A
+    # (4 bits) and B (1 bit): [5.5, 6]. The collector (2, 1 and 2 bits from
+    # X, Y, Z) reads [5.5, 6] and sits on server 0, with Y kept on 1.
+    net = make_network([Server(0, 1.0), Server(1, 2.0)], [Link(0, 0, 1, 1.0)])
+    validate_network(net)
+    dag = WorkloadDag(
+        functions=tuple(
+            FunctionNode(f, c) for f, c in enumerate([1.0, 1.0, 1.0, 2.0, 4.0, 2.0])
+        ),
+        edges=(
+            StreamEdge(2, 3, 2.0),
+            StreamEdge(0, 4, 1.0),
+            StreamEdge(1, 4, 2.0),
+            StreamEdge(2, 4, 1.0),
+            StreamEdge(0, 5, 4.0),
+            StreamEdge(1, 5, 1.0),
+        ),
+    )
+    aug = augment_dummy_tail(dag, {3: 2.0, 4: 1.0, 5: 2.0})
+    catalog = build_catalog(net)
+    ready = {0: 0.0, 1: 2.0}
+    result = dpe_embed(aug, net, catalog, ready)
+    assert result.placements == {0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 0, 6: 0}
+    assert result.finish_times == {
+        0: 1.0, 1: 2.5, 2: 1.0, 3: 3.0, 4: 4.5, 5: 5.5, 6: 5.5
+    }
+    assert result.makespan == 5.5
+    finish, makespan = simulate_embedding(
+        aug, net, result.placements, result.edge_mappings, ready
+    )
+    assert makespan == pytest.approx(result.makespan, rel=REL)
+    for fid, t in result.finish_times.items():
+        assert finish[fid] == pytest.approx(t, rel=REL)
+    # Everything on server 0 finishes at 5 s: commit-once costs 0.5 s here.
+    brute = brute_force_embed(aug, net, catalog, ready)
+    assert result.makespan >= brute.makespan
+    assert brute.makespan <= 5.0
+
+
 # ---------------------------------------------------------------------------
 # whole-workload embedding: hand cases
 # ---------------------------------------------------------------------------
