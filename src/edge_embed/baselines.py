@@ -36,21 +36,14 @@ class PassiveRoute:
 
 
 def passive_routes(catalog: PathCatalog) -> PassiveRoute:
-    """Pick the minimum-coefficient path per pair from the catalog.
+    """The catalog's minimum-coefficient path per pair.
 
     Coefficient ties resolve to the path that comes first in canonical
     order, which the catalog already guarantees.
     """
-    best_path: dict[tuple[int, int], SimplePath] = {}
-    best_coeff: dict[tuple[int, int], float] = {}
-    for pair, coeffs in catalog.coefficients.items():
-        winner = 0
-        for k in range(1, len(coeffs)):
-            if coeffs[k] < coeffs[winner]:  # strict keeps canonical-first
-                winner = k
-        best_path[pair] = catalog.paths[pair][winner]
-        best_coeff[pair] = coeffs[winner]
-    return PassiveRoute(path=best_path, _coefficient=best_coeff)
+    return PassiveRoute(
+        path=catalog.cheapest, _coefficient=catalog.cheapest_coefficient
+    )
 
 
 def _single_path_mappings(

@@ -1,17 +1,27 @@
 """Exhaustive simple-path enumeration between server pairs.
 
-Streams may be split across every simple path joining two servers, so the
-embedding stage needs the complete per-pair path inventory up front. Paths
-are found by a depth-first walk that pushes a node onto the current route,
-recurses into unvisited neighbors, and pops on the way back. The walk is
-exponential by nature; a configurable cap on the total number of stored
-paths turns runaway growth into a clean error instead of an OOM.
+Streams may be split across every simple path joining two servers, but
+the embedders need much less than the paths themselves: ``dpe`` reads the
+per-pair aggregate ``sum(1 / A_k)``, the single-path baselines read the
+cheapest path, and only the pairs an embedding actually uses need their
+path lists. The catalog therefore walks once from each source server,
+keeps per-pair coefficients, aggregates and the cheapest path, and lists a
+pair's paths on first use.
+
+The walk is depth-first: it pushes a server onto the current route, moves
+on to unvisited neighbours in ascending id, and pops on the way back. It
+is exponential by nature; a configurable cap on the total number of
+enumerated paths turns runaway growth into a clean error instead of a
+hopeless run.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import PathExplosionError, SamePairError, ValidationError
 from .model import EdgeNetwork
@@ -44,7 +54,7 @@ def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
 
 
 class _Budget:
-    """Shared countdown of how many more paths may be stored."""
+    """Shared countdown of how many more paths may be enumerated."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -56,39 +66,62 @@ class _Budget:
             raise PathExplosionError(self.cap)
 
 
-def _walk_pair(
-    net: EdgeNetwork, src: int, dst: int, budget: _Budget | None
-) -> tuple[list[SimplePath], int]:
-    """Enumerate all simple paths src -> dst; returns (paths, call count)."""
-    found: list[SimplePath] = []
-    route: list[int] = []
-    route_links: list[int] = []
-    visited: set[int] = set()
-    calls = 0
+def _walk(
+    net: EdgeNetwork, src: int, dst: int | None = None
+) -> Iterator[tuple[list[int], list[int], float]]:
+    """Depth-first walk over the simple paths that leave ``src``.
 
-    def walk(node: int) -> None:
-        nonlocal calls
-        calls += 1
-        if node == dst:
+    Every step lands on one simple path and yields it as ``(nodes,
+    link_ids, coefficient)``. The two lists belong to the walk and change
+    after the yield: copy them to keep the path. The coefficient is summed
+    left to right like ``path_coefficient``, so the floats are the same.
+    Neighbours are visited in ascending id, so the paths ending at any one
+    server come in lexicographic node order. A path that reaches ``dst``
+    is not extended.
+    """
+    inverse = [1.0 / link.throughput for link in net.links]
+    nodes = [src]
+    link_ids: list[int] = []
+    coefficients = [0.0]
+    on_route = {src}
+    branches = [iter(net.adjacency[src])]
+    while branches:
+        for node, link_id in branches[-1]:
+            if node in on_route:
+                continue
+            coefficient = coefficients[-1] + inverse[link_id]
+            nodes.append(node)
+            link_ids.append(link_id)
+            coefficients.append(coefficient)
+            yield nodes, link_ids, coefficient
+            if node != dst:
+                on_route.add(node)
+                branches.append(iter(net.adjacency[node]))
+                break
+            nodes.pop()
+            link_ids.pop()
+            coefficients.pop()
+        else:
+            branches.pop()
+            on_route.discard(nodes.pop())
+            if link_ids:
+                link_ids.pop()
+                coefficients.pop()
+
+
+def _list_paths(
+    net: EdgeNetwork, src: int, dst: int, budget: _Budget | None
+) -> tuple[SimplePath, ...]:
+    """Every simple path src -> dst in canonical order."""
+    found = []
+    for nodes, link_ids, _ in _walk(net, src, dst):
+        if nodes[-1] == dst:
             if budget is not None:
                 budget.spend()
-            found.append(
-                SimplePath(nodes=tuple(route) + (dst,), link_ids=tuple(route_links))
-            )
-            return
-        route.append(node)
-        visited.add(node)
-        for neighbor, link_id in net.adjacency[node]:
-            if neighbor not in visited:
-                route_links.append(link_id)
-                walk(neighbor)
-                route_links.pop()
-        route.pop()
-        visited.remove(node)
-
-    walk(src)
-    found.sort(key=lambda p: (len(p.nodes), p.nodes))
-    return found, calls
+            found.append(SimplePath(nodes=tuple(nodes), link_ids=tuple(link_ids)))
+    # the walk meets them in node order, so a stable sort by length suffices
+    found.sort(key=lambda p: len(p.nodes))
+    return tuple(found)
 
 
 def enumerate_simple_paths(
@@ -109,30 +142,46 @@ def enumerate_simple_paths(
     if src == dst:
         raise SamePairError(src)
     budget = None if path_cap is None else _Budget(path_cap)
-    paths, _ = _walk_pair(net, src, dst, budget)
-    return paths
+    return list(_list_paths(net, src, dst, budget))
 
 
 @dataclass
 class PathCatalog:
-    """Per ordered server pair: simple paths, coefficients, and aggregates.
+    """Per ordered server pair: path coefficients, aggregates, cheapest path.
 
-    ``coefficients[(u, v)][k]`` is the seconds-per-bit cost of path k, and
-    ``inv_coeff_sum[(u, v)]`` holds ``sum(1 / A_k)`` over all paths of the
-    pair, the denominator of the bottleneck-equalizing split. Recursion
-    call counts per pair are kept for complexity checks.
+    ``coefficients[(u, v)][k]`` is the seconds-per-bit cost of path k in
+    canonical order, and ``inv_coeff_sum[(u, v)]`` holds ``sum(1 / A_k)``
+    over all paths of the pair, the denominator of the bottleneck-equalizing
+    split. ``cheapest[(u, v)]`` is the canonical-first path of least
+    coefficient, which costs ``cheapest_coefficient[(u, v)]`` seconds per
+    bit. The paths themselves are listed by ``pair_paths`` on first use.
     """
 
     n_servers: int
-    paths: dict[tuple[int, int], tuple[SimplePath, ...]] = field(repr=False)
+    net: EdgeNetwork = field(repr=False)
     coefficients: dict[tuple[int, int], tuple[float, ...]] = field(repr=False)
     inv_coeff_sum: dict[tuple[int, int], float] = field(repr=False)
-    recursion_calls: dict[tuple[int, int], int] = field(repr=False)
+    cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
+    cheapest_coefficient: dict[tuple[int, int], float] = field(repr=False)
     path_cap: int = DEFAULT_PATH_CAP
     total_paths: int = 0
+    _listed: dict[tuple[int, int], tuple[SimplePath, ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def recursion_calls(self) -> dict[tuple[int, int], int]:
+        """Walk steps that landed on v from u, one per path of the pair."""
+        return {pair: len(coeffs) for pair, coeffs in self.coefficients.items()}
 
     def pair_paths(self, u: int, v: int) -> tuple[SimplePath, ...]:
-        return self.paths[(u, v)]
+        """The pair's paths in canonical order, listed once and memoized."""
+        paths = self._listed.get((u, v))
+        if paths is None:
+            if (u, v) not in self.coefficients:
+                raise KeyError((u, v))
+            paths = self._listed[(u, v)] = _list_paths(self.net, u, v, None)
+        return paths
 
     def pair_coefficients(self, u: int, v: int) -> tuple[float, ...]:
         return self.coefficients[(u, v)]
@@ -163,36 +212,53 @@ def resolve_path_cap(explicit: int | None = None) -> int:
 
 
 def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
-    """Enumerate every ordered server pair of ``net`` into a catalog.
+    """Walk from every server of ``net`` into a catalog of all ordered pairs.
 
-    Raises PathExplosionError as soon as the total number of stored paths
-    passes ``path_cap`` (summed across pairs), so hopeless networks fail
-    fast instead of filling memory.
+    Raises PathExplosionError as soon as the total number of enumerated
+    paths passes ``path_cap`` (summed across ordered pairs), so hopeless
+    networks fail fast; the cap bounds the work of the walk.
     """
     cap = resolve_path_cap(path_cap)
     budget = _Budget(cap)
-    paths: dict[tuple[int, int], tuple[SimplePath, ...]] = {}
     coefficients: dict[tuple[int, int], tuple[float, ...]] = {}
     inv_sum: dict[tuple[int, int], float] = {}
-    calls: dict[tuple[int, int], int] = {}
+    cheapest: dict[tuple[int, int], SimplePath] = {}
+    cheapest_coeff: dict[tuple[int, int], float] = {}
     n = net.n_servers
     for u in range(n):
+        # by_hops[v][h]: coefficients of the h-link paths u -> v in walk
+        # order; read out hop by hop they are in canonical order
+        by_hops = [[[] for _ in range(n)] for _ in range(n)]
+        best_coeff = [math.inf] * n
+        best_hops = [n] * n
+        best_route: list[tuple | None] = [None] * n
+        for nodes, link_ids, coeff in _walk(net, u):
+            budget.spend()
+            v = nodes[-1]
+            hops = len(link_ids)
+            by_hops[v][hops].append(coeff)
+            # strict on (coefficient, hops): ties keep the path met first
+            if coeff < best_coeff[v] or (coeff == best_coeff[v] and hops < best_hops[v]):
+                best_coeff[v] = coeff
+                best_hops[v] = hops
+                best_route[v] = (tuple(nodes), tuple(link_ids))
         for v in range(n):
-            if u == v:
+            if v == u:
                 continue
-            pair_paths, pair_calls = _walk_pair(net, u, v, budget)
-            coeffs = tuple(path_coefficient(p, net) for p in pair_paths)
-            paths[(u, v)] = tuple(pair_paths)
+            coeffs = tuple(chain.from_iterable(by_hops[v]))
             coefficients[(u, v)] = coeffs
             inv_sum[(u, v)] = sum(1.0 / a for a in coeffs)
-            calls[(u, v)] = pair_calls
-    total = sum(len(p) for p in paths.values())
+            if best_route[v] is not None:
+                route_nodes, route_links = best_route[v]
+                cheapest[(u, v)] = SimplePath(nodes=route_nodes, link_ids=route_links)
+                cheapest_coeff[(u, v)] = best_coeff[v]
     return PathCatalog(
         n_servers=n,
-        paths=paths,
+        net=net,
         coefficients=coefficients,
         inv_coeff_sum=inv_sum,
-        recursion_calls=calls,
+        cheapest=cheapest,
+        cheapest_coefficient=cheapest_coeff,
         path_cap=cap,
-        total_paths=total,
+        total_paths=sum(len(c) for c in coefficients.values()),
     )

@@ -59,6 +59,29 @@ def test_passive_route_tie_goes_to_canonical_first():
     routes = passive_routes(build_catalog(net))
     assert routes.coefficient(0, 1) == 1.0
     assert routes.path[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
+    # the same tie on 1-2, where the walk meets the detour 1-0-2 first
+    net = make_network(
+        [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
+        [Link(0, 0, 1, 2.0), Link(1, 0, 2, 2.0), Link(2, 1, 2, 1.0)],
+    )
+    validate_network(net)
+    routes = passive_routes(build_catalog(net))
+    assert routes.coefficient(1, 2) == 1.0
+    assert routes.path[(1, 2)].nodes == (1, 2)
+
+
+def test_passive_route_equal_length_tie_goes_to_node_order():
+    # square 0-1-3 / 0-2-3: both two-link routes cost exactly 2.0 s/bit
+    net = make_network(
+        [Server(i, 1.0) for i in range(4)],
+        [Link(0, 0, 1, 1.0), Link(1, 0, 2, 1.0), Link(2, 1, 3, 1.0), Link(3, 2, 3, 1.0)],
+    )
+    validate_network(net)
+    routes = passive_routes(build_catalog(net))
+    assert routes.coefficient(0, 3) == 2.0
+    assert routes.path[(0, 3)].nodes == (0, 1, 3)  # lexicographically first
+    assert routes.path[(0, 3)].link_ids == (0, 2)
+    assert routes.path[(3, 0)].nodes == (3, 1, 0)
 
 
 def test_passive_routes_cover_all_ordered_pairs():

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from edge_embed import (
@@ -22,7 +24,7 @@ from edge_embed import (
 )
 from edge_embed.pathfind import DEFAULT_PATH_CAP, PATH_CAP_ENV_VAR
 
-from conftest import complete_network, triangle_network
+from conftest import complete_network, small_random_network, triangle_network
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +68,8 @@ def test_triangle_paths_match_oracle_and_order():
     assert paths[1].link_ids == (2, 1)
 
 
-def test_enumeration_matches_oracle_on_irregular_network():
-    # a 5-server network that is neither a tree nor complete
+def irregular_network():
+    """A 5-server network that is neither a tree nor complete."""
     net = make_network(
         [Server(i, 1.0) for i in range(5)],
         [
@@ -80,6 +82,11 @@ def test_enumeration_matches_oracle_on_irregular_network():
         ],
     )
     validate_network(net)
+    return net
+
+
+def test_enumeration_matches_oracle_on_irregular_network():
+    net = irregular_network()
     for src in range(5):
         for dst in range(5):
             if src == dst:
@@ -153,18 +160,75 @@ def test_catalog_covers_all_ordered_pairs():
                 assert len(catalog.pair_paths(u, v)) == 5
 
 
+def _oracle_networks():
+    rng = np.random.default_rng(7)
+    nets = [small_random_network(rng, max_servers=6) for _ in range(6)]
+    return nets + [complete_network(5, throughput=3.0), irregular_network(), triangle_network()]
+
+
+@pytest.mark.parametrize("net", _oracle_networks())
+def test_catalog_aggregates_match_oracle(net):
+    throughput = {}
+    for link in net.links:
+        throughput[(link.u, link.v)] = throughput[(link.v, link.u)] = link.throughput
+    catalog = build_catalog(net)
+    total = 0
+    for u in range(net.n_servers):
+        for v in range(net.n_servers):
+            if u == v:
+                continue
+            want = sorted(oracle_simple_paths(net, u, v), key=lambda ns: (len(ns), ns))
+            total += len(want)
+            paths = catalog.pair_paths(u, v)
+            assert [p.nodes for p in paths] == want
+            coeffs = tuple(path_coefficient(p, net) for p in paths)
+            assert catalog.pair_coefficients(u, v) == coeffs
+            # the same floats from the oracle's node sequences alone
+            oracle_coeffs = []
+            for nodes in want:
+                total_inv = 0.0
+                for hop in zip(nodes, nodes[1:]):
+                    total_inv += 1.0 / throughput[hop]
+                oracle_coeffs.append(total_inv)
+            assert coeffs == tuple(oracle_coeffs)
+            assert catalog.inv_coeff_sum[(u, v)] == sum(1.0 / a for a in coeffs)
+    assert catalog.total_paths == total
+
+
+def test_catalog_peak_memory_stays_small():
+    net = complete_network(7)
+    tracemalloc.start()
+    try:
+        build_catalog(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 13692 paths: the catalog keeps their coefficients, not SimplePath objects
+    assert peak < 1.5 * 2**20
+
+
+def test_pair_paths_are_listed_once_and_match_enumeration():
+    net = irregular_network()
+    catalog = build_catalog(net)
+    first = catalog.pair_paths(0, 4)
+    assert catalog.pair_paths(0, 4) is first
+    assert list(first) == enumerate_simple_paths(net, 0, 4)
+    with pytest.raises(KeyError):
+        catalog.pair_paths(2, 2)
+
+
 # ---------------------------------------------------------------------------
 # recursion effort and the explosion guard
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,calls,budget", [(2, 2, 6), (3, 4, 6), (4, 10, 12), (5, 32, 36), (6, 130, 144), (7, 652, 720)])
+@pytest.mark.parametrize("n,calls,budget", [(2, 1, 6), (3, 2, 6), (4, 5, 12), (5, 16, 36), (6, 65, 144), (7, 326, 720)])
 def test_recursion_calls_within_factorial_budget(n, calls, budget):
     net = complete_network(n)
     catalog = build_catalog(net)
     assert budget == 6 * math.factorial(n - 2)
     assert calls <= budget
-    # the DFS call count is identical for every ordered pair of K_n
+    # one walk step lands on v from u per path, the same for every pair of K_n
     assert len(catalog.recursion_calls) == n * (n - 1)
     for pair_calls in catalog.recursion_calls.values():
         assert pair_calls == calls
