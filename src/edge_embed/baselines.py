@@ -10,6 +10,7 @@ nothing but the missing stream splits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,28 +23,23 @@ from .pathfind import PathCatalog, SimplePath
 class PassiveRoute:
     """Cheapest single simple path per ordered server pair.
 
-    ``coefficient(u, v)`` is that path's seconds-per-bit cost, zero on the
-    diagonal where no routing happens.
+    ``path[(u, v)]`` is the catalog's cheapest path and
+    ``coefficient[u, v]`` its seconds-per-bit cost: the catalog's n x n
+    ``cheapest_coefficient`` matrix, zero on the diagonal where no routing
+    happens.
     """
 
     path: dict[tuple[int, int], SimplePath] = field(repr=False)
-    _coefficient: dict[tuple[int, int], float] = field(repr=False)
-
-    def coefficient(self, u: int, v: int) -> float:
-        if u == v:
-            return 0.0
-        return self._coefficient[(u, v)]
+    coefficient: np.ndarray = field(repr=False)
 
 
 def passive_routes(catalog: PathCatalog) -> PassiveRoute:
-    """The catalog's minimum-coefficient path per pair.
+    """The catalog's cheapest path and cost matrix, built once per network.
 
     Coefficient ties resolve to the path that comes first in canonical
     order, which the catalog already guarantees.
     """
-    return PassiveRoute(
-        path=catalog.cheapest, _coefficient=catalog.cheapest_coefficient
-    )
+    return PassiveRoute(path=catalog.cheapest, coefficient=catalog.cheapest_coefficient)
 
 
 def _single_path_mappings(
@@ -93,10 +89,8 @@ def compute_rank_table(
         f.id: sum(processing_time(f, s) for s in net.servers) / n
         for f in dag.functions
     }
-    # Mean over all n^2 ordered pairs; the n same-server pairs add zero.
-    coeff_total = sum(
-        routes.coefficient(u, v) for u in range(n) for v in range(n) if u != v
-    )
+    # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
+    coeff_total = sum(chain.from_iterable(routes.coefficient.tolist()))
     mean_coeff = coeff_total / (n * n)
     avg_comm = {(e.src, e.dst): e.size * mean_coeff for e in dag.edges}
 
@@ -139,6 +133,7 @@ def heft_schedule(
     the makespan.
     """
     table = compute_rank_table(dag, net, routes)
+    coeff = routes.coefficient.tolist()  # Python floats keep finish times plain
     order = sorted(
         (f.id for f in dag.functions),
         key=lambda fid: (-table.upward_rank[fid], dag.position[fid]),
@@ -159,7 +154,7 @@ def heft_schedule(
         for server in net.servers:
             ready = 0.0
             for e in in_edges[fid]:
-                comm = e.size * routes.coefficient(placements[e.src], server.id)
+                comm = e.size * coeff[placements[e.src]][server.id]
                 arrive = finish_times[e.src] + comm
                 if arrive > ready:
                     ready = arrive
@@ -203,12 +198,8 @@ def placement_only_embed(
     """
     if routes is None:
         routes = passive_routes(catalog)
-    n = net.n_servers
-    coeff = np.zeros((n, n))
-    for (u, v), a_min in routes._coefficient.items():
-        coeff[u, v] = a_min
     placements, finish_times, makespan = _dynamic_embed(
-        dag, net, lambda bits: bits * coeff, ready=None
+        dag, net, lambda bits: bits * routes.coefficient, ready=None
     )
     return EmbeddingResult(
         placements=placements,

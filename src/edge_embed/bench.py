@@ -125,28 +125,10 @@ def _sample_topology(
 def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
     """Draw a connected random network from the network substream.
 
-    Server powers are drawn first; pair topologies are re-sampled (up to a
-    bounded retry count) until connected; throughputs are drawn last, one
-    per kept link. Identical spec always yields the identical network.
+    This is the first network of ``nested_networks``, which documents the
+    draws. Identical spec always yields the identical network.
     """
-    rng = _substream(spec.seed, STREAM_NETWORK)
-    n = spec.n_servers
-    psi = rng.uniform(*spec.psi_range, size=n)
-    for _ in range(MAX_NETWORK_ATTEMPTS):
-        pairs = _sample_topology(rng, n, spec.connectivity)
-        if _connected(n, pairs):
-            break
-    else:
-        raise ConnectivityUnreachableError(MAX_NETWORK_ATTEMPTS)
-    throughput = rng.uniform(*spec.bandwidth_range, size=len(pairs))
-    servers = [Server(id=i, psi=float(psi[i])) for i in range(n)]
-    links = [
-        Link(id=k, u=u, v=v, throughput=float(throughput[k]))
-        for k, (u, v) in enumerate(pairs)
-    ]
-    net = make_network(servers, links)
-    validate_network(net)
-    return net
+    return nested_networks(spec, [spec.n_servers])[0]
 
 
 def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
@@ -259,11 +241,13 @@ def nested_networks(
 ) -> list[EdgeNetwork]:
     """A chain of networks where each one extends the previous.
 
-    The smallest count is generated as usual; every later count adds new
-    servers, each wired to at least one existing server (guaranteeing
-    connectivity) plus random extra links at the workload's connectivity
-    probability. Existing servers and links keep their ids, so makespans
-    across the chain compare like-for-like.
+    The smallest count is drawn from the network substream: server powers
+    first, then pair topologies re-sampled (up to a bounded retry count)
+    until connected, then one throughput per kept link. Every later count
+    adds new servers, each wired to at least one existing server
+    (guaranteeing connectivity) plus random extra links at the workload's
+    connectivity probability. Existing servers and links keep their ids, so
+    makespans across the chain compare like-for-like.
     """
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
@@ -325,7 +309,6 @@ class TrialRecord:
     makespan_s: float
     runtime_s: float
     dag_size: int
-    network_fingerprint: str
 
     def __post_init__(self):
         if self.makespan_s <= 0:
@@ -367,7 +350,6 @@ def run_benchmark(
     network: EdgeNetwork | None = None,
     dag_records: Sequence[DagRecord] | None = None,
     timing: str = "wall",
-    path_cap: int | None = None,
 ) -> ReportBundle:
     """Embed every DAG with every requested algorithm and aggregate.
 
@@ -401,7 +383,7 @@ def run_benchmark(
             raise ValueError("without a spec, network and dag_records are required")
         seed = None
 
-    catalog: PathCatalog = build_catalog(network, path_cap)
+    catalog: PathCatalog = build_catalog(network)
     routes = passive_routes(catalog)
     fingerprint = network_fingerprint(network)
 
@@ -426,7 +408,6 @@ def run_benchmark(
                     makespan_s=result.makespan,
                     runtime_s=elapsed,
                     dag_size=len(record.dag.functions),
-                    network_fingerprint=fingerprint,
                 )
             )
     trials.sort(key=lambda t: (t.dag_id, t.algo))

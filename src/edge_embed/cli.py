@@ -96,7 +96,7 @@ def _cmd_embed(args) -> int:
         ready = _load_ready(_read_json(args.ready), net.n_servers)
     if ready is not None and args.algo in ("heft", "placement-only"):
         raise SchemaError(f"--ready is not supported by {args.algo}")
-    catalog = build_catalog(net, resolve_path_cap())
+    catalog = build_catalog(net)
     if args.algo == "dpe":
         result = dpe_embed(aug, net, catalog, ready)
     elif args.algo == "brute":
@@ -136,7 +136,6 @@ def _cmd_bench(args) -> int:
                 network=load_network(args.network),
                 dag_records=load_dag_records(args.dags),
                 timing=args.timing,
-                path_cap=resolve_path_cap(),
             )
         else:
             spec = WorkloadSpec(
@@ -145,9 +144,7 @@ def _cmd_bench(args) -> int:
                 connectivity=args.connectivity,
                 n_dags=args.n_dags,
             )
-            bundle = run_benchmark(
-                algos, spec=spec, timing=args.timing, path_cap=resolve_path_cap()
-            )
+            bundle = run_benchmark(algos, spec=spec, timing=args.timing)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     for path in emit_report(bundle, args.out):

@@ -11,12 +11,15 @@ placement and stream split that deliver it soonest:
 
 Transit uses the bottleneck-equalizing split over every simple path of the
 (m, n) pair, or zero when m == n. The recurrence reads transit as one dense
-server-by-server matrix per stream, so the placement-only baseline runs
-the same program with its single-path matrix. A predecessor that feeds several
-functions cannot be re-placed per consumer: the first consumer processed
-commits its placement and later consumers reuse it. The first consumer's row
-reads the input's arrival from the committed server's row of its min-plus
-block, equal to a recompute, so every finish time is one embedding's.
+server-by-server matrix per stream, priced from the catalog's n x n pair
+tables: ``bits / catalog.inv_coeff_sum`` (infinite diagonal) for the split,
+and ``bits * catalog.cheapest_coefficient`` (zero diagonal) for the
+placement-only baseline, which runs the same program. A predecessor that
+feeds several functions cannot be re-placed per consumer: the first
+consumer processed commits its placement and later consumers reuse it. The
+first consumer's row reads the input's arrival from the committed server's
+row of its min-plus block, equal to a recompute, so every finish time is
+one embedding's.
 
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
@@ -177,12 +180,8 @@ def dpe_embed(
     A stream of s bits from m to n takes s / sum(1/A_k) over the pair's
     paths; the infinite diagonal makes same-server transit exactly 0.
     """
-    n = net.n_servers
-    inv = np.full((n, n), np.inf)
-    for (u, v), inv_sum in catalog.inv_coeff_sum.items():
-        inv[u, v] = inv_sum
     placements, finish_times, makespan = _dynamic_embed(
-        dag, net, lambda bits: bits / inv, ready
+        dag, net, lambda bits: bits / catalog.inv_coeff_sum, ready
     )
     return EmbeddingResult(
         placements=placements,
@@ -219,14 +218,9 @@ def brute_force_embed(
         [processing_time(dag.by_id[fid], server) for server in net.servers]
         for fid in order
     ]
-    # transit_factor[m][n]: seconds per bit between servers m and n.
-    transit_factor = [
-        [
-            0.0 if m == v else 1.0 / catalog.inv_coeff_sum[(m, v)]
-            for v in range(n)
-        ]
-        for m in range(n)
-    ]
+    # transit_factor[m][n]: seconds per bit between servers m and n (1/inf
+    # is 0.0 on the diagonal).
+    transit_factor = (1.0 / catalog.inv_coeff_sum).tolist()
     ready_row = [ready_map[s.id] for s in net.servers]
     # Per function: list of (pred index, stream bits) for the recurrence.
     pred_rows: list[list[tuple[int, float]]] = [[] for _ in order]
@@ -293,7 +287,7 @@ def simulate_embedding(
         for fi in preds:
             mapping = edge_mappings[(fi, fid)]
             if mapping.same_server:
-                transit = routing_time(same_server=True)
+                transit = 0.0
             else:
                 branches = [
                     (path_coefficient(p, net), z)

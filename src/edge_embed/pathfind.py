@@ -1,12 +1,14 @@
 """Exhaustive simple-path enumeration between server pairs.
 
 Streams may be split across every simple path joining two servers, but
-the embedders need much less than the paths themselves: ``dpe`` reads the
-per-pair aggregate ``sum(1 / A_k)``, the single-path baselines read the
-cheapest path, and only the pairs an embedding actually uses need their
-path lists. The catalog therefore walks once from each source server,
-keeps per-pair coefficients, aggregates and the cheapest path, and lists a
-pair's paths on first use.
+the embedders need much less than the paths themselves: each prices a
+server pair from one dense n x n matrix, and only the pairs an embedding
+actually uses need their path lists. The catalog therefore walks once from
+each source server and fills both matrices, diagonal included:
+``inv_coeff_sum`` (``sum(1 / A_k)``, infinite on the diagonal) for ``dpe``
+and ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal)
+for the single-path baselines. It also keeps per-pair coefficients and the
+cheapest path, and lists a pair's paths on first use.
 
 The walk is depth-first: it pushes a server onto the current route, moves
 on to unvisited neighbours in ascending id, and pops on the way back. It
@@ -22,6 +24,8 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain
+
+import numpy as np
 
 from .errors import PathExplosionError, SamePairError, ValidationError
 from .model import EdgeNetwork
@@ -147,23 +151,24 @@ def enumerate_simple_paths(
 
 @dataclass
 class PathCatalog:
-    """Per ordered server pair: path coefficients, aggregates, cheapest path.
+    """Per ordered server pair: path coefficients, pair costs, cheapest path.
 
     ``coefficients[(u, v)][k]`` is the seconds-per-bit cost of path k in
-    canonical order, and ``inv_coeff_sum[(u, v)]`` holds ``sum(1 / A_k)``
-    over all paths of the pair, the denominator of the bottleneck-equalizing
-    split. ``cheapest[(u, v)]`` is the canonical-first path of least
-    coefficient, which costs ``cheapest_coefficient[(u, v)]`` seconds per
-    bit. The paths themselves are listed by ``pair_paths`` on first use.
+    canonical order. ``inv_coeff_sum[u, v]`` holds ``sum(1 / A_k)`` over
+    all paths of the pair, the denominator of the bottleneck-equalizing
+    split, and is infinite on the diagonal, so ``bits / inv_coeff_sum`` is
+    the split transit matrix with free same-server streams.
+    ``cheapest[(u, v)]`` is the canonical-first path of least coefficient,
+    which costs ``cheapest_coefficient[u, v]`` seconds per bit; that matrix
+    is zero on the diagonal. Both matrices are read-only n x n arrays. The
+    paths themselves are listed by ``pair_paths`` on first use.
     """
 
-    n_servers: int
     net: EdgeNetwork = field(repr=False)
     coefficients: dict[tuple[int, int], tuple[float, ...]] = field(repr=False)
-    inv_coeff_sum: dict[tuple[int, int], float] = field(repr=False)
+    inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
-    cheapest_coefficient: dict[tuple[int, int], float] = field(repr=False)
-    path_cap: int = DEFAULT_PATH_CAP
+    cheapest_coefficient: np.ndarray = field(repr=False)
     total_paths: int = 0
     _listed: dict[tuple[int, int], tuple[SimplePath, ...]] = field(
         default_factory=dict, init=False, repr=False
@@ -185,16 +190,6 @@ class PathCatalog:
 
     def pair_coefficients(self, u: int, v: int) -> tuple[float, ...]:
         return self.coefficients[(u, v)]
-
-    def transit_seconds(self, u: int, v: int, bits: float) -> float:
-        """Best achievable transfer time for ``bits`` from u to v.
-
-        Zero when both functions share a server; otherwise the stream is
-        spread over every simple path so all branches finish together.
-        """
-        if u == v:
-            return 0.0
-        return bits / self.inv_coeff_sum[(u, v)]
 
 
 def resolve_path_cap(explicit: int | None = None) -> int:
@@ -218,13 +213,12 @@ def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
     paths passes ``path_cap`` (summed across ordered pairs), so hopeless
     networks fail fast; the cap bounds the work of the walk.
     """
-    cap = resolve_path_cap(path_cap)
-    budget = _Budget(cap)
+    budget = _Budget(resolve_path_cap(path_cap))
     coefficients: dict[tuple[int, int], tuple[float, ...]] = {}
-    inv_sum: dict[tuple[int, int], float] = {}
     cheapest: dict[tuple[int, int], SimplePath] = {}
-    cheapest_coeff: dict[tuple[int, int], float] = {}
     n = net.n_servers
+    inv_sum = np.full((n, n), np.inf)
+    cheapest_coeff = np.zeros((n, n))
     for u in range(n):
         # by_hops[v][h]: coefficients of the h-link paths u -> v in walk
         # order; read out hop by hop they are in canonical order
@@ -247,18 +241,18 @@ def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
                 continue
             coeffs = tuple(chain.from_iterable(by_hops[v]))
             coefficients[(u, v)] = coeffs
-            inv_sum[(u, v)] = sum(1.0 / a for a in coeffs)
+            inv_sum[u, v] = sum(1.0 / a for a in coeffs)
+            cheapest_coeff[u, v] = best_coeff[v]
             if best_route[v] is not None:
                 route_nodes, route_links = best_route[v]
                 cheapest[(u, v)] = SimplePath(nodes=route_nodes, link_ids=route_links)
-                cheapest_coeff[(u, v)] = best_coeff[v]
+    # shared by every embedding call, so no caller may write into them
+    inv_sum.flags.writeable = cheapest_coeff.flags.writeable = False
     return PathCatalog(
-        n_servers=n,
         net=net,
         coefficients=coefficients,
         inv_coeff_sum=inv_sum,
         cheapest=cheapest,
         cheapest_coefficient=cheapest_coeff,
-        path_cap=cap,
         total_paths=sum(len(c) for c in coefficients.values()),
     )

@@ -83,22 +83,13 @@ def bisection_oracle(problem: SplitProblem, tol: float = 1e-12) -> float:
     return hi
 
 
-def routing_time(
-    branches: Iterable[tuple[float, float]] | None = None,
-    *,
-    same_server: bool = False,
-) -> float:
-    """Seconds a mapped transfer occupies the network.
+def routing_time(branches: Iterable[tuple[float, float]]) -> float:
+    """Seconds a routed transfer occupies the network.
 
     ``branches`` holds (coefficient, bits) pairs, one per used path; the
-    transfer ends when the slowest branch ends. With ``same_server`` the
-    stream never leaves the host and the time is exactly 0.
+    transfer ends when the slowest branch ends.
     """
-    if same_server:
-        if branches:
-            raise ValueError("a same-server transfer cannot carry branches")
-        return 0.0
-    branch_list: Sequence[tuple[float, float]] = list(branches or ())
+    branch_list: Sequence[tuple[float, float]] = list(branches)
     if not branch_list:
         raise ValueError("a routed transfer needs at least one branch")
     return max(coeff * bits for coeff, bits in branch_list)

@@ -45,8 +45,8 @@ def test_passive_route_prefers_cheapest_path():
     net = triangle_network()
     routes = passive_routes(build_catalog(net))
     assert routes.path[(0, 1)].nodes == (0, 2, 1)
-    assert routes.coefficient(0, 1) == 0.75
-    assert routes.coefficient(1, 1) == 0.0
+    assert routes.coefficient[0, 1] == 0.75
+    assert routes.coefficient[1, 1] == 0.0
 
 
 def test_passive_route_tie_goes_to_canonical_first():
@@ -57,7 +57,7 @@ def test_passive_route_tie_goes_to_canonical_first():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient(0, 1) == 1.0
+    assert routes.coefficient[0, 1] == 1.0
     assert routes.path[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
     # the same tie on 1-2, where the walk meets the detour 1-0-2 first
     net = make_network(
@@ -66,7 +66,7 @@ def test_passive_route_tie_goes_to_canonical_first():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient(1, 2) == 1.0
+    assert routes.coefficient[1, 2] == 1.0
     assert routes.path[(1, 2)].nodes == (1, 2)
 
 
@@ -78,7 +78,7 @@ def test_passive_route_equal_length_tie_goes_to_node_order():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient(0, 3) == 2.0
+    assert routes.coefficient[0, 3] == 2.0
     assert routes.path[(0, 3)].nodes == (0, 1, 3)  # lexicographically first
     assert routes.path[(0, 3)].link_ids == (0, 2)
     assert routes.path[(3, 0)].nodes == (3, 1, 0)
@@ -92,7 +92,7 @@ def test_passive_routes_cover_all_ordered_pairs():
             if u != v:
                 assert routes.path[(u, v)].nodes[0] == u
                 assert routes.path[(u, v)].nodes[-1] == v
-                assert routes.coefficient(u, v) == 0.5  # direct link is cheapest
+                assert routes.coefficient[u, v] == 0.5  # direct link is cheapest
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +190,9 @@ def test_heft_respects_exclusivity_and_precedence(rng):
                 assert s2 >= e1 - 1e-9
         # every input has fully arrived before its consumer starts
         for e in aug.edges:
-            comm = e.size * routes.coefficient(
+            comm = e.size * routes.coefficient[
                 result.placements[e.src], result.placements[e.dst]
-            )
+            ]
             assert starts[e.dst] >= result.finish_times[e.src] + comm - 1e-9
 
 
@@ -258,6 +258,6 @@ def test_splitting_never_loses_to_passive_routing_per_transfer(rng):
                 if u == v:
                     continue
                 bits = 3.5
-                split = catalog.transit_seconds(u, v, bits)
-                passive = bits * routes.coefficient(u, v)
+                split = bits / catalog.inv_coeff_sum[u, v]
+                passive = bits * routes.coefficient[u, v]
                 assert split <= passive * (1 + REL)

@@ -353,3 +353,22 @@ def test_bench_requires_both_workload_files(tmp_path, capsys):
         ["bench", "--network", "net.json", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("value,want", [("1", 3), ("abc", 2)])
+def test_embed_and_bench_honor_cap_from_environment(
+    tmp_path, capsys, monkeypatch, value, want
+):
+    # both commands leave the cap to the catalog, which reads the variable
+    monkeypatch.setenv("EDGE_EMBED_PATH_CAP", value)
+    commands = [
+        ["embed", "--network", write_triangle(tmp_path),
+         "--dag", write_diamond(tmp_path)],
+        BENCH_SPEC + ["--out", str(tmp_path / "report")],
+    ]
+    for argv in commands:
+        assert main(argv) == want
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert captured.out == ""

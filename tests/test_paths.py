@@ -145,9 +145,9 @@ def test_catalog_transit_aggregates_parallel_paths():
     # pair (0, 1): direct coeff 1.0, detour coeff 1/4 + 1/2 = 0.75
     assert catalog.pair_coefficients(0, 1) == (1.0, 0.75)
     inv_sum = 1 / 1.0 + 1 / 0.75
-    assert catalog.transit_seconds(0, 1, 7.0) == pytest.approx(7.0 / inv_sum, rel=1e-12)
-    assert catalog.transit_seconds(1, 0, 7.0) == pytest.approx(7.0 / inv_sum, rel=1e-12)
-    assert catalog.transit_seconds(2, 2, 123.0) == 0.0
+    assert 7.0 / catalog.inv_coeff_sum[0, 1] == pytest.approx(7.0 / inv_sum, rel=1e-12)
+    assert 7.0 / catalog.inv_coeff_sum[1, 0] == pytest.approx(7.0 / inv_sum, rel=1e-12)
+    assert 123.0 / catalog.inv_coeff_sum[2, 2] == 0.0
 
 
 def test_catalog_covers_all_ordered_pairs():
@@ -176,6 +176,8 @@ def test_catalog_aggregates_match_oracle(net):
     for u in range(net.n_servers):
         for v in range(net.n_servers):
             if u == v:
+                assert catalog.inv_coeff_sum[u, v] == math.inf
+                assert catalog.cheapest_coefficient[u, v] == 0.0
                 continue
             want = sorted(oracle_simple_paths(net, u, v), key=lambda ns: (len(ns), ns))
             total += len(want)
@@ -192,6 +194,7 @@ def test_catalog_aggregates_match_oracle(net):
                 oracle_coeffs.append(total_inv)
             assert coeffs == tuple(oracle_coeffs)
             assert catalog.inv_coeff_sum[(u, v)] == sum(1.0 / a for a in coeffs)
+            assert catalog.cheapest_coefficient[u, v] == min(oracle_coeffs)
     assert catalog.total_paths == total
 
 

@@ -114,12 +114,6 @@ def test_routing_time_is_slowest_branch():
     assert routing_time([(0.5, 6.0), (0.25, 10.0)]) == 3.0  # max(3.0, 2.5)
 
 
-def test_routing_time_same_server_is_zero():
-    assert routing_time(same_server=True) == 0.0
-
-
 def test_routing_time_rejects_contradictory_call():
-    with pytest.raises(ValueError):
-        routing_time([(0.5, 1.0)], same_server=True)
     with pytest.raises(ValueError):
         routing_time([])
