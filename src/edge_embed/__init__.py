@@ -38,22 +38,9 @@ from .embedder import (
     simulate_embedding,
 )
 from .errors import (
-    AlreadyAugmentedError,
-    ConnectivityUnreachableError,
-    CycleDetectedError,
-    DisconnectedNetworkError,
-    DuplicateLinkError,
-    DuplicateStreamEdgeError,
     EdgeEmbedError,
-    MissingOutputSizeError,
-    NonPositiveParameterError,
-    NonPositiveStreamError,
-    OrderViolationError,
     PathExplosionError,
-    SamePairError,
     SchemaError,
-    SelfLoopLinkError,
-    TooLargeError,
     ValidationError,
 )
 from .model import (
@@ -93,35 +80,22 @@ from .splitter import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlreadyAugmentedError",
     "AugmentedDag",
-    "ConnectivityUnreachableError",
-    "CycleDetectedError",
     "DagRecord",
-    "DisconnectedNetworkError",
-    "DuplicateLinkError",
-    "DuplicateStreamEdgeError",
     "EdgeEmbedError",
     "EdgeMapping",
     "EdgeNetwork",
     "EmbeddingResult",
     "FunctionNode",
     "Link",
-    "MissingOutputSizeError",
-    "NonPositiveParameterError",
-    "NonPositiveStreamError",
-    "OrderViolationError",
     "PathCatalog",
     "PathExplosionError",
     "ReportBundle",
-    "SamePairError",
     "SchemaError",
-    "SelfLoopLinkError",
     "Server",
     "SimplePath",
     "SplitProblem",
     "StreamEdge",
-    "TooLargeError",
     "ValidationError",
     "WorkloadDag",
     "WorkloadSpec",

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from .baselines import heft_schedule, passive_routes, placement_only_embed
 from .embedder import EmbeddingResult, dpe_embed
-from .errors import ConnectivityUnreachableError, SchemaError, ValidationError
+from .errors import EdgeEmbedError, SchemaError, ValidationError
 from .model import (
     AugmentedDag,
     EdgeNetwork,
@@ -38,6 +39,7 @@ from .model import (
     make_network,
     network_from_json,
     network_to_json,
+    validate_time_range,
     validate_dag,
     validate_network,
 )
@@ -65,16 +67,16 @@ class WorkloadSpec:
 
     def __post_init__(self):
         if self.n_servers < 1 or self.n_dags < 1:
-            raise ValueError("server and DAG counts must be >= 1")
+            raise ValidationError("server and DAG counts must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
-            raise ValueError("connectivity must lie in (0, 1]")
+            raise ValidationError("connectivity must lie in (0, 1]")
         if self.dag_size_range[0] < 1:
-            raise ValueError("DAG sizes must be >= 1")
+            raise ValidationError("DAG sizes must be >= 1")
         for name in ("dag_size_range", "psi_range", "bandwidth_range",
                      "flops_range", "stream_range"):
             lo, hi = getattr(self, name)
             if lo <= 0 or lo > hi:
-                raise ValueError(f"{name} must satisfy 0 < lo <= hi")
+                raise ValidationError(f"{name} must satisfy 0 < lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def nested_networks(
     """
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
-        raise ValueError("server counts must be distinct")
+        raise ValidationError("server counts must be distinct")
     base_spec = replace(spec, n_servers=counts[0])
     rng = _substream(spec.seed, STREAM_NETWORK)
     n = base_spec.n_servers
@@ -261,7 +263,10 @@ def nested_networks(
         if _connected(n, pairs):
             break
     else:
-        raise ConnectivityUnreachableError(MAX_NETWORK_ATTEMPTS)
+        raise EdgeEmbedError(
+            f"no connected network found after {MAX_NETWORK_ATTEMPTS} "
+            "attempts; raise the connectivity probability"
+        )
     throughput = [float(x) for x in rng.uniform(*spec.bandwidth_range, size=len(pairs))]
 
     nets: list[EdgeNetwork] = []
@@ -361,26 +366,28 @@ def run_benchmark(
     """
     algos = list(algorithms)
     if not algos:
-        raise ValueError("at least one algorithm is required")
+        raise ValidationError("at least one algorithm is required")
     unknown = [a for a in algos if a not in ALGORITHMS]
     if unknown:
-        raise ValueError(
+        raise ValidationError(
             f"unknown algorithms {unknown}; choose from {sorted(ALGORITHMS)}"
         )
     if len(set(algos)) != len(algos):
-        raise ValueError("duplicate algorithm names")
+        raise ValidationError("duplicate algorithm names")
     if timing not in ("wall", "off"):
-        raise ValueError("timing must be 'wall' or 'off'")
+        raise ValidationError("timing must be 'wall' or 'off'")
 
     if spec is not None:
         if network is not None or dag_records is not None:
-            raise ValueError("pass either spec or explicit network + dags")
+            raise ValidationError("pass either spec or explicit network + dags")
         network = generate_network(spec)
         dag_records = generate_dag_records(spec)
         seed: int | None = spec.seed
     else:
         if network is None or dag_records is None:
-            raise ValueError("without a spec, network and dag_records are required")
+            raise ValidationError(
+                "without a spec, network and dag_records are required"
+            )
         seed = None
 
     catalog: PathCatalog = build_catalog(network)
@@ -391,6 +398,7 @@ def run_benchmark(
     runtime_totals = {a: 0.0 for a in algos}
     for dag_id, record in enumerate(dag_records):
         aug = record.augmented()
+        validate_time_range(aug, network)
         for algo in algos:
             runner = ALGORITHMS[algo]
             if timing == "wall":
@@ -428,6 +436,8 @@ def run_benchmark(
             reductions[f"{a}_over_{b}"] = (
                 (mean_makespan[b] - mean_makespan[a]) / mean_makespan[b]
             )
+    if not all(map(math.isfinite, (*mean_makespan.values(), *reductions.values()))):
+        raise ValidationError("mean makespans overflow: the DAG set is too large")
     return ReportBundle(
         algorithms=tuple(algos),
         n_dags=len(dag_records),

@@ -25,8 +25,8 @@ from .bench import (
     write_workload,
 )
 from .embedder import brute_force_embed, dpe_embed, embedding_to_json
-from .errors import EdgeEmbedError, PathExplosionError, SchemaError
-from .model import augment_dummy_tail, dag_from_json
+from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
+from .model import augment_dummy_tail, dag_from_json, validate_time_range
 from .pathfind import (
     build_catalog,
     enumerate_simple_paths,
@@ -69,9 +69,9 @@ def _cmd_paths(args) -> int:
 def _cmd_split(args) -> int:
     try:
         coefficients = tuple(float(c) for c in args.coeffs.split(","))
-        problem = SplitProblem(coefficients=coefficients, stream_size=args.size)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    problem = SplitProblem(coefficients=coefficients, stream_size=args.size)
     solution = optimal_split(problem)
     payload = {
         "bottleneck_time_s": solution.bottleneck_time,
@@ -79,6 +79,8 @@ def _cmd_split(args) -> int:
     }
     if args.verify:
         oracle = bisection_oracle(problem, tol=1e-15 * solution.bottleneck_time)
+        if not math.isfinite(oracle):  # its start, size * min(A_k), overflows
+            raise ValidationError("the bisection oracle leaves the float range")
         payload["oracle_bottleneck_time_s"] = oracle
         payload["oracle_gap_rel"] = (
             abs(oracle - solution.bottleneck_time) / solution.bottleneck_time
@@ -96,6 +98,7 @@ def _cmd_embed(args) -> int:
         ready = _load_ready(_read_json(args.ready), net.n_servers)
     if ready is not None and args.algo in ("heft", "placement-only"):
         raise SchemaError(f"--ready is not supported by {args.algo}")
+    validate_time_range(aug, net, ready)
     catalog = build_catalog(net)
     if args.algo == "dpe":
         result = dpe_embed(aug, net, catalog, ready)
@@ -110,15 +113,12 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = WorkloadSpec(
-            seed=args.seed,
-            n_servers=args.servers,
-            connectivity=args.connectivity,
-            n_dags=args.dags,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    spec = WorkloadSpec(
+        seed=args.seed,
+        n_servers=args.servers,
+        connectivity=args.connectivity,
+        n_dags=args.dags,
+    )
     net_path, dags_path = write_workload(spec, args.out)
     print(f"wrote {net_path}")
     print(f"wrote {dags_path}")
@@ -127,26 +127,23 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     algos = [a for a in args.algos.split(",") if a]
-    try:
-        if args.network or args.dags:
-            if not (args.network and args.dags):
-                raise SchemaError("--network and --dags must be given together")
-            bundle = run_benchmark(
-                algos,
-                network=load_network(args.network),
-                dag_records=load_dag_records(args.dags),
-                timing=args.timing,
-            )
-        else:
-            spec = WorkloadSpec(
-                seed=args.seed,
-                n_servers=args.servers,
-                connectivity=args.connectivity,
-                n_dags=args.n_dags,
-            )
-            bundle = run_benchmark(algos, spec=spec, timing=args.timing)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    if args.network or args.dags:
+        if not (args.network and args.dags):
+            raise SchemaError("--network and --dags must be given together")
+        bundle = run_benchmark(
+            algos,
+            network=load_network(args.network),
+            dag_records=load_dag_records(args.dags),
+            timing=args.timing,
+        )
+    else:
+        spec = WorkloadSpec(
+            seed=args.seed,
+            n_servers=args.servers,
+            connectivity=args.connectivity,
+            n_dags=args.n_dags,
+        )
+        bundle = run_benchmark(algos, spec=spec, timing=args.timing)
     for path in emit_report(bundle, args.out):
         print(f"wrote {path}")
     return 0

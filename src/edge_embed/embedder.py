@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import TooLargeError
+from .errors import EdgeEmbedError
 from .model import AugmentedDag, EdgeNetwork, processing_time
 from .pathfind import PathCatalog, SimplePath, path_coefficient
 from .splitter import SplitProblem, optimal_split, routing_time
@@ -209,7 +209,10 @@ def brute_force_embed(
     q = len(dag.functions)
     combos = n**q
     if combos > limit:
-        raise TooLargeError(combos, limit)
+        raise EdgeEmbedError(
+            f"{combos} placement vectors exceed the exhaustive-search "
+            f"limit of {limit}"
+        )
 
     ready_map = _ready_map(net, ready)
     order = [f.id for f in dag.functions]

@@ -15,20 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import (
-    AlreadyAugmentedError,
-    CycleDetectedError,
-    DisconnectedNetworkError,
-    DuplicateLinkError,
-    DuplicateStreamEdgeError,
-    MissingOutputSizeError,
-    NonPositiveParameterError,
-    NonPositiveStreamError,
-    OrderViolationError,
-    SchemaError,
-    SelfLoopLinkError,
-    ValidationError,
-)
+from .errors import SchemaError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -47,9 +34,6 @@ class Link:
     u: int
     v: int
     throughput: float
-
-    def other_end(self, node: int) -> int:
-        return self.v if node == self.u else self.u
 
 
 @dataclass(frozen=True)
@@ -105,12 +89,27 @@ def _require_finite(what: str, value: float) -> None:
         raise ValidationError(f"{what} must be finite, got {value!r}")
 
 
-def validate_network(net: EdgeNetwork) -> None:
-    """Check every network invariant; raises a ValidationError subclass.
+def _require_positive(what: str, value: float, unit: str = "") -> None:
+    if value <= 0:
+        raise ValidationError(f"{what} must be > 0{unit}, got {value!r}")
 
-    Invariants: dense 0-based ids, finite positive parameters, distinct link
-    endpoints, at most one link per server pair, and every server
-    reachable from server 0.
+
+def _require_rate(what: str, value: float) -> None:
+    """A speed or throughput: finite, > 0, and with a finite reciprocal."""
+    _require_finite(what, value)
+    _require_positive(what, value)
+    if not math.isfinite(1.0 / value):
+        raise ValidationError(
+            f"{what} is too small, got {value!r}: 1/{value!r} overflows"
+        )
+
+
+def validate_network(net: EdgeNetwork) -> None:
+    """Check every network invariant; raises ValidationError.
+
+    Invariants: dense 0-based ids, finite positive parameters with finite
+    reciprocals, distinct link endpoints, at most one link per server pair,
+    and every server reachable from server 0.
     """
     if not net.servers:
         raise ValidationError("network has no servers")
@@ -120,9 +119,7 @@ def validate_network(net: EdgeNetwork) -> None:
                 f"server ids must be dense and ordered; position {index} "
                 f"holds id {server.id}"
             )
-        _require_finite(f"server {server.id} psi", server.psi)
-        if server.psi <= 0:
-            raise NonPositiveParameterError(f"server {server.id} psi", server.psi)
+        _require_rate(f"server {server.id} psi", server.psi)
     n = len(net.servers)
     seen_pairs: set[tuple[int, int]] = set()
     for index, link in enumerate(net.links):
@@ -137,15 +134,13 @@ def validate_network(net: EdgeNetwork) -> None:
                 f"({link.u}, {link.v})"
             )
         if link.u == link.v:
-            raise SelfLoopLinkError(link.id, link.u)
-        _require_finite(f"link {link.id} throughput", link.throughput)
-        if link.throughput <= 0:
-            raise NonPositiveParameterError(
-                f"link {link.id} throughput", link.throughput
-            )
+            raise ValidationError(f"link {link.id} is a self-loop on server {link.u}")
+        _require_rate(f"link {link.id} throughput", link.throughput)
         pair = (min(link.u, link.v), max(link.u, link.v))
         if pair in seen_pairs:
-            raise DuplicateLinkError(*pair)
+            raise ValidationError(
+                f"more than one link between servers {pair[0]} and {pair[1]}"
+            )
         seen_pairs.add(pair)
     # Reachability from server 0 by breadth-first search.
     reached = {0}
@@ -158,7 +153,7 @@ def validate_network(net: EdgeNetwork) -> None:
                 frontier.append(neighbor)
     for server in net.servers:
         if server.id not in reached:
-            raise DisconnectedNetworkError(server.id)
+            raise ValidationError(f"server {server.id} is unreachable from server 0")
 
 
 @dataclass(frozen=True)
@@ -188,16 +183,12 @@ class WorkloadDag:
         return {k: tuple(sorted(v)) for k, v in inc.items()}
 
     @cached_property
-    def entry_ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.functions if not self.predecessors[f.id])
-
-    @cached_property
     def destination_ids(self) -> tuple[int, ...]:
         return tuple(f.id for f in self.functions if not self.successors[f.id])
 
 
 def validate_dag(dag: WorkloadDag) -> None:
-    """Check every workload invariant; raises a ValidationError subclass."""
+    """Check every workload invariant; raises ValidationError."""
     if not dag.functions:
         raise ValidationError("workload has no functions")
     ids = [f.id for f in dag.functions]
@@ -219,16 +210,22 @@ def validate_dag(dag: WorkloadDag) -> None:
                 f"edge {e.src}->{e.dst} references an unknown function"
             )
         _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
-        if e.size <= 0:
-            raise NonPositiveStreamError(f"stream {e.src}->{e.dst}", e.size)
+        _require_positive(f"stream {e.src}->{e.dst}", e.size, " bits")
         key = (e.src, e.dst)
         if key in seen_edges:
-            raise DuplicateStreamEdgeError(e.src, e.dst)
+            raise ValidationError(f"more than one stream edge from {e.src} to {e.dst}")
         seen_edges.add(key)
     _check_acyclic(dag)
     for e in dag.edges:
         if position[e.src] >= position[e.dst]:
-            raise OrderViolationError(e.src, e.dst)
+            raise ValidationError(
+                f"edge {e.src}->{e.dst} runs against the stored function order"
+            )
+
+
+def _cycle_error(cycle: list[int]) -> ValidationError:
+    chain = " -> ".join(str(f) for f in cycle)
+    return ValidationError(f"workload edges form a cycle: {chain}")
 
 
 def _check_acyclic(dag: WorkloadDag) -> None:
@@ -236,7 +233,7 @@ def _check_acyclic(dag: WorkloadDag) -> None:
     out: dict[int, list[int]] = {f.id: [] for f in dag.functions}
     for e in dag.edges:
         if e.src == e.dst:
-            raise CycleDetectedError([e.src, e.dst])
+            raise _cycle_error([e.src, e.dst])
         out[e.src].append(e.dst)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {f.id: WHITE for f in dag.functions}
@@ -247,8 +244,7 @@ def _check_acyclic(dag: WorkloadDag) -> None:
         stack.append(node)
         for succ in out[node]:
             if color[succ] == GRAY:
-                cycle = stack[stack.index(succ):] + [succ]
-                raise CycleDetectedError(cycle)
+                raise _cycle_error(stack[stack.index(succ):] + [succ])
             if color[succ] == WHITE:
                 visit(succ)
         stack.pop()
@@ -322,17 +318,22 @@ def augment_dummy_tail(
     for d in destinations:
         node = dag.functions[dag.position[d]]
         if node.flops == 0:
-            raise AlreadyAugmentedError(d)
+            raise ValidationError(
+                f"destination {d} has zero flops; workload appears to "
+                "carry a collector tail already"
+            )
     missing = sorted(set(destinations) - set(dst_out_sizes))
     unexpected = sorted(set(dst_out_sizes) - set(destinations))
-    if missing or unexpected:
-        raise MissingOutputSizeError(missing, unexpected)
+    parts = []
+    if missing:
+        parts.append(f"missing sizes for destinations {missing}")
+    if unexpected:
+        parts.append(f"sizes given for non-destinations {unexpected}")
+    if parts:
+        raise ValidationError("; ".join(parts))
     for d in destinations:
         _require_finite(f"output of destination {d}", dst_out_sizes[d])
-        if dst_out_sizes[d] <= 0:
-            raise NonPositiveStreamError(
-                f"output of destination {d}", dst_out_sizes[d]
-            )
+        _require_positive(f"output of destination {d}", dst_out_sizes[d], " bits")
     dummy_id = len(dag.functions)
     dummy_edges = tuple(
         StreamEdge(src=d, dst=dummy_id, size=float(dst_out_sizes[d]))
@@ -346,6 +347,36 @@ def processing_time(function: FunctionNode, server: Server) -> float:
     if function.is_dummy:
         return 0.0
     return function.flops / server.psi
+
+
+def validate_time_range(
+    dag: AugmentedDag, net: EdgeNetwork, ready: Mapping[int, float] | None = None
+) -> None:
+    """Reject a workload whose finish times on ``net`` leave the float range.
+
+    No finish time exceeds the latest ready time plus every function run on
+    the slowest server plus every stream sent whole down a route over every
+    link, and no makespan is shorter than the largest function run on the
+    fastest server. A finite upper bound and a positive lower bound keep
+    every time an embedder derives finite and every makespan > 0.
+    """
+    speeds = [s.psi for s in net.servers]
+    route = sum(1.0 / link.throughput for link in net.links)
+    upper = (
+        max([0.0, *(ready or {}).values()])
+        + sum(f.flops for f in dag.functions) / min(speeds)
+        + sum(e.size for e in dag.edges) * route
+    )
+    if not math.isfinite(upper):
+        raise ValidationError(
+            "finish times overflow: the workload's flops and bits are too "
+            "large for this network's speeds and throughputs"
+        )
+    if max(f.flops for f in dag.functions) / max(speeds) == 0.0:
+        raise ValidationError(
+            "finish times underflow: every function of the workload runs in "
+            "0 s on this network's fastest server"
+        )
 
 
 # ---------------------------------------------------------------------------

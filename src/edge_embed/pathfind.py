@@ -27,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import PathExplosionError, SamePairError, ValidationError
+from .errors import EdgeEmbedError, PathExplosionError, ValidationError
 from .model import EdgeNetwork
 
 DEFAULT_PATH_CAP = 10**6
@@ -135,7 +135,7 @@ def enumerate_simple_paths(
 
     Canonical order is (path length, node sequence) ascending, so output
     is stable across runs. Raises ValidationError when an end is not a
-    server of ``net``, SamePairError when src == dst, and
+    server of ``net``, EdgeEmbedError when src == dst, and
     PathExplosionError when more than ``path_cap`` paths exist.
     """
     for end in (src, dst):
@@ -144,7 +144,7 @@ def enumerate_simple_paths(
                 f"server {end} is not in the network ({net.n_servers} servers)"
             )
     if src == dst:
-        raise SamePairError(src)
+        raise EdgeEmbedError(f"no paths requested between server {src} and itself")
     budget = None if path_cap is None else _Budget(path_cap)
     return list(_list_paths(net, src, dst, budget))
 

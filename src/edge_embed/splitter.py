@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class SplitProblem:
@@ -24,13 +26,13 @@ class SplitProblem:
 
     def __post_init__(self):
         if not self.coefficients:
-            raise ValueError("a split needs at least one path")
+            raise ValidationError("a split needs at least one path")
         if not all(map(math.isfinite, (*self.coefficients, self.stream_size))):
-            raise ValueError("path coefficients and stream size must be finite")
+            raise ValidationError("path coefficients and stream size must be finite")
         if any(a <= 0 for a in self.coefficients):
-            raise ValueError("path coefficients must be > 0")
+            raise ValidationError("path coefficients must be > 0")
         if self.stream_size <= 0:
-            raise ValueError("stream size must be > 0 bits")
+            raise ValidationError("stream size must be > 0 bits")
 
 
 @dataclass(frozen=True)
@@ -45,11 +47,17 @@ def optimal_split(problem: SplitProblem) -> SplitSolution:
     """Closed-form bottleneck-equalizing split.
 
     All branches finish at tau = s / sum(1/A_k); each path carries
-    z_k = tau / A_k bits. Every allocation is strictly positive.
+    z_k = tau / A_k bits. Every allocation is strictly positive: a problem
+    whose tau or some z_k over- or underflows raises ValidationError.
     """
     inv_sum = sum(1.0 / a for a in problem.coefficients)
     tau = problem.stream_size / inv_sum
     allocations = tuple(tau / a for a in problem.coefficients)
+    if not all(0.0 < x < math.inf for x in (tau, *allocations)):
+        raise ValidationError(
+            f"the split leaves the float range: tau = {tau!r} s, "
+            f"smallest allocation {min(allocations)!r} bits"
+        )
     return SplitSolution(allocations=allocations, bottleneck_time=tau)
 
 

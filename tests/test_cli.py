@@ -124,6 +124,26 @@ def test_split_rejects_garbage_coefficients(capsys):
     assert main(["split", "--coeffs", "0.5", "--size", "inf"]) == 2
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+@pytest.mark.parametrize(
+    "coeffs, size",
+    [("1e-320,1", "1"), ("1e-300", "1e-300"), ("1e300,1e300", "1e300")],
+)
+def test_split_rejects_overflowing_closed_form(capsys, coeffs, size, verify):
+    # tau or an allocation underflows to 0 or overflows to inf
+    code = main(["split", "--coeffs", coeffs, "--size", size, *verify])
+    assert_one_error(capsys, code)
+
+
+def test_split_verify_rejects_overflowing_oracle(capsys):
+    # tau is about 1.5e308, but the oracle starts its search from 3 * 1e308
+    argv = ["split", "--coeffs", "1e308,1e308", "--size", "3"]
+    assert main(argv) == 0
+    tau = json.loads(capsys.readouterr().out)["bottleneck_time_s"]
+    assert tau == pytest.approx(1.5e308)
+    assert_one_error(capsys, main(argv + ["--verify"]))
+
+
 # ---------------------------------------------------------------------------
 # embed
 # ---------------------------------------------------------------------------
@@ -272,6 +292,59 @@ def test_embed_rejects_overflowing_numbers(tmp_path, capsys, mutate, value):
     assert_one_error(capsys, _embed_mutated(tmp_path, mutate, value))
 
 
+def _two_servers(psi):
+    return {
+        "servers": [{"id": 0, "psi": psi}, {"id": 1, "psi": psi}],
+        "links": [{"id": 0, "u": 0, "v": 1, "b": 1.0e7}],
+    }
+
+
+def _pair_dag(flops0, flops1, bits=1.0e6):
+    return {
+        "functions": [{"id": 0, "flops": flops0}, {"id": 1, "flops": flops1}],
+        "edges": [{"src": 0, "dst": 1, "bits": bits}],
+        "dst_out": {"1": bits},
+    }
+
+
+# a triangle whose link (0, 1) is so slow that 1 / throughput overflows
+SLOW_LINK_TRIANGLE = {
+    "servers": [{"id": 0, "psi": 1.0e10}, {"id": 1, "psi": 2.0e10},
+                {"id": 2, "psi": 4.0e10}],
+    "links": [{"id": 0, "u": 0, "v": 1, "b": 1e-310},
+              {"id": 1, "u": 1, "v": 2, "b": 2.0e7},
+              {"id": 2, "u": 0, "v": 2, "b": 4.0e7}],
+}
+
+OVERFLOWING_TIMES = {
+    "slow-servers": (_two_servers(1e-300), _pair_dag(1.0e9, 1.0e12), None),
+    "huge-flops": (_two_servers(0.5), _pair_dag(1e308, 1.0e9), None),
+    "slow-link": (SLOW_LINK_TRIANGLE, _pair_dag(1.0e9, 1.0e12),
+                  {"1": 100, "2": 100}),
+    "fast-servers": (_two_servers(1e300), _pair_dag(1e-300, 1e-300, 1e-300), None),
+}
+
+
+def _embed_docs(tmp_path, net_doc, dag_doc, ready_doc, algo):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(net_doc), encoding="utf-8")
+    argv = ["embed", "--network", str(net),
+            "--dag", write_diamond(tmp_path, dag_doc), "--algo", algo]
+    if ready_doc is not None and algo in ("dpe", "brute"):
+        ready = tmp_path / "ready.json"
+        ready.write_text(json.dumps(ready_doc), encoding="utf-8")
+        argv += ["--ready", str(ready)]
+    return main(argv)
+
+
+@pytest.mark.parametrize("algo", ["dpe", "brute", "placement-only", "heft"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_TIMES))
+def test_embed_rejects_overflowing_times(tmp_path, capsys, case, algo):
+    # finite inputs whose processing or transit times leave the float range
+    code = _embed_docs(tmp_path, *OVERFLOWING_TIMES[case], algo)
+    assert_one_error(capsys, code)
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -346,6 +419,26 @@ def test_bench_default_runs_are_byte_identical(tmp_path, capsys):
 def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     code = main(BENCH_SPEC + ["--algos", "nope", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "net_doc, dags_doc",
+    [
+        # each DAG's times fit, but the mean makespan overflows
+        (_two_servers(1.0), [_pair_dag(5e307, 5e307, 1.0)] * 2),
+        # every makespan underflows to 0
+        (_two_servers(1e300), [_pair_dag(1e-300, 1e-300, 1e-300)]),
+    ],
+)
+def test_bench_rejects_times_out_of_range(tmp_path, capsys, net_doc, dags_doc):
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(net_doc), encoding="utf-8")
+    dags = tmp_path / "dags.json"
+    dags.write_text(json.dumps(dags_doc), encoding="utf-8")
+    code = main(["bench", "--network", str(net), "--dags", str(dags),
+                 "--out", str(tmp_path / "report")])
+    assert_one_error(capsys, code)
+    assert not (tmp_path / "report").exists()
 
 
 def test_bench_requires_both_workload_files(tmp_path, capsys):

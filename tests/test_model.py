@@ -7,18 +7,8 @@ import json
 import pytest
 
 from edge_embed import (
-    AlreadyAugmentedError,
-    CycleDetectedError,
-    DisconnectedNetworkError,
-    DuplicateLinkError,
-    DuplicateStreamEdgeError,
     FunctionNode,
     Link,
-    MissingOutputSizeError,
-    NonPositiveParameterError,
-    NonPositiveStreamError,
-    OrderViolationError,
-    SelfLoopLinkError,
     Server,
     StreamEdge,
     ValidationError,
@@ -50,25 +40,37 @@ def test_make_network_builds_sorted_adjacency():
     assert net.adjacency[0] == ((1, 0), (2, 2))
     assert net.adjacency[1] == ((0, 0), (2, 1))
     assert net.adjacency[2] == ((0, 2), (1, 1))
-    assert net.links[0].other_end(0) == 1
-    assert net.links[2].other_end(0) == 2
 
 
 def test_validate_network_rejects_nonpositive_speed():
     net = make_network([Server(0, 0.0), Server(1, 1.0)], [Link(0, 0, 1, 1.0)])
-    with pytest.raises(NonPositiveParameterError):
+    with pytest.raises(ValidationError, match=r"server 0 psi must be > 0, got 0\.0"):
         validate_network(net)
 
 
 def test_validate_network_rejects_nonpositive_throughput():
     net = make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 1, -2.0)])
-    with pytest.raises(NonPositiveParameterError):
+    with pytest.raises(
+        ValidationError, match=r"link 0 throughput must be > 0, got -2\.0"
+    ):
         validate_network(net)
+
+
+@pytest.mark.parametrize(
+    "servers, links, what",
+    [
+        ([Server(0, 1e-310), Server(1, 1.0)], [Link(0, 0, 1, 1.0)], "server 0 psi"),
+        ([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 1, 1e-310)], "link 0 throughput"),
+    ],
+)
+def test_validate_network_rejects_overflowing_reciprocal(servers, links, what):
+    with pytest.raises(ValidationError, match=f"{what} is too small"):
+        validate_network(make_network(servers, links))
 
 
 def test_validate_network_rejects_self_loop():
     net = make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 0, 1.0)])
-    with pytest.raises(SelfLoopLinkError):
+    with pytest.raises(ValidationError, match="link 0 is a self-loop on server 0"):
         validate_network(net)
 
 
@@ -77,7 +79,9 @@ def test_validate_network_rejects_duplicate_pair():
         [Server(0, 1.0), Server(1, 1.0)],
         [Link(0, 0, 1, 1.0), Link(1, 1, 0, 2.0)],
     )
-    with pytest.raises(DuplicateLinkError):
+    with pytest.raises(
+        ValidationError, match="more than one link between servers 0 and 1"
+    ):
         validate_network(net)
 
 
@@ -87,9 +91,8 @@ def test_validate_network_names_unreachable_server():
         [Server(i, 1.0) for i in range(4)],
         [Link(0, 0, 1, 1.0), Link(1, 2, 3, 1.0)],
     )
-    with pytest.raises(DisconnectedNetworkError) as exc:
+    with pytest.raises(ValidationError, match=r"server [23] is unreachable"):
         validate_network(net)
-    assert exc.value.server_id in (2, 3)
 
 
 def test_validate_network_rejects_sparse_ids():
@@ -114,7 +117,7 @@ def test_validate_dag_accepts_diamond():
         ),
     )
     validate_dag(dag)
-    assert dag.entry_ids == (0,)
+    assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
     assert dag.destination_ids == (3,)
     assert dag.successors[0] == (1, 2)
     assert dag.predecessors[3] == (1, 2)
@@ -125,9 +128,9 @@ def test_validate_dag_rejects_cycle_with_witness():
         functions=tuple(FunctionNode(i, 1.0) for i in range(3)),
         edges=(StreamEdge(0, 1, 1.0), StreamEdge(1, 2, 1.0), StreamEdge(2, 0, 1.0)),
     )
-    with pytest.raises(CycleDetectedError) as exc:
+    with pytest.raises(ValidationError, match="workload edges form a cycle: ") as exc:
         validate_dag(dag)
-    cycle = exc.value.cycle
+    cycle = [int(f) for f in str(exc.value).split(": ")[1].split(" -> ")]
     # witness is a closed walk through the offending functions
     assert cycle[0] == cycle[-1]
     assert set(cycle) <= {0, 1, 2}
@@ -139,8 +142,10 @@ def test_validate_dag_order_violation_distinct_from_cycle():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 1.0)),
         edges=(StreamEdge(1, 0, 1.0),),
     )
-    with pytest.raises(OrderViolationError):
+    with pytest.raises(ValidationError) as exc:
         validate_dag(dag)
+    assert str(exc.value) == "edge 1->0 runs against the stored function order"
+    assert "cycle" not in str(exc.value)
 
 
 def test_validate_dag_rejects_nonpositive_stream():
@@ -148,7 +153,9 @@ def test_validate_dag_rejects_nonpositive_stream():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 1.0)),
         edges=(StreamEdge(0, 1, 0.0),),
     )
-    with pytest.raises(NonPositiveStreamError):
+    with pytest.raises(
+        ValidationError, match=r"stream 0->1 must be > 0 bits, got 0\.0"
+    ):
         validate_dag(dag)
 
 
@@ -157,7 +164,7 @@ def test_validate_dag_rejects_duplicate_edge():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 1.0)),
         edges=(StreamEdge(0, 1, 1.0), StreamEdge(0, 1, 2.0)),
     )
-    with pytest.raises(DuplicateStreamEdgeError):
+    with pytest.raises(ValidationError, match="more than one stream edge from 0 to 1"):
         validate_dag(dag)
 
 
@@ -202,10 +209,12 @@ def test_augment_rejects_wrong_destination_set():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 1.0)),
         edges=(StreamEdge(0, 1, 1.0),),
     )
-    with pytest.raises(MissingOutputSizeError) as exc:
+    with pytest.raises(
+        ValidationError,
+        match=r"missing sizes for destinations \[1\]; "
+        r"sizes given for non-destinations \[0\]",
+    ):
         augment_dummy_tail(dag, {0: 1.0})
-    assert 1 in exc.value.missing
-    assert 0 in exc.value.unexpected
 
 
 def test_augment_rejects_zero_flop_destination():
@@ -213,7 +222,7 @@ def test_augment_rejects_zero_flop_destination():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 0.0)),
         edges=(StreamEdge(0, 1, 1.0),),
     )
-    with pytest.raises(AlreadyAugmentedError):
+    with pytest.raises(ValidationError, match="destination 1 has zero flops"):
         augment_dummy_tail(dag, {1: 1.0})
 
 
@@ -222,7 +231,9 @@ def test_augment_rejects_nonpositive_output_size():
         functions=(FunctionNode(0, 1.0), FunctionNode(1, 1.0)),
         edges=(StreamEdge(0, 1, 1.0),),
     )
-    with pytest.raises(NonPositiveStreamError):
+    with pytest.raises(
+        ValidationError, match=r"output of destination 1 must be > 0 bits, got 0\.0"
+    ):
         augment_dummy_tail(dag, {1: 0.0})
 
 

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from edge_embed import (
+    EdgeEmbedError,
     Link,
     PathCatalog,
     PathExplosionError,
-    SamePairError,
     Server,
     build_catalog,
     enumerate_simple_paths,
@@ -120,7 +120,9 @@ def test_path_reversal_bijection():
 
 def test_same_pair_is_rejected():
     net = triangle_network()
-    with pytest.raises(SamePairError):
+    with pytest.raises(
+        EdgeEmbedError, match="no paths requested between server 1 and itself"
+    ):
         enumerate_simple_paths(net, 1, 1)
 
 

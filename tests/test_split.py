@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from edge_embed import (
     SplitProblem,
+    ValidationError,
     bisection_oracle,
     optimal_split,
     routing_time,
@@ -50,6 +51,13 @@ def test_problem_validation():
         SplitProblem(coefficients=(0.5, -0.1), stream_size=1.0)
     with pytest.raises(ValueError):
         SplitProblem(coefficients=(0.5,), stream_size=0.0)
+
+
+def test_split_outside_float_range_is_rejected():
+    # tau = 1e-300 s is fine, but the slow path's share underflows to 0 bits
+    problem = SplitProblem(coefficients=(1e-300, 1e300), stream_size=1.0)
+    with pytest.raises(ValidationError, match="leaves the float range"):
+        optimal_split(problem)
 
 
 # ---------------------------------------------------------------------------
