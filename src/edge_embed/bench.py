@@ -195,26 +195,32 @@ def load_network(path) -> EdgeNetwork:
     return network_from_json(_read_json(path))
 
 
+def _write_texts(out_dir, texts: Mapping[str, str]) -> list[Path]:
+    """Write each named text under ``out_dir``, creating it if needed."""
+    out = Path(out_dir)
+    written: list[Path] = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = out / name
+            path.write_text(text, encoding="utf-8")
+            written.append(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc}") from exc
+    return written
+
+
 def write_workload(spec: WorkloadSpec, out_dir) -> tuple[Path, Path]:
     """Generate and persist net.json plus dags.json under ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     net = generate_network(spec)
     records = generate_dag_records(spec)
-    net_path = out / "net.json"
-    dags_path = out / "dags.json"
-    net_path.write_text(
-        json.dumps(network_to_json(net), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    dags_path.write_text(
-        json.dumps(
-            [dag_to_json(r.dag, r.dst_out) for r in records],
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    dags = [dag_to_json(r.dag, r.dst_out) for r in records]
+    net_path, dags_path = _write_texts(
+        out_dir,
+        {
+            "net.json": json.dumps(network_to_json(net), sort_keys=True, indent=2) + "\n",
+            "dags.json": json.dumps(dags, sort_keys=True, indent=2) + "\n",
+        },
     )
     return net_path, dags_path
 
@@ -389,6 +395,8 @@ def run_benchmark(
                 "without a spec, network and dag_records are required"
             )
         seed = None
+    if not dag_records:
+        raise ValidationError("the DAG set is empty")
 
     catalog: PathCatalog = build_catalog(network)
     routes = passive_routes(catalog)
@@ -457,10 +465,6 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     Output bytes depend on nothing but the bundle: keys are sorted, floats
     use repr round-tripping, rows are ordered by (dag id, algorithm).
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     summary = {
         "algorithms": list(bundle.algorithms),
         "n_dags": bundle.n_dags,
@@ -470,11 +474,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
         "runtime_total_s": bundle.runtime_totals,
         "reductions": bundle.reductions,
     }
-    summary_path = out / "summary.json"
-    summary_path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    written.append(summary_path)
+    texts = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n"}
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -483,9 +483,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
         writer.writerow(
             [t.dag_id, t.algo, repr(t.makespan_s), repr(t.runtime_s), t.dag_size]
         )
-    trials_path = out / "trials.csv"
-    trials_path.write_text(buffer.getvalue(), encoding="utf-8")
-    written.append(trials_path)
+    texts["trials.csv"] = buffer.getvalue()
 
     for algo in bundle.algorithms:
         buffer = io.StringIO()
@@ -493,7 +491,5 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
         writer.writerow(["makespan_s", "fraction"])
         for span, fraction in bundle.cdf[algo]:
             writer.writerow([repr(span), repr(fraction)])
-        cdf_path = out / f"cdf_{algo}.csv"
-        cdf_path.write_text(buffer.getvalue(), encoding="utf-8")
-        written.append(cdf_path)
-    return written
+        texts[f"cdf_{algo}.csv"] = buffer.getvalue()
+    return _write_texts(out_dir, texts)

@@ -27,12 +27,7 @@ from .bench import (
 from .embedder import brute_force_embed, dpe_embed, embedding_to_json
 from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
 from .model import augment_dummy_tail, dag_from_json, validate_time_range
-from .pathfind import (
-    build_catalog,
-    enumerate_simple_paths,
-    path_coefficient,
-    resolve_path_cap,
-)
+from .pathfind import build_catalog, enumerate_simple_paths, path_coefficient
 from .splitter import SplitProblem, bisection_oracle, optimal_split
 
 
@@ -48,17 +43,15 @@ def _load_ready(raw, n_servers: int) -> dict[int, float]:
             raise SchemaError(f"ready entry {key!r}: {exc}") from exc
         if not 0 <= server < n_servers:
             raise SchemaError(f"ready file names unknown server {server}")
-        if not math.isfinite(seconds):
-            raise SchemaError(f"ready time of server {server} must be finite")
+        if not math.isfinite(seconds) or seconds < 0:
+            raise SchemaError(f"ready time of server {server} must be finite and >= 0")
         ready[server] = seconds
     return ready
 
 
 def _cmd_paths(args) -> int:
     net = load_network(args.network)
-    paths = enumerate_simple_paths(
-        net, args.src, args.dst, path_cap=resolve_path_cap()
-    )
+    paths = enumerate_simple_paths(net, args.src, args.dst)
     for p in paths:
         coeff = path_coefficient(p, net)
         print(f"{'-'.join(str(n) for n in p.nodes)} coeff={coeff:.6g}")

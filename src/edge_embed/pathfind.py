@@ -7,14 +7,15 @@ actually uses need their path lists. The catalog therefore walks once from
 each source server and fills both matrices, diagonal included:
 ``inv_coeff_sum`` (``sum(1 / A_k)``, infinite on the diagonal) for ``dpe``
 and ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal)
-for the single-path baselines. It also keeps per-pair coefficients and the
-cheapest path, and lists a pair's paths on first use.
+for the single-path baselines. It also keeps per-pair path counts and the
+cheapest path, and lists a pair's paths and their coefficients on first
+use.
 
 The walk is depth-first: it pushes a server onto the current route, moves
 on to unvisited neighbours in ascending id, and pops on the way back. It
-is exponential by nature; a configurable cap on the total number of
-enumerated paths turns runaway growth into a clean error instead of a
-hopeless run.
+is exponential by nature; a cap on the number of enumerated paths
+(``EDGE_EMBED_PATH_CAP``) turns runaway growth into a clean error instead
+of a hopeless run.
 """
 
 from __future__ import annotations
@@ -55,19 +56,6 @@ def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
     for link_id in path.link_ids:
         total += 1.0 / net.links[link_id].throughput
     return total
-
-
-class _Budget:
-    """Shared countdown of how many more paths may be enumerated."""
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.remaining = cap
-
-    def spend(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise PathExplosionError(self.cap)
 
 
 def _walk(
@@ -113,30 +101,36 @@ def _walk(
                 coefficients.pop()
 
 
-def _list_paths(
-    net: EdgeNetwork, src: int, dst: int, budget: _Budget | None
-) -> tuple[SimplePath, ...]:
-    """Every simple path src -> dst in canonical order."""
-    found = []
-    for nodes, link_ids, _ in _walk(net, src, dst):
-        if nodes[-1] == dst:
-            if budget is not None:
-                budget.spend()
-            found.append(SimplePath(nodes=tuple(nodes), link_ids=tuple(link_ids)))
-    # the walk meets them in node order, so a stable sort by length suffices
-    found.sort(key=lambda p: len(p.nodes))
-    return tuple(found)
+# a pair's paths in canonical order and, index for index, their coefficients
+_Listing = tuple[tuple[SimplePath, ...], tuple[float, ...]]
 
 
-def enumerate_simple_paths(
-    net: EdgeNetwork, src: int, dst: int, *, path_cap: int | None = None
-) -> list[SimplePath]:
-    """Every simple path from ``src`` to ``dst`` in canonical order.
+def _list_paths(net: EdgeNetwork, src: int, dst: int) -> _Listing:
+    """Every simple path src -> dst and its coefficient, in canonical order.
 
     Canonical order is (path length, node sequence) ascending, so output
-    is stable across runs. Raises ValidationError when an end is not a
-    server of ``net``, EdgeEmbedError when src == dst, and
-    PathExplosionError when more than ``path_cap`` paths exist.
+    is stable across runs. Raises PathExplosionError when more than
+    ``resolve_path_cap()`` paths exist.
+    """
+    cap = resolve_path_cap()
+    found = []
+    for nodes, link_ids, coeff in _walk(net, src, dst):
+        if nodes[-1] == dst:
+            if len(found) == cap:
+                raise PathExplosionError(cap)
+            path = SimplePath(nodes=tuple(nodes), link_ids=tuple(link_ids))
+            found.append((path, coeff))
+    # the walk meets them in node order, so a stable sort by length suffices
+    found.sort(key=lambda listed: len(listed[0].nodes))
+    return tuple(path for path, _ in found), tuple(coeff for _, coeff in found)
+
+
+def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimplePath]:
+    """Every simple path from ``src`` to ``dst`` in canonical order.
+
+    Raises ValidationError when an end is not a server of ``net``,
+    EdgeEmbedError when src == dst, and PathExplosionError when more than
+    ``resolve_path_cap()`` paths exist.
     """
     for end in (src, dst):
         if not 0 <= end < net.n_servers:
@@ -145,57 +139,54 @@ def enumerate_simple_paths(
             )
     if src == dst:
         raise EdgeEmbedError(f"no paths requested between server {src} and itself")
-    budget = None if path_cap is None else _Budget(path_cap)
-    return list(_list_paths(net, src, dst, budget))
+    return list(_list_paths(net, src, dst)[0])
 
 
 @dataclass
 class PathCatalog:
-    """Per ordered server pair: path coefficients, pair costs, cheapest path.
+    """Per ordered server pair: path count, pair costs, cheapest path.
 
-    ``coefficients[(u, v)][k]`` is the seconds-per-bit cost of path k in
-    canonical order. ``inv_coeff_sum[u, v]`` holds ``sum(1 / A_k)`` over
-    all paths of the pair, the denominator of the bottleneck-equalizing
-    split, and is infinite on the diagonal, so ``bits / inv_coeff_sum`` is
-    the split transit matrix with free same-server streams.
-    ``cheapest[(u, v)]`` is the canonical-first path of least coefficient,
-    which costs ``cheapest_coefficient[u, v]`` seconds per bit; that matrix
-    is zero on the diagonal. Both matrices are read-only n x n arrays. The
-    paths themselves are listed by ``pair_paths`` on first use.
+    ``recursion_calls[(u, v)]`` counts the walk steps that landed on v
+    from u, one per path of the pair. ``inv_coeff_sum[u, v]`` holds
+    ``sum(1 / A_k)`` over all paths of the pair, the denominator of the
+    bottleneck-equalizing split, and is infinite on the diagonal, so
+    ``bits / inv_coeff_sum`` is the split transit matrix with free
+    same-server streams. ``cheapest[(u, v)]`` is the canonical-first path
+    of least coefficient, which costs ``cheapest_coefficient[u, v]``
+    seconds per bit; that matrix is zero on the diagonal. Both matrices
+    are read-only n x n arrays. A pair's paths and their coefficients are
+    listed together on first use and memoized.
     """
 
     net: EdgeNetwork = field(repr=False)
-    coefficients: dict[tuple[int, int], tuple[float, ...]] = field(repr=False)
+    recursion_calls: dict[tuple[int, int], int] = field(repr=False)
     inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
     total_paths: int = 0
-    _listed: dict[tuple[int, int], tuple[SimplePath, ...]] = field(
+    _listed: dict[tuple[int, int], _Listing] = field(
         default_factory=dict, init=False, repr=False
     )
 
-    @property
-    def recursion_calls(self) -> dict[tuple[int, int], int]:
-        """Walk steps that landed on v from u, one per path of the pair."""
-        return {pair: len(coeffs) for pair, coeffs in self.coefficients.items()}
+    def _listing(self, u: int, v: int) -> _Listing:
+        listing = self._listed.get((u, v))
+        if listing is None:
+            if (u, v) not in self.recursion_calls:
+                raise KeyError((u, v))
+            listing = self._listed[(u, v)] = _list_paths(self.net, u, v)
+        return listing
 
     def pair_paths(self, u: int, v: int) -> tuple[SimplePath, ...]:
         """The pair's paths in canonical order, listed once and memoized."""
-        paths = self._listed.get((u, v))
-        if paths is None:
-            if (u, v) not in self.coefficients:
-                raise KeyError((u, v))
-            paths = self._listed[(u, v)] = _list_paths(self.net, u, v, None)
-        return paths
+        return self._listing(u, v)[0]
 
     def pair_coefficients(self, u: int, v: int) -> tuple[float, ...]:
-        return self.coefficients[(u, v)]
+        """Seconds per bit of each path of ``pair_paths(u, v)``, index for index."""
+        return self._listing(u, v)[1]
 
 
-def resolve_path_cap(explicit: int | None = None) -> int:
-    """Path cap: explicit argument, then env var (>= 0), then default."""
-    if explicit is not None:
-        return explicit
+def resolve_path_cap() -> int:
+    """Path cap: the env var (a non-negative integer), else the default."""
     env = os.environ.get(PATH_CAP_ENV_VAR)
     if env is None:
         return DEFAULT_PATH_CAP
@@ -206,15 +197,16 @@ def resolve_path_cap(explicit: int | None = None) -> int:
     return int(env)
 
 
-def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
+def build_catalog(net: EdgeNetwork) -> PathCatalog:
     """Walk from every server of ``net`` into a catalog of all ordered pairs.
 
     Raises PathExplosionError as soon as the total number of enumerated
-    paths passes ``path_cap`` (summed across ordered pairs), so hopeless
-    networks fail fast; the cap bounds the work of the walk.
+    paths, summed across ordered pairs, passes ``resolve_path_cap()``, so
+    hopeless networks fail fast; the cap bounds the work of the walk.
     """
-    budget = _Budget(resolve_path_cap(path_cap))
-    coefficients: dict[tuple[int, int], tuple[float, ...]] = {}
+    cap = resolve_path_cap()
+    total_paths = 0
+    recursion_calls: dict[tuple[int, int], int] = {}
     cheapest: dict[tuple[int, int], SimplePath] = {}
     n = net.n_servers
     inv_sum = np.full((n, n), np.inf)
@@ -227,7 +219,9 @@ def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
         best_hops = [n] * n
         best_route: list[tuple | None] = [None] * n
         for nodes, link_ids, coeff in _walk(net, u):
-            budget.spend()
+            if total_paths == cap:
+                raise PathExplosionError(cap)
+            total_paths += 1
             v = nodes[-1]
             hops = len(link_ids)
             by_hops[v][hops].append(coeff)
@@ -239,9 +233,8 @@ def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
         for v in range(n):
             if v == u:
                 continue
-            coeffs = tuple(chain.from_iterable(by_hops[v]))
-            coefficients[(u, v)] = coeffs
-            inv_sum[u, v] = sum(1.0 / a for a in coeffs)
+            recursion_calls[(u, v)] = sum(map(len, by_hops[v]))
+            inv_sum[u, v] = sum(1.0 / a for a in chain.from_iterable(by_hops[v]))
             cheapest_coeff[u, v] = best_coeff[v]
             if best_route[v] is not None:
                 route_nodes, route_links = best_route[v]
@@ -250,9 +243,9 @@ def build_catalog(net: EdgeNetwork, path_cap: int | None = None) -> PathCatalog:
     inv_sum.flags.writeable = cheapest_coeff.flags.writeable = False
     return PathCatalog(
         net=net,
-        coefficients=coefficients,
+        recursion_calls=recursion_calls,
         inv_coeff_sum=inv_sum,
         cheapest=cheapest,
         cheapest_coefficient=cheapest_coeff,
-        total_paths=sum(len(c) for c in coefficients.values()),
+        total_paths=total_paths,
     )

@@ -211,7 +211,8 @@ def test_embed_rejects_unreadable_dag(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize(
-    "ready", [{"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0]]
+    "ready",
+    [{"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0], {"0": -1.0}],
 )
 def test_embed_rejects_malformed_ready_map(tmp_path, capsys, ready):
     net = write_triangle(tmp_path)
@@ -439,6 +440,29 @@ def test_bench_rejects_times_out_of_range(tmp_path, capsys, net_doc, dags_doc):
                  "--out", str(tmp_path / "report")])
     assert_one_error(capsys, code)
     assert not (tmp_path / "report").exists()
+
+
+def test_bench_rejects_empty_dag_set(tmp_path, capsys):
+    dags = tmp_path / "dags.json"
+    dags.write_text("[]", encoding="utf-8")
+    code = main(["bench", "--network", write_triangle(tmp_path),
+                 "--dags", str(dags), "--out", str(tmp_path / "report")])
+    assert_one_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        # the output directory is an existing file
+        (["gen", "--seed", "1", "--servers", "3", "--dags", "2"], "taken"),
+        # the output directory lies under an existing file
+        (BENCH_SPEC, "taken/report"),
+    ],
+)
+def test_unwritable_out_is_rejected(tmp_path, capsys, argv, out):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    code = main(argv + ["--out", str(tmp_path / out)])
+    assert_one_error(capsys, code)
 
 
 def test_bench_requires_both_workload_files(tmp_path, capsys):

@@ -200,16 +200,18 @@ def test_catalog_aggregates_match_oracle(net):
     assert catalog.total_paths == total
 
 
-def test_catalog_peak_memory_stays_small():
-    net = complete_network(7)
+@pytest.mark.parametrize("n,bound_mb", [(7, 1.5), (8, 1.0)])
+def test_catalog_peak_memory_stays_small(n, bound_mb):
+    net = complete_network(n)
     tracemalloc.start()
     try:
         build_catalog(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 13692 paths: the catalog keeps their coefficients, not SimplePath objects
-    assert peak < 1.5 * 2**20
+    # K_7 has 13692 paths and K_8 109592: the catalog keeps per-pair counts,
+    # and only one source's coefficients are alive at a time
+    assert peak < bound_mb * 2**20
 
 
 def test_pair_paths_are_listed_once_and_match_enumeration():
@@ -218,8 +220,12 @@ def test_pair_paths_are_listed_once_and_match_enumeration():
     first = catalog.pair_paths(0, 4)
     assert catalog.pair_paths(0, 4) is first
     assert list(first) == enumerate_simple_paths(net, 0, 4)
-    with pytest.raises(KeyError):
-        catalog.pair_paths(2, 2)
+    assert catalog.pair_coefficients(0, 4) == tuple(
+        path_coefficient(p, net) for p in first
+    )
+    for read in (catalog.pair_paths, catalog.pair_coefficients):
+        with pytest.raises(KeyError):
+            read(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +245,27 @@ def test_recursion_calls_within_factorial_budget(n, calls, budget):
         assert pair_calls == calls
 
 
-def test_path_cap_triggers_explosion_error():
+def test_path_cap_triggers_explosion_error(monkeypatch):
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, "10")
     net = complete_network(5)
     with pytest.raises(PathExplosionError) as exc:
-        build_catalog(net, path_cap=10)
+        build_catalog(net)
     assert exc.value.cap == 10
 
 
-def test_path_cap_aborts_early_on_large_network():
+def test_path_cap_aborts_early_on_large_network(monkeypatch):
     # K_10 holds 109601 paths per ordered pair; a tiny cap must abort fast
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, "1000")
     net = complete_network(10)
     with pytest.raises(PathExplosionError):
-        build_catalog(net, path_cap=1000)
+        build_catalog(net)
 
 
 def test_resolve_path_cap_precedence(monkeypatch):
     monkeypatch.delenv(PATH_CAP_ENV_VAR, raising=False)
-    assert resolve_path_cap(None) == DEFAULT_PATH_CAP
+    assert resolve_path_cap() == DEFAULT_PATH_CAP
     monkeypatch.setenv(PATH_CAP_ENV_VAR, "250")
-    assert resolve_path_cap(None) == 250
-    assert resolve_path_cap(7) == 7  # explicit argument wins over environment
+    assert resolve_path_cap() == 250
 
 
 def test_catalog_is_deterministic():
