@@ -15,7 +15,7 @@ from itertools import chain
 import numpy as np
 
 from .embedder import EdgeMapping, EmbeddingResult, _dynamic_embed
-from .model import AugmentedDag, EdgeNetwork, StreamEdge, processing_time
+from .model import AugmentedDag, EdgeNetwork, processing_time
 from .pathfind import PathCatalog, SimplePath
 
 
@@ -65,47 +65,31 @@ def _single_path_mappings(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankTable:
-    """Priority data for the list scheduler.
-
-    avg_exec averages a function's processing time over all servers;
-    avg_comm averages an edge's transfer time over all ordered server
-    pairs (same-server pairs contribute zero). upward_rank is avg_exec
-    plus the largest (avg_comm + successor rank) over out-edges, i.e. the
-    average length of the longest remaining chain.
-    """
-
-    upward_rank: dict[int, float]
-    avg_exec: dict[int, float]
-    avg_comm: dict[tuple[int, int], float]
-
-
 def compute_rank_table(
     dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute
-) -> RankTable:
+) -> dict[int, float]:
+    """Upward rank per function: the priority of the list scheduler.
+
+    A function's rank is its processing time averaged over all servers
+    plus the largest (mean transfer time + successor rank) over its
+    out-edges, i.e. the average length of the longest remaining chain. The
+    mean transfer time averages an edge's cost over all ordered server
+    pairs; same-server pairs contribute zero.
+    """
     n = net.n_servers
-    avg_exec = {
-        f.id: sum(processing_time(f, s) for s in net.servers) / n
-        for f in dag.functions
-    }
     # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
     coeff_total = sum(chain.from_iterable(routes.coefficient.tolist()))
     mean_coeff = coeff_total / (n * n)
-    avg_comm = {(e.src, e.dst): e.size * mean_coeff for e in dag.edges}
-
-    successors: dict[int, list[StreamEdge]] = {f.id: [] for f in dag.functions}
-    for e in dag.edges:
-        successors[e.src].append(e)
     upward: dict[int, float] = {}
     for node in reversed(dag.functions):
         best_tail = 0.0
-        for e in successors[node.id]:
-            tail = avg_comm[(e.src, e.dst)] + upward[e.dst]
+        for dst in dag.successors[node.id]:
+            tail = dag.stream_size[(node.id, dst)] * mean_coeff + upward[dst]
             if tail > best_tail:
                 best_tail = tail
-        upward[node.id] = avg_exec[node.id] + best_tail
-    return RankTable(upward_rank=upward, avg_exec=avg_exec, avg_comm=avg_comm)
+        avg_exec = sum(processing_time(node, s) for s in net.servers) / n
+        upward[node.id] = avg_exec + best_tail
+    return upward
 
 
 def _insertion_start(
@@ -132,15 +116,12 @@ def heft_schedule(
     function at a time. The collector ranks last and its finish time is
     the makespan.
     """
-    table = compute_rank_table(dag, net, routes)
+    rank = compute_rank_table(dag, net, routes)
     coeff = routes.coefficient.tolist()  # Python floats keep finish times plain
     order = sorted(
         (f.id for f in dag.functions),
-        key=lambda fid: (-table.upward_rank[fid], dag.position[fid]),
+        key=lambda fid: (-rank[fid], dag.position[fid]),
     )
-    in_edges: dict[int, list[StreamEdge]] = {f.id: [] for f in dag.functions}
-    for e in dag.edges:
-        in_edges[e.dst].append(e)
 
     busy: dict[int, list[tuple[float, float]]] = {s.id: [] for s in net.servers}
     placements: dict[int, int] = {}
@@ -148,14 +129,15 @@ def heft_schedule(
 
     for fid in order:
         node = dag.by_id[fid]
+        inputs = [(p, dag.stream_size[(p, fid)]) for p in dag.predecessors[fid]]
         best_finish = float("inf")
         best_server = -1
         best_start = 0.0
         for server in net.servers:
             ready = 0.0
-            for e in in_edges[fid]:
-                comm = e.size * coeff[placements[e.src]][server.id]
-                arrive = finish_times[e.src] + comm
+            for pred, bits in inputs:
+                comm = bits * coeff[placements[pred]][server.id]
+                arrive = finish_times[pred] + comm
                 if arrive > ready:
                     ready = arrive
             duration = processing_time(node, server)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import heft_schedule, passive_routes, placement_only_embed
 from .embedder import EmbeddingResult, dpe_embed
-from .errors import EdgeEmbedError, SchemaError, ValidationError
+from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
 from .model import (
     AugmentedDag,
     EdgeNetwork,
@@ -43,7 +43,7 @@ from .model import (
     validate_dag,
     validate_network,
 )
-from .pathfind import PathCatalog, build_catalog
+from .pathfind import PathCatalog, build_catalog, resolve_path_cap
 
 STREAM_NETWORK = 0
 STREAM_DAG_SHAPE = 1
@@ -66,6 +66,8 @@ class WorkloadSpec:
     stream_range: tuple[float, float] = (5.0e6, 1.5e7)  # bits
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.n_servers < 1 or self.n_dags < 1:
             raise ValidationError("server and DAG counts must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
@@ -256,10 +258,17 @@ def nested_networks(
     (guaranteeing connectivity) plus random extra links at the workload's
     connectivity probability. Existing servers and links keep their ids, so
     makespans across the chain compare like-for-like.
+
+    A connected network has a simple path for every ordered server pair, so
+    a count c with c(c-1) above ``resolve_path_cap()`` raises
+    PathExplosionError before the first draw.
     """
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
         raise ValidationError("server counts must be distinct")
+    cap = resolve_path_cap()
+    if counts[-1] * (counts[-1] - 1) > cap:
+        raise PathExplosionError(cap)
     base_spec = replace(spec, n_servers=counts[0])
     rng = _substream(spec.seed, STREAM_NETWORK)
     n = base_spec.n_servers

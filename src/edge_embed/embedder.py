@@ -113,7 +113,7 @@ def _dynamic_embed(
                 phi = (finish[fi][:, None] + cost) + proc[None, :]
                 picks[fi] = phi.argmin(axis=0)
                 arrivals[fi] = phi.min(axis=0)
-                if dag.out_degree[fi] >= 2:
+                if len(dag.successors[fi]) >= 2:
                     blocks[fi] = phi
             else:
                 picks[fi] = c

@@ -2,9 +2,10 @@
 
 A network is an undirected graph of servers joined by links with symmetric
 throughput. A workload is a DAG of functions joined by data streams, stored
-in topological order. Before embedding, a workload is augmented with a
-zero-work collector tail that every destination function feeds, so that a
-single finish time defines the makespan.
+in topological order. Before embedding, a workload is augmented: the result
+is again a ``WorkloadDag``, whose last function is a 0-flop collector that
+every destination function feeds, so that a single finish time (the
+collector's) defines the makespan.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class FunctionNode:
 
     id: int
     flops: float
-    is_dummy: bool = False
 
 
 @dataclass(frozen=True)
@@ -169,6 +169,14 @@ class WorkloadDag:
         return {f.id: i for i, f in enumerate(self.functions)}
 
     @cached_property
+    def by_id(self) -> dict[int, FunctionNode]:
+        return {f.id: f for f in self.functions}
+
+    @cached_property
+    def stream_size(self) -> dict[tuple[int, int], float]:
+        return {(e.src, e.dst): e.size for e in self.edges}
+
+    @cached_property
     def successors(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {f.id: [] for f in self.functions}
         for e in self.edges:
@@ -200,8 +208,6 @@ def validate_dag(dag: WorkloadDag) -> None:
         _require_finite(f"function {f.id} flops", f.flops)
         if f.flops < 0:
             raise ValidationError(f"function {f.id} has negative flops")
-        if f.is_dummy and f.flops != 0:
-            raise ValidationError(f"collector function {f.id} must have 0 flops")
     position = dag.position
     seen_edges: set[tuple[int, int]] = set()
     for e in dag.edges:
@@ -229,79 +235,53 @@ def _cycle_error(cycle: list[int]) -> ValidationError:
 
 
 def _check_acyclic(dag: WorkloadDag) -> None:
-    """Depth-first cycle detection independent of the stored order."""
+    """Depth-first cycle detection independent of the stored order.
+
+    The walk keeps its own stack, so a chain of any length stays clear of
+    the interpreter's recursion limit.
+    """
     out: dict[int, list[int]] = {f.id: [] for f in dag.functions}
     for e in dag.edges:
         if e.src == e.dst:
             raise _cycle_error([e.src, e.dst])
         out[e.src].append(e.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {f.id: WHITE for f in dag.functions}
-    stack: list[int] = []
-
-    def visit(node: int) -> None:
-        color[node] = GRAY
-        stack.append(node)
-        for succ in out[node]:
-            if color[succ] == GRAY:
-                raise _cycle_error(stack[stack.index(succ):] + [succ])
-            if color[succ] == WHITE:
-                visit(succ)
-        stack.pop()
-        color[node] = BLACK
-
-    for f in dag.functions:
-        if color[f.id] == WHITE:
-            visit(f.id)
+    done: set[int] = set()
+    for root in dag.functions:
+        if root.id in done:
+            continue
+        # ``path`` is the current chain; ``pending`` holds an iterator over
+        # the unvisited successors of each function on it.
+        path = [root.id]
+        on_path = {root.id}
+        pending = [iter(out[root.id])]
+        while pending:
+            succ = next(pending[-1], None)
+            if succ is None:
+                pending.pop()
+                node = path.pop()
+                on_path.remove(node)
+                done.add(node)
+            elif succ in on_path:
+                raise _cycle_error(path[path.index(succ):] + [succ])
+            elif succ not in done:
+                path.append(succ)
+                on_path.add(succ)
+                pending.append(iter(out[succ]))
 
 
 @dataclass(frozen=True)
-class AugmentedDag:
-    """A workload plus the zero-work collector that closes the DAG.
+class AugmentedDag(WorkloadDag):
+    """A workload whose last function is the collector that closes it.
 
-    The collector (``dummy_id``) receives one edge from every destination
-    function, weighted with that destination's output size, and costs
-    nothing to run anywhere. Its finish time is the makespan.
+    The collector (``dummy_id``) has 0 flops, so it costs nothing to run
+    anywhere, and receives one edge from every destination function of the
+    original workload, weighted with that destination's output size. Its
+    finish time is the makespan.
     """
 
-    base: WorkloadDag
-    dummy_id: int
-    dummy_edges: tuple[StreamEdge, ...]
-
-    @cached_property
-    def functions(self) -> tuple[FunctionNode, ...]:
-        tail = FunctionNode(id=self.dummy_id, flops=0.0, is_dummy=True)
-        return self.base.functions + (tail,)
-
-    @cached_property
-    def edges(self) -> tuple[StreamEdge, ...]:
-        return self.base.edges + self.dummy_edges
-
-    @cached_property
-    def by_id(self) -> dict[int, FunctionNode]:
-        return {f.id: f for f in self.functions}
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        return {f.id: i for i, f in enumerate(self.functions)}
-
-    @cached_property
-    def stream_size(self) -> dict[tuple[int, int], float]:
-        return {(e.src, e.dst): e.size for e in self.edges}
-
-    @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {f.id: [] for f in self.functions}
-        for e in self.edges:
-            inc[e.dst].append(e.src)
-        return {k: tuple(sorted(v)) for k, v in inc.items()}
-
-    @cached_property
-    def out_degree(self) -> dict[int, int]:
-        deg = {f.id: 0 for f in self.functions}
-        for e in self.edges:
-            deg[e.src] += 1
-        return deg
+    @property
+    def dummy_id(self) -> int:
+        return self.functions[-1].id
 
 
 def augment_dummy_tail(
@@ -316,8 +296,7 @@ def augment_dummy_tail(
     validate_dag(dag)
     destinations = dag.destination_ids
     for d in destinations:
-        node = dag.functions[dag.position[d]]
-        if node.flops == 0:
+        if dag.by_id[d].flops == 0:
             raise ValidationError(
                 f"destination {d} has zero flops; workload appears to "
                 "carry a collector tail already"
@@ -334,18 +313,18 @@ def augment_dummy_tail(
     for d in destinations:
         _require_finite(f"output of destination {d}", dst_out_sizes[d])
         _require_positive(f"output of destination {d}", dst_out_sizes[d], " bits")
-    dummy_id = len(dag.functions)
-    dummy_edges = tuple(
-        StreamEdge(src=d, dst=dummy_id, size=float(dst_out_sizes[d]))
+    collector = FunctionNode(id=len(dag.functions), flops=0.0)
+    collector_edges = tuple(
+        StreamEdge(src=d, dst=collector.id, size=float(dst_out_sizes[d]))
         for d in sorted(destinations)
     )
-    return AugmentedDag(base=dag, dummy_id=dummy_id, dummy_edges=dummy_edges)
+    return AugmentedDag(
+        functions=dag.functions + (collector,), edges=dag.edges + collector_edges
+    )
 
 
 def processing_time(function: FunctionNode, server: Server) -> float:
-    """Seconds to run ``function`` on ``server``; the collector costs 0."""
-    if function.is_dummy:
-        return 0.0
+    """Seconds to run ``function`` on ``server``; the 0-flop collector costs 0."""
     return function.flops / server.psi
 
 

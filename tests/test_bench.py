@@ -8,6 +8,7 @@ import pytest
 
 from edge_embed import (
     EdgeEmbedError,
+    FunctionNode,
     ReportBundle,
     SchemaError,
     WorkloadSpec,
@@ -118,7 +119,7 @@ def test_dag_batch_is_deterministic_and_in_range():
 def test_records_augment_cleanly():
     for record in generate_dag_records(SMALL):
         aug = record.augmented()
-        assert aug.by_id[aug.dummy_id].is_dummy
+        assert aug.functions[-1] == FunctionNode(aug.dummy_id, 0.0)
 
 
 # ---------------------------------------------------------------------------

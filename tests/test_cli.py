@@ -40,9 +40,9 @@ def write_diamond(tmp_path, doc=DIAMOND):
     return str(path)
 
 
-def assert_one_error(capsys, code):
-    """Exit 2 with exactly one ``error:`` line and no traceback."""
-    assert code == 2
+def assert_one_error(capsys, code, want=2):
+    """Exit ``want`` with exactly one ``error:`` line and no traceback."""
+    assert code == want
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
@@ -163,6 +163,21 @@ def test_embed_all_algorithms(tmp_path, capsys):
     assert spans["dpe"] >= spans["brute"] - 1e-12
     assert spans["placement-only"] >= spans["brute"] - 1e-12
     assert spans["heft"] >= spans["brute"] - 1e-12
+
+
+@pytest.mark.parametrize("algo", ["dpe", "heft", "placement-only"])
+def test_embed_long_chain(tmp_path, capsys, algo):
+    # validation walks the DAG without recursing once per function
+    n = 2000
+    chain = {
+        "functions": [{"id": i, "flops": 1.0e9} for i in range(n)],
+        "edges": [{"src": i, "dst": i + 1, "bits": 1.0e6} for i in range(n - 1)],
+        "dst_out": {str(n - 1): 1.0e6},
+    }
+    net = write_triangle(tmp_path)
+    dag = write_diamond(tmp_path, chain)
+    assert main(["embed", "--network", net, "--dag", dag, "--algo", algo]) == 0
+    assert len(json.loads(capsys.readouterr().out)["placements"]) == n + 1
 
 
 def test_embed_accepts_ready_map_for_dpe(tmp_path, capsys):
@@ -375,6 +390,35 @@ def test_gen_rejects_bad_spec(tmp_path, capsys):
 
 BENCH_SPEC = ["bench", "--seed", "7", "--servers", "3", "--connectivity", "0.8",
               "--n-dags", "4"]
+
+
+@pytest.mark.parametrize("command", ["gen", "bench"])
+def test_negative_seed_is_rejected(tmp_path, capsys, command):
+    code = main([command, "--seed", "-1", "--servers", "3",
+                 "--out", str(tmp_path / "out")])
+    assert_one_error(capsys, code)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["gen", "--seed", "1", "--servers", "100000", "--dags", "1"], None),
+        (["bench", "--servers", "1001", "--n-dags", "1"], None),
+        (["gen", "--seed", "1", "--servers", "3", "--dags", "1"], "5"),
+    ],
+)
+def test_server_count_past_path_cap_fails_before_drawing(
+    tmp_path, capsys, monkeypatch, argv, cap
+):
+    # c servers give at least c(c-1) simple paths, one per ordered pair
+    if cap is None:
+        monkeypatch.delenv("EDGE_EMBED_PATH_CAP", raising=False)
+    else:
+        monkeypatch.setenv("EDGE_EMBED_PATH_CAP", cap)
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert_one_error(capsys, code, want=3)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_from_spec_writes_reports(tmp_path, capsys):

@@ -185,11 +185,9 @@ def test_validate_dag_rejects_negative_flops():
 def test_augment_single_destination():
     aug = chain_dag([1.0, 2.0], sizes=[3.0], dst_out=5.0)
     assert aug.dummy_id == 2
-    dummy = aug.by_id[2]
-    assert dummy.is_dummy and dummy.flops == 0.0
+    assert aug.functions[-1] == FunctionNode(2, 0.0)
     assert aug.stream_size[(1, 2)] == 5.0
-    assert aug.out_degree[1] == 1
-    assert aug.functions[-1].id == 2
+    assert aug.successors[1] == (2,)
 
 
 def test_augment_two_destinations_adds_two_edges():
@@ -249,7 +247,7 @@ def test_processing_time_exact_division():
 
 
 def test_processing_time_dummy_is_free():
-    f = FunctionNode(0, 0.0, is_dummy=True)
+    f = FunctionNode(0, 0.0)
     assert processing_time(f, Server(0, 1.0)) == 0.0
 
 
