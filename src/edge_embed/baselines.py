@@ -1,10 +1,11 @@
 """Reference schedulers the dynamic program is benchmarked against.
 
-Both baselines restrict every transfer to a single fixed route per server
-pair (the cheapest simple path, used for the whole stream). The list
-scheduler additionally serializes functions that share a server, while the
-placement-only embedder reuses the dynamic program and differs from it in
-nothing but the missing stream splits.
+Both baselines send every transfer whole over one fixed route per server
+pair, the cheapest simple path (the passive route), where ``dpe`` splits
+it over every path of the pair. The list scheduler additionally
+serializes functions that share a server, while the placement-only
+embedder runs the dynamic program with the passive route's costs and
+differs from ``dpe`` in nothing but the missing stream splits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .embedder import EdgeMapping, EmbeddingResult, _dynamic_embed
+from .embedder import EmbeddingResult, Route, _dynamic_embed, _map_streams
 from .model import AugmentedDag, EdgeNetwork, processing_time
 from .pathfind import PathCatalog, SimplePath
 
@@ -42,22 +43,9 @@ def passive_routes(catalog: PathCatalog) -> PassiveRoute:
     return PassiveRoute(path=catalog.cheapest, coefficient=catalog.cheapest_coefficient)
 
 
-def _single_path_mappings(
-    dag: AugmentedDag, routes: PassiveRoute, placements: dict[int, int]
-) -> dict[tuple[int, int], EdgeMapping]:
-    """Every stream of a placed DAG sent whole over its pair's passive route."""
-    mappings: dict[tuple[int, int], EdgeMapping] = {}
-    for e in dag.edges:
-        u, v = placements[e.src], placements[e.dst]
-        if u == v:
-            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
-        else:
-            mappings[(e.src, e.dst)] = EdgeMapping(
-                same_server=False,
-                paths=(routes.path[(u, v)],),
-                allocations=(e.size,),
-            )
-    return mappings
+def _whole_route(routes: PassiveRoute) -> Route:
+    """A stream sent whole over its pair's passive route."""
+    return lambda m, n, bits: ((routes.path[(m, n)],), (bits,))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +142,7 @@ def heft_schedule(
 
     return EmbeddingResult(
         placements=placements,
-        edge_mappings=_single_path_mappings(dag, routes, placements),
+        edge_mappings=_map_streams(dag, placements, _whole_route(routes)),
         finish_times=finish_times,
         makespan=finish_times[dag.dummy_id],
     )
@@ -174,18 +162,11 @@ def placement_only_embed(
     """The dynamic program with every split replaced by the passive route.
 
     Same recurrence, same commit-once rule, same tie-breaks; the only
-    difference from the full embedder is the transit matrix: each transfer
-    sends the whole stream over the pair's single cheapest path, so s bits
-    take s * A_min seconds.
+    difference from the full embedder is how a stream travels: whole over
+    the pair's single cheapest path, so s bits take s * A_min seconds.
     """
     if routes is None:
         routes = passive_routes(catalog)
-    placements, finish_times, makespan = _dynamic_embed(
-        dag, net, lambda bits: bits * routes.coefficient, ready=None
-    )
-    return EmbeddingResult(
-        placements=placements,
-        edge_mappings=_single_path_mappings(dag, routes, placements),
-        finish_times=finish_times,
-        makespan=makespan,
+    return _dynamic_embed(
+        dag, net, lambda bits: bits * routes.coefficient, _whole_route(routes), None
     )

@@ -354,11 +354,14 @@ class ReportBundle:
     seed: int | None = None
 
 
+# name -> runner(aug, net, catalog, ready=None); the baselines ignore ready
 ALGORITHMS: dict[str, Callable[..., EmbeddingResult]] = {
-    "dpe": lambda aug, net, catalog, routes: dpe_embed(aug, net, catalog),
-    "heft": lambda aug, net, catalog, routes: heft_schedule(aug, net, routes),
-    "placement-only": lambda aug, net, catalog, routes: placement_only_embed(
-        aug, net, catalog, routes
+    "dpe": dpe_embed,
+    "heft": lambda aug, net, catalog, ready=None: heft_schedule(
+        aug, net, passive_routes(catalog)
+    ),
+    "placement-only": lambda aug, net, catalog, ready=None: placement_only_embed(
+        aug, net, catalog, passive_routes(catalog)
     ),
 }
 
@@ -408,7 +411,6 @@ def run_benchmark(
         raise ValidationError("the DAG set is empty")
 
     catalog: PathCatalog = build_catalog(network)
-    routes = passive_routes(catalog)
     fingerprint = network_fingerprint(network)
 
     trials: list[TrialRecord] = []
@@ -420,10 +422,10 @@ def run_benchmark(
             runner = ALGORITHMS[algo]
             if timing == "wall":
                 t0 = time.perf_counter()
-                result = runner(aug, network, catalog, routes)
+                result = runner(aug, network, catalog)
                 elapsed = time.perf_counter() - t0
             else:
-                result = runner(aug, network, catalog, routes)
+                result = runner(aug, network, catalog)
                 elapsed = 0.0
             runtime_totals[algo] += elapsed
             trials.append(

@@ -14,8 +14,8 @@ import json
 import math
 import sys
 
-from .baselines import heft_schedule, passive_routes, placement_only_embed
 from .bench import (
+    ALGORITHMS,
     WorkloadSpec,
     _read_json,
     emit_report,
@@ -24,11 +24,13 @@ from .bench import (
     run_benchmark,
     write_workload,
 )
-from .embedder import brute_force_embed, dpe_embed, embedding_to_json
+from .embedder import brute_force_embed, embedding_to_json
 from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
 from .model import augment_dummy_tail, dag_from_json, validate_time_range
 from .pathfind import build_catalog, enumerate_simple_paths, path_coefficient
 from .splitter import SplitProblem, bisection_oracle, optimal_split
+
+EMBEDDERS = {**ALGORITHMS, "brute": brute_force_embed}
 
 
 def _load_ready(raw, n_servers: int) -> dict[int, float]:
@@ -92,15 +94,7 @@ def _cmd_embed(args) -> int:
     if ready is not None and args.algo in ("heft", "placement-only"):
         raise SchemaError(f"--ready is not supported by {args.algo}")
     validate_time_range(aug, net, ready)
-    catalog = build_catalog(net)
-    if args.algo == "dpe":
-        result = dpe_embed(aug, net, catalog, ready)
-    elif args.algo == "brute":
-        result = brute_force_embed(aug, net, catalog, ready)
-    elif args.algo == "placement-only":
-        result = placement_only_embed(aug, net, catalog)
-    else:
-        result = heft_schedule(aug, net, passive_routes(catalog))
+    result = EMBEDDERS[args.algo](aug, net, build_catalog(net), ready)
     print(json.dumps(embedding_to_json(result), sort_keys=True, indent=2))
     return 0
 
@@ -170,11 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed = sub.add_parser("embed", help="embed one workload")
     p_embed.add_argument("--network", required=True)
     p_embed.add_argument("--dag", required=True)
-    p_embed.add_argument(
-        "--algo",
-        choices=["dpe", "heft", "placement-only", "brute"],
-        default="dpe",
-    )
+    p_embed.add_argument("--algo", choices=list(EMBEDDERS), default="dpe")
     p_embed.add_argument(
         "--ready", help="JSON file mapping server id to ready seconds"
     )

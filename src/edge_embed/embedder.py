@@ -21,6 +21,10 @@ first consumer's row reads the input's arrival from the committed server's
 row of its min-plus block, equal to a recompute, so every finish time is
 one embedding's.
 
+The program returns the finished embedding: one loop maps each stream
+between servers over the caller's route, the pair's split (``dpe``,
+``brute``) or the whole-stream passive route (the baselines).
+
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
 finish times from nothing but the recurrence.
@@ -62,18 +66,51 @@ class EmbeddingResult:
     makespan: float
 
 
-def _ready_map(net: EdgeNetwork, ready) -> dict[int, float]:
+Route = Callable[[int, int, float], tuple[tuple[SimplePath, ...], tuple[float, ...]]]
+
+
+def _ready_row(net: EdgeNetwork, ready) -> list[float]:
+    """Ready seconds per server in id order, 0 for servers not named."""
     if ready is None:
-        return {s.id: 0.0 for s in net.servers}
-    return {s.id: float(ready.get(s.id, 0.0)) for s in net.servers}
+        return [0.0] * net.n_servers
+    return [float(ready.get(s.id, 0.0)) for s in net.servers]
+
+
+def _map_streams(
+    dag: AugmentedDag, placements: dict[int, int], route: Route
+) -> dict[tuple[int, int], EdgeMapping]:
+    """Every stream of a placed DAG: free on one server, else sent over the
+    paths, with the bits per path, that ``route(m, n, bits)`` returns."""
+    mappings: dict[tuple[int, int], EdgeMapping] = {}
+    for e in dag.edges:
+        m, n = placements[e.src], placements[e.dst]
+        if m == n:
+            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
+        else:
+            paths, allocations = route(m, n, e.size)
+            mappings[(e.src, e.dst)] = EdgeMapping(
+                same_server=False, paths=paths, allocations=allocations
+            )
+    return mappings
+
+
+def _split_route(catalog: PathCatalog) -> Route:
+    """A stream spread over all paths of its pair by the closed-form split."""
+
+    def route(m: int, n: int, bits: float):
+        problem = SplitProblem(catalog.pair_coefficients(m, n), stream_size=bits)
+        return catalog.pair_paths(m, n), optimal_split(problem).allocations
+
+    return route
 
 
 def _dynamic_embed(
     dag: AugmentedDag,
     net: EdgeNetwork,
     transit: Callable[[float], np.ndarray],
+    route: Route,
     ready,
-) -> tuple[dict[int, int], dict[int, float], float]:
+) -> EmbeddingResult:
     """Shared DP driver; ``transit(bits)`` is the n x n matrix of seconds
     a stream of ``bits`` takes from server m (row) to server n (column).
 
@@ -85,12 +122,11 @@ def _dynamic_embed(
     it used at the committing row's best destination c; its arrival is then
     row c of its min-plus block, equal to a recompute under that commitment.
     Pointers are walked backward from the best collector placement. Returns
-    placements, finish times and the makespan.
+    the embedding, whose cross-server streams ``route`` maps; ``transit``
+    must price the streams as ``route`` sends them.
     """
     psi = np.array([s.psi for s in net.servers])
-    ready_row = np.zeros(net.n_servers)
-    if ready is not None:
-        ready_row = np.array([float(ready.get(s.id, 0.0)) for s in net.servers])
+    ready_row = np.array(_ready_row(net, ready))
     finish: dict[int, np.ndarray] = {}
     # sources[fj][fi]: fi's server per server of fj, or one int if committed.
     sources: dict[int, dict[int, np.ndarray | int]] = {}
@@ -142,31 +178,12 @@ def _dynamic_embed(
                     f"inconsistent placement for function {fi}: {prior} vs {src}"
                 )
     finish_times = {f: float(row[placements[f]]) for f, row in finish.items()}
-    return placements, finish_times, finish_times[dummy]
-
-
-def _split_mappings(
-    dag: AugmentedDag, catalog: PathCatalog, placements: dict[int, int]
-) -> dict[tuple[int, int], EdgeMapping]:
-    """Every stream of a placed DAG spread over all paths of its pair."""
-    mappings: dict[tuple[int, int], EdgeMapping] = {}
-    for e in dag.edges:
-        m, v = placements[e.src], placements[e.dst]
-        if m == v:
-            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
-        else:
-            split = optimal_split(
-                SplitProblem(
-                    coefficients=catalog.pair_coefficients(m, v),
-                    stream_size=e.size,
-                )
-            )
-            mappings[(e.src, e.dst)] = EdgeMapping(
-                same_server=False,
-                paths=catalog.pair_paths(m, v),
-                allocations=split.allocations,
-            )
-    return mappings
+    return EmbeddingResult(
+        placements=placements,
+        edge_mappings=_map_streams(dag, placements, route),
+        finish_times=finish_times,
+        makespan=finish_times[dummy],
+    )
 
 
 def dpe_embed(
@@ -180,14 +197,8 @@ def dpe_embed(
     A stream of s bits from m to n takes s / sum(1/A_k) over the pair's
     paths; the infinite diagonal makes same-server transit exactly 0.
     """
-    placements, finish_times, makespan = _dynamic_embed(
-        dag, net, lambda bits: bits / catalog.inv_coeff_sum, ready
-    )
-    return EmbeddingResult(
-        placements=placements,
-        edge_mappings=_split_mappings(dag, catalog, placements),
-        finish_times=finish_times,
-        makespan=makespan,
+    return _dynamic_embed(
+        dag, net, lambda bits: bits / catalog.inv_coeff_sum, _split_route(catalog), ready
     )
 
 
@@ -196,25 +207,23 @@ def brute_force_embed(
     net: EdgeNetwork,
     catalog: PathCatalog,
     ready=None,
-    limit: int = EXHAUSTIVE_LIMIT,
 ) -> EmbeddingResult:
     """Exhaustive optimum over every placement vector (streams still split
     optimally per edge, which is closed-form and independent per edge).
 
     Ties are broken toward the lexicographically smallest placement vector
-    in stored function order. Guarded by ``limit`` on the number of
-    placement vectors.
+    in stored function order. Guarded by ``EXHAUSTIVE_LIMIT`` on the
+    number of placement vectors.
     """
     n = net.n_servers
     q = len(dag.functions)
     combos = n**q
-    if combos > limit:
+    if combos > EXHAUSTIVE_LIMIT:
         raise EdgeEmbedError(
             f"{combos} placement vectors exceed the exhaustive-search "
-            f"limit of {limit}"
+            f"limit of {EXHAUSTIVE_LIMIT}"
         )
 
-    ready_map = _ready_map(net, ready)
     order = [f.id for f in dag.functions]
     index_of = {fid: k for k, fid in enumerate(order)}
     proc = [
@@ -224,7 +233,7 @@ def brute_force_embed(
     # transit_factor[m][n]: seconds per bit between servers m and n (1/inf
     # is 0.0 on the diagonal).
     transit_factor = (1.0 / catalog.inv_coeff_sum).tolist()
-    ready_row = [ready_map[s.id] for s in net.servers]
+    ready_row = _ready_row(net, ready)
     # Per function: list of (pred index, stream bits) for the recurrence.
     pred_rows: list[list[tuple[int, float]]] = [[] for _ in order]
     for e in dag.edges:
@@ -253,7 +262,7 @@ def brute_force_embed(
 
     assert best_vector is not None
     placements = {fid: best_vector[index_of[fid]] for fid in order}
-    mappings = _split_mappings(dag, catalog, placements)
+    mappings = _map_streams(dag, placements, _split_route(catalog))
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)
     return EmbeddingResult(
         placements=placements,
@@ -276,7 +285,7 @@ def simulate_embedding(
     throughputs, independent of any catalog aggregates, so this doubles as
     the self-consistency oracle for every embedding producer.
     """
-    ready_map = _ready_map(net, ready)
+    ready_row = _ready_row(net, ready)
     finish: dict[int, float] = {}
     for node in dag.functions:
         fid = node.id
@@ -284,7 +293,7 @@ def simulate_embedding(
         proc = processing_time(node, server)
         preds = dag.predecessors[fid]
         if not preds:
-            finish[fid] = proc + ready_map[server.id]
+            finish[fid] = proc + ready_row[server.id]
             continue
         slowest_input = 0.0
         for fi in preds:

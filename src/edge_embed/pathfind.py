@@ -213,8 +213,8 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
     cheapest_coeff = np.zeros((n, n))
     for u in range(n):
         # by_hops[v][h]: coefficients of the h-link paths u -> v in walk
-        # order; read out hop by hop they are in canonical order
-        by_hops = [[[] for _ in range(n)] for _ in range(n)]
+        # order; read out in ascending h they are in canonical order
+        by_hops: list[dict[int, list[float]]] = [{} for _ in range(n)]
         best_coeff = [math.inf] * n
         best_hops = [n] * n
         best_route: list[tuple | None] = [None] * n
@@ -224,7 +224,7 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
             total_paths += 1
             v = nodes[-1]
             hops = len(link_ids)
-            by_hops[v][hops].append(coeff)
+            by_hops[v].setdefault(hops, []).append(coeff)
             # strict on (coefficient, hops): ties keep the path met first
             if coeff < best_coeff[v] or (coeff == best_coeff[v] and hops < best_hops[v]):
                 best_coeff[v] = coeff
@@ -233,8 +233,9 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         for v in range(n):
             if v == u:
                 continue
-            recursion_calls[(u, v)] = sum(map(len, by_hops[v]))
-            inv_sum[u, v] = sum(1.0 / a for a in chain.from_iterable(by_hops[v]))
+            buckets = [by_hops[v][hops] for hops in sorted(by_hops[v])]
+            recursion_calls[(u, v)] = sum(map(len, buckets))
+            inv_sum[u, v] = sum(1.0 / a for a in chain.from_iterable(buckets))
             cheapest_coeff[u, v] = best_coeff[v]
             if best_route[v] is not None:
                 route_nodes, route_links = best_route[v]

@@ -11,6 +11,7 @@ from edge_embed import (
     FunctionNode,
     ReportBundle,
     SchemaError,
+    ValidationError,
     WorkloadSpec,
     emit_report,
     generate_network,
@@ -293,6 +294,8 @@ def test_run_benchmark_rejects_bad_requests():
         run_benchmark(["nope"], spec=SMALL)
     with pytest.raises(ValueError):
         run_benchmark(["dpe", "dpe"], spec=SMALL)
+    with pytest.raises(ValidationError):  # brute is an embed-only algorithm
+        run_benchmark(["brute"], spec=SMALL)
     with pytest.raises(ValueError):
         run_benchmark(["dpe"], spec=SMALL, network=net, dag_records=records)
     with pytest.raises(ValueError):

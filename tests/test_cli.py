@@ -6,8 +6,18 @@ import json
 
 import pytest
 
+from edge_embed import (
+    augment_dummy_tail,
+    brute_force_embed,
+    build_catalog,
+    dpe_embed,
+    embedding_to_json,
+    heft_schedule,
+    passive_routes,
+    placement_only_embed,
+)
 from edge_embed.cli import main
-from edge_embed.model import network_to_json
+from edge_embed.model import dag_from_json, network_to_json
 
 from conftest import complete_network, triangle_network
 
@@ -199,10 +209,48 @@ def test_embed_rejects_ready_map_for_list_scheduler(tmp_path, capsys):
     dag = write_diamond(tmp_path)
     ready = tmp_path / "ready.json"
     ready.write_text(json.dumps({"0": 1.0}), encoding="utf-8")
-    code = main(
-        ["embed", "--network", net, "--dag", dag, "--algo", "heft", "--ready", str(ready)]
+    # one loop, not parametrized ids, so the test keeps its id
+    for algo in ("heft", "placement-only"):
+        code = main(
+            ["embed", "--network", net, "--dag", dag, "--algo", algo, "--ready", str(ready)]
+        )
+        assert_one_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "algo, ready",
+    [
+        ("dpe", None),
+        ("heft", None),
+        ("placement-only", None),
+        ("brute", None),
+        ("dpe", {0: 0.5, 2: 3.0}),
+        ("brute", {0: 0.5, 2: 3.0}),
+    ],
+    ids=["dpe", "heft", "placement-only", "brute", "dpe-ready", "brute-ready"],
+)
+def test_embed_prints_the_library_embedding(tmp_path, capsys, algo, ready):
+    library = {
+        "dpe": lambda aug, net, cat: dpe_embed(aug, net, cat, ready),
+        "heft": lambda aug, net, cat: heft_schedule(aug, net, passive_routes(cat)),
+        "placement-only": lambda aug, net, cat: placement_only_embed(aug, net, cat),
+        "brute": lambda aug, net, cat: brute_force_embed(aug, net, cat, ready),
+    }[algo]
+    net = triangle_network()
+    aug = augment_dummy_tail(*dag_from_json(DIAMOND))
+    want = json.dumps(
+        embedding_to_json(library(aug, net, build_catalog(net))),
+        sort_keys=True,
+        indent=2,
     )
-    assert code == 2
+    argv = ["embed", "--network", write_triangle(tmp_path)]
+    argv += ["--dag", write_diamond(tmp_path), "--algo", algo]
+    if ready is not None:
+        path = tmp_path / "ready.json"
+        path.write_text(json.dumps({str(s): t for s, t in ready.items()}), encoding="utf-8")
+        argv += ["--ready", str(path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_embed_rejects_malformed_dag(tmp_path, capsys):

@@ -214,6 +214,22 @@ def test_catalog_peak_memory_stays_small():
         assert peak < bound_mb * 2**20, (n, peak)
 
 
+def test_catalog_of_a_large_star():
+    # one path per ordered pair, so the catalog's work should follow the
+    # 89,700 paths, not n^3 hop buckets
+    n = 300
+    net = make_network(
+        [Server(i, 1.0) for i in range(n)],
+        [Link(i - 1, 0, i, 1.0) for i in range(1, n)],
+    )
+    catalog = build_catalog(net)
+    assert catalog.total_paths == n * (n - 1)
+    assert set(catalog.recursion_calls.values()) == {1}
+    assert catalog.cheapest[(3, 7)].nodes == (3, 0, 7)
+    assert catalog.inv_coeff_sum[3, 7] == 0.5
+    assert catalog.cheapest_coefficient[0, 5] == 1.0
+
+
 def test_pair_paths_are_listed_once_and_match_enumeration():
     net = irregular_network()
     catalog = build_catalog(net)
