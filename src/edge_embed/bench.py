@@ -332,11 +332,11 @@ class TrialRecord:
 
     def __post_init__(self):
         if self.makespan_s <= 0:
-            raise ValueError(
+            raise ValidationError(
                 f"dag {self.dag_id} / {self.algo}: non-positive makespan"
             )
         if self.runtime_s < 0:
-            raise ValueError("runtime cannot be negative")
+            raise ValidationError("runtime cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -354,15 +354,25 @@ class ReportBundle:
     seed: int | None = None
 
 
-# name -> runner(aug, net, catalog, ready=None); the baselines ignore ready
+def _idle_only(name: str, embed: Callable[..., EmbeddingResult]):
+    """``embed(aug, net, catalog)`` as a runner that rejects a ready map."""
+
+    def run(aug, net, catalog, ready=None) -> EmbeddingResult:
+        if ready is not None:
+            raise ValidationError(f"{name} takes no ready times")
+        return embed(aug, net, catalog)
+
+    return run
+
+
+# name -> runner(aug, net, catalog, ready=None); the baselines embed on idle
+# servers only and raise ValidationError when given a ready map
 ALGORITHMS: dict[str, Callable[..., EmbeddingResult]] = {
     "dpe": dpe_embed,
-    "heft": lambda aug, net, catalog, ready=None: heft_schedule(
-        aug, net, passive_routes(catalog)
+    "heft": _idle_only(
+        "heft", lambda aug, net, catalog: heft_schedule(aug, net, passive_routes(catalog))
     ),
-    "placement-only": lambda aug, net, catalog, ready=None: placement_only_embed(
-        aug, net, catalog, passive_routes(catalog)
-    ),
+    "placement-only": _idle_only("placement-only", placement_only_embed),
 }
 
 

@@ -91,8 +91,6 @@ def _cmd_embed(args) -> int:
     ready = None
     if args.ready:
         ready = _load_ready(_read_json(args.ready), net.n_servers)
-    if ready is not None and args.algo in ("heft", "placement-only"):
-        raise SchemaError(f"--ready is not supported by {args.algo}")
     validate_time_range(aug, net, ready)
     result = EMBEDDERS[args.algo](aug, net, build_catalog(net), ready)
     print(json.dumps(embedding_to_json(result), sort_keys=True, indent=2))

@@ -23,7 +23,9 @@ one embedding's.
 
 The program returns the finished embedding: one loop maps each stream
 between servers over the caller's route, the pair's split (``dpe``,
-``brute``) or the whole-stream passive route (the baselines).
+``brute``) or the whole-stream passive route (the baselines). The split
+route checks a pair's coefficients once per pair, not once per stream, and
+same-server streams share one immutable mapping.
 
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import EdgeEmbedError
 from .model import AugmentedDag, EdgeNetwork, processing_time
-from .pathfind import PathCatalog, SimplePath, path_coefficient
+from .pathfind import PathCatalog, SimplePath
 from .splitter import SplitProblem, optimal_split, routing_time
 
 EXHAUSTIVE_LIMIT = 10**6
@@ -76,6 +79,10 @@ def _ready_row(net: EdgeNetwork, ready) -> list[float]:
     return [float(ready.get(s.id, 0.0)) for s in net.servers]
 
 
+# shared by every same-server stream: the mapping is immutable
+_SAME_SERVER = EdgeMapping(same_server=True)
+
+
 def _map_streams(
     dag: AugmentedDag, placements: dict[int, int], route: Route
 ) -> dict[tuple[int, int], EdgeMapping]:
@@ -85,7 +92,7 @@ def _map_streams(
     for e in dag.edges:
         m, n = placements[e.src], placements[e.dst]
         if m == n:
-            mappings[(e.src, e.dst)] = EdgeMapping(same_server=True)
+            mappings[(e.src, e.dst)] = _SAME_SERVER
         else:
             paths, allocations = route(m, n, e.size)
             mappings[(e.src, e.dst)] = EdgeMapping(
@@ -95,11 +102,33 @@ def _map_streams(
 
 
 def _split_route(catalog: PathCatalog) -> Route:
-    """A stream spread over all paths of its pair by the closed-form split."""
+    """A stream spread over all paths of its pair by the closed-form split.
+
+    Equal to ``optimal_split(SplitProblem(coefficients, bits))`` float for
+    float and error for error, but a pair's listing is read, its
+    coefficients checked and its ``sum(1 / A_k)`` summed once per route;
+    a stream then costs one divide per path.
+    """
+    priced: dict[tuple[int, int], tuple] = {}  # (paths, coefficients, sum(1/A_k))
 
     def route(m: int, n: int, bits: float):
-        problem = SplitProblem(catalog.pair_coefficients(m, n), stream_size=bits)
-        return catalog.pair_paths(m, n), optimal_split(problem).allocations
+        pair = priced.get((m, n))
+        if pair is None:
+            coefficients = catalog.pair_coefficients(m, n)
+            SplitProblem(coefficients, stream_size=bits)  # the pair's checks
+            pair = priced[(m, n)] = (
+                catalog.pair_paths(m, n),
+                coefficients,
+                sum(1.0 / a for a in coefficients),
+            )
+        elif not 0.0 < bits < math.inf:
+            SplitProblem(pair[1], stream_size=bits)  # raises the bits' error
+        paths, coefficients, inv_sum = pair
+        tau = bits / inv_sum
+        allocations = tuple(tau / a for a in coefficients)
+        if not all(0.0 < x < math.inf for x in (tau, *allocations)):
+            optimal_split(SplitProblem(coefficients, stream_size=bits))  # raises
+        return paths, allocations
 
     return route
 
@@ -127,17 +156,20 @@ def _dynamic_embed(
     """
     psi = np.array([s.psi for s in net.servers])
     ready_row = np.array(_ready_row(net, ready))
+    # procs[k]: seconds function k takes on each server (the collector's 0)
+    procs = np.array([f.flops for f in dag.functions])[:, None] / psi
     finish: dict[int, np.ndarray] = {}
+    columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
     # sources[fj][fi]: fi's server per server of fj, or one int if committed.
     sources: dict[int, dict[int, np.ndarray | int]] = {}
     committed: dict[int, int] = {}
 
-    for node in dag.functions:
+    for node, proc in zip(dag.functions, procs):
         fj = node.id
-        proc = node.flops / psi  # the collector's flops are 0
         preds = dag.predecessors[fj]
         if not preds:
-            finish[fj] = proc + ready_row
+            row = proc + ready_row
+            finish[fj], columns[fj] = row, row[:, None]
             continue
         arrivals: dict[int, np.ndarray] = {}
         picks: dict[int, np.ndarray | int] = {}
@@ -146,9 +178,10 @@ def _dynamic_embed(
             cost = transit(dag.stream_size[(fi, fj)])
             c = committed.get(fi)
             if c is None:
-                phi = (finish[fi][:, None] + cost) + proc[None, :]
+                phi = columns[fi] + cost
+                phi += proc
                 picks[fi] = phi.argmin(axis=0)
-                arrivals[fi] = phi.min(axis=0)
+                arrivals[fi] = np.minimum.reduce(phi, axis=0)
                 if len(dag.successors[fi]) >= 2:
                     blocks[fi] = phi
             else:
@@ -162,7 +195,7 @@ def _dynamic_embed(
                 committed[fi] = picks[fi] = c
                 arrivals[fi] = phi[c]
             row = functools.reduce(np.maximum, arrivals.values())
-        finish[fj] = row
+        finish[fj], columns[fj] = row, row[:, None]
         sources[fj] = picks
 
     dummy = dag.dummy_id
@@ -283,8 +316,11 @@ def simulate_embedding(
 
     Routing times are re-derived from the mapped paths and the raw link
     throughputs, independent of any catalog aggregates, so this doubles as
-    the self-consistency oracle for every embedding producer.
+    the self-consistency oracle for every embedding producer. Each link's
+    inverse throughput is taken once per call and a path's coefficient is
+    summed from those left to right, like ``path_coefficient``.
     """
+    inverse = [1.0 / link.throughput for link in net.links]
     ready_row = _ready_row(net, ready)
     finish: dict[int, float] = {}
     for node in dag.functions:
@@ -301,10 +337,12 @@ def simulate_embedding(
             if mapping.same_server:
                 transit = 0.0
             else:
-                branches = [
-                    (path_coefficient(p, net), z)
-                    for p, z in zip(mapping.paths, mapping.allocations)
-                ]
+                branches = []
+                for p, z in zip(mapping.paths, mapping.allocations):
+                    coefficient = 0.0
+                    for link_id in p.link_ids:
+                        coefficient += inverse[link_id]
+                    branches.append((coefficient, z))
                 transit = routing_time(branches)
             slowest_input = max(slowest_input, finish[fi] + transit)
         finish[fid] = slowest_input + proc

@@ -13,6 +13,7 @@ from edge_embed import (
     SchemaError,
     ValidationError,
     WorkloadSpec,
+    build_catalog,
     emit_report,
     generate_network,
     load_dag_records,
@@ -25,7 +26,7 @@ from edge_embed import (
     validate_network,
     write_workload,
 )
-from edge_embed.bench import generate_dag_records
+from edge_embed.bench import ALGORITHMS, TrialRecord, generate_dag_records
 from edge_embed.model import dag_to_json
 
 SMALL = WorkloadSpec(
@@ -302,6 +303,27 @@ def test_run_benchmark_rejects_bad_requests():
         run_benchmark(["dpe"])
     with pytest.raises(ValueError):
         run_benchmark(["dpe"], spec=SMALL, timing="sometimes")
+
+
+def test_baseline_runners_reject_a_ready_map():
+    net = generate_network(SMALL)
+    catalog = build_catalog(net)
+    aug = generate_dag_records(SMALL)[0].augmented()
+    for algo in ("heft", "placement-only"):
+        with pytest.raises(ValidationError, match=f"^{algo} takes no ready times$"):
+            ALGORITHMS[algo](aug, net, catalog, {0: 1.0})
+        assert ALGORITHMS[algo](aug, net, catalog).makespan > 0
+    assert ALGORITHMS["dpe"](aug, net, catalog, {0: 1.0}).makespan > 0
+
+
+def test_trial_record_rejects_impossible_values():
+    # run_benchmark never builds these (validate_time_range keeps makespans
+    # > 0, perf_counter is monotonic), so a direct caller gets exit 2's type
+    for makespan, runtime in ((0.0, 0.0), (-1.0, 0.0), (1.0, -1e-9)):
+        with pytest.raises(ValidationError):
+            TrialRecord(
+                dag_id=0, algo="dpe", makespan_s=makespan, runtime_s=runtime, dag_size=2
+            )
 
 
 def test_timing_off_zeroes_runtimes_and_wall_records_them():

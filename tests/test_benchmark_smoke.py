@@ -15,13 +15,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_benchmark_runs_and_checks_every_embedding():
-    proc = subprocess.run(
-        [sys.executable, "benchmark/run.py", "--workload", "desk-busy",
-         "--seed", "0", "--seconds", "1", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.splitlines()[-1])
-    assert metrics["correct"] is True
-    assert metrics["failed"] == 0
-    assert metrics["attempted"] > 0
+    # one loop, not parametrized ids, so the test keeps its id; the idle
+    # workload adds the checker's optimality check on idle servers
+    for workload in ("desk-busy", "desk-idle"):
+        proc = subprocess.run(
+            [sys.executable, "benchmark/run.py", "--workload", workload,
+             "--seed", "0", "--seconds", "1", "--trace", "0"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (workload, proc.stderr)
+        metrics = json.loads(proc.stdout.splitlines()[-1])
+        assert metrics["correct"] is True, workload
+        assert metrics["failed"] == 0, workload
+        assert metrics["attempted"] > 0, workload

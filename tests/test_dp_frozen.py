@@ -3,10 +3,13 @@
 Each embedding's makespan (as ``float.hex()``) and placement tuple, in
 stored function order, are literals, so a later change to the DP that
 alters a single bit of any result fails here. Rows hold, per DAG, ``dpe``
-on idle servers, ``dpe`` with ``READY``, and ``placement-only``.
+on idle servers, ``dpe`` with ``READY``, and ``placement-only``. One digest
+pins every stream mapping of ``dpe`` with ``READY`` the same way.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -20,6 +23,10 @@ from edge_embed import (
 )
 
 READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
+
+# sha256 over the path nodes and float.hex allocations of every stream of
+# dpe with READY on the 20 DAGs, 74 of which cross servers
+MAPPINGS_SHA256 = "d21108a7377a5beb2faf4cc9f7f799eaffb9e75f0dafc312a6d93f0dab57cf53"
 
 FROZEN = [
     (
@@ -146,3 +153,15 @@ def test_dp_output_is_frozen(desk, k):
         for r in results
     )
     assert got == FROZEN[k]
+
+
+def test_dp_stream_mappings_are_frozen(desk):
+    net, catalog, dags = desk
+    digest = hashlib.sha256()
+    for aug in dags:
+        result = dpe_embed(aug, net, catalog, READY)
+        for edge, mapping in sorted(result.edge_mappings.items()):
+            nodes = [p.nodes for p in mapping.paths]
+            allocations = [z.hex() for z in mapping.allocations]
+            digest.update(repr((edge, nodes, allocations)).encode())
+    assert digest.hexdigest() == MAPPINGS_SHA256

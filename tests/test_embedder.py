@@ -10,6 +10,7 @@ from edge_embed import (
     Link,
     Server,
     StreamEdge,
+    ValidationError,
     WorkloadDag,
     augment_dummy_tail,
     brute_force_embed,
@@ -299,6 +300,24 @@ def test_split_strictly_beats_single_path_embedding():
     )
     assert split_transit == pytest.approx(1.0, rel=REL)
     assert passive_transit == pytest.approx(2.0, rel=REL)
+
+
+def test_an_infinite_path_coefficient_is_rejected_when_its_stream_is_split():
+    # The detour 0-1-2 crosses two links of 1e-308 bit/s, so its coefficient
+    # is 2e308 = inf, while the direct 0-2 link keeps the pair's transit
+    # finite. The ready times pin the entry to server 0 and the fast
+    # server 2 takes the consumer, so the split of 0 -> 2 must reject it.
+    net = make_network(
+        [Server(0, 1.0), Server(1, 1.0), Server(2, 1e10)],
+        [Link(0, 0, 1, 1e-308), Link(1, 1, 2, 1e-308), Link(2, 0, 2, 1.0)],
+    )
+    validate_network(net)
+    aug = chain_dag([1.0, 1e9], sizes=[1.0])
+    catalog = build_catalog(net)
+    with pytest.raises(
+        ValidationError, match="^path coefficients and stream size must be finite$"
+    ):
+        dpe_embed(aug, net, catalog, ready={0: 0.0, 1: 100.0, 2: 100.0})
 
 
 def test_late_entries_embed_like_entries_first():

@@ -15,13 +15,18 @@ from edge_embed import (
     PathCatalog,
     PathExplosionError,
     Server,
+    SplitProblem,
+    WorkloadSpec,
     build_catalog,
     enumerate_simple_paths,
+    generate_network,
     make_network,
+    optimal_split,
     path_coefficient,
     resolve_path_cap,
     validate_network,
 )
+from edge_embed.embedder import _split_route
 from edge_embed.pathfind import DEFAULT_PATH_CAP, PATH_CAP_ENV_VAR
 
 from conftest import complete_network, small_random_network, triangle_network
@@ -198,6 +203,32 @@ def test_catalog_aggregates_match_oracle(net):
             assert catalog.inv_coeff_sum[(u, v)] == sum(1.0 / a for a in coeffs)
             assert catalog.cheapest_coefficient[u, v] == min(oracle_coeffs)
     assert catalog.total_paths == total
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        generate_network(WorkloadSpec(seed=0)),  # the desk network
+        generate_network(WorkloadSpec(seed=0, n_servers=10)),  # wide-busy's
+        complete_network(5, throughput=3.0),
+    ],
+    ids=["desk", "wide-busy", "K5"],
+)
+def test_split_route_prices_every_pair_like_optimal_split(net):
+    catalog = build_catalog(net)
+    route = _split_route(catalog)
+    for u in range(net.n_servers):
+        for v in range(net.n_servers):
+            if u == v:
+                continue
+            coeffs = catalog.pair_coefficients(u, v)
+            # the DP's pair cost and the split's denominator are one float
+            assert float(catalog.inv_coeff_sum[u, v]) == sum(1 / a for a in coeffs)
+            for bits in (1.0, 7.3e6, 2.9e7):
+                paths, allocations = route(u, v, bits)
+                assert paths is catalog.pair_paths(u, v)
+                want = optimal_split(SplitProblem(coeffs, stream_size=bits))
+                assert allocations == want.allocations
 
 
 def test_catalog_peak_memory_stays_small():
