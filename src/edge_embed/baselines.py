@@ -10,13 +10,20 @@ differs from ``dpe`` in nothing but the missing stream splits.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .embedder import EmbeddingResult, Route, _dynamic_embed, _map_streams
-from .model import AugmentedDag, EdgeNetwork, processing_time
+from .embedder import (
+    EmbeddingResult,
+    Route,
+    _dynamic_embed,
+    _map_streams,
+    _processing_table,
+)
+from .model import AugmentedDag, EdgeNetwork
 from .pathfind import PathCatalog, SimplePath
 
 
@@ -53,6 +60,27 @@ def _whole_route(routes: PassiveRoute) -> Route:
 # ---------------------------------------------------------------------------
 
 
+def _upward_rank(
+    dag: AugmentedDag, procs: list[list[float]], coeff: list[list[float]]
+) -> dict[int, float]:
+    """Upward rank per function from the F x n processing-time table
+    ``procs`` (stored order) and the n x n passive-route cost ``coeff``."""
+    n = len(coeff)
+    # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
+    mean_coeff = sum(chain.from_iterable(coeff)) / (n * n)
+    successors, stream_size = dag.successors, dag.stream_size
+    upward: dict[int, float] = {}
+    for node, proc in zip(reversed(dag.functions), reversed(procs)):
+        fid = node.id
+        best_tail = 0.0
+        for dst in successors[fid]:
+            tail = stream_size[(fid, dst)] * mean_coeff + upward[dst]
+            if tail > best_tail:
+                best_tail = tail
+        upward[fid] = sum(proc) / n + best_tail
+    return upward
+
+
 def compute_rank_table(
     dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute
 ) -> dict[int, float]:
@@ -64,33 +92,9 @@ def compute_rank_table(
     mean transfer time averages an edge's cost over all ordered server
     pairs; same-server pairs contribute zero.
     """
-    n = net.n_servers
-    # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
-    coeff_total = sum(chain.from_iterable(routes.coefficient.tolist()))
-    mean_coeff = coeff_total / (n * n)
-    upward: dict[int, float] = {}
-    for node in reversed(dag.functions):
-        best_tail = 0.0
-        for dst in dag.successors[node.id]:
-            tail = dag.stream_size[(node.id, dst)] * mean_coeff + upward[dst]
-            if tail > best_tail:
-                best_tail = tail
-        avg_exec = sum(processing_time(node, s) for s in net.servers) / n
-        upward[node.id] = avg_exec + best_tail
-    return upward
-
-
-def _insertion_start(
-    busy: list[tuple[float, float]], ready: float, duration: float
-) -> float:
-    """Earliest start >= ready that fits ``duration`` into the busy list."""
-    start = ready
-    for b_start, b_end in busy:
-        if start + duration <= b_start:
-            break
-        if b_end > start:
-            start = b_end
-    return start
+    return _upward_rank(
+        dag, _processing_table(dag, net).tolist(), routes.coefficient.tolist()
+    )
 
 
 def heft_schedule(
@@ -102,43 +106,53 @@ def heft_schedule(
     server with the earliest insertion-based finish time, where input
     transfers pay the passive route's full-stream cost. Servers run one
     function at a time. The collector ranks last and its finish time is
-    the makespan.
+    the makespan. Processing times come from the dynamic program's table,
+    so both price a function with the same floats.
     """
-    rank = compute_rank_table(dag, net, routes)
-    coeff = routes.coefficient.tolist()  # Python floats keep finish times plain
-    order = sorted(
-        (f.id for f in dag.functions),
-        key=lambda fid: (-rank[fid], dag.position[fid]),
-    )
+    # Python floats keep finish times plain
+    procs = _processing_table(dag, net).tolist()
+    coeff = routes.coefficient.tolist()
+    rank = _upward_rank(dag, procs, coeff)
+    position = dag.position
+    order = sorted(position, key=lambda fid: (-rank[fid], position[fid]))
 
-    busy: dict[int, list[tuple[float, float]]] = {s.id: [] for s in net.servers}
+    predecessors, stream_size = dag.predecessors, dag.stream_size
+    servers = range(len(coeff))
+    # busy[s]: the (start, finish) slots taken on server s, in time order
+    busy: list[list[tuple[float, float]]] = [[] for _ in servers]
     placements: dict[int, int] = {}
     finish_times: dict[int, float] = {}
 
     for fid in order:
-        node = dag.by_id[fid]
-        inputs = [(p, dag.stream_size[(p, fid)]) for p in dag.predecessors[fid]]
+        proc = procs[position[fid]]
+        inputs = [
+            (finish_times[p], coeff[placements[p]], stream_size[(p, fid)])
+            for p in predecessors[fid]
+        ]
         best_finish = float("inf")
         best_server = -1
         best_start = 0.0
-        for server in net.servers:
+        for server, duration, slots in zip(servers, proc, busy):
             ready = 0.0
-            for pred, bits in inputs:
-                comm = bits * coeff[placements[pred]][server.id]
-                arrive = finish_times[pred] + comm
+            for finish, row, bits in inputs:
+                arrive = finish + bits * row[server]
                 if arrive > ready:
                     ready = arrive
-            duration = processing_time(node, server)
-            start = _insertion_start(busy[server.id], ready, duration)
+            # insertion: the earliest start >= ready that fits between slots
+            start = ready
+            for slot_start, slot_end in slots:
+                if start + duration <= slot_start:
+                    break
+                if slot_end > start:
+                    start = slot_end
             eft = start + duration
             if eft < best_finish:  # strict: ties keep the smallest id
                 best_finish = eft
-                best_server = server.id
+                best_server = server
                 best_start = start
         placements[fid] = best_server
         finish_times[fid] = best_finish
-        busy[best_server].append((best_start, best_finish))
-        busy[best_server].sort()
+        insort(busy[best_server], (best_start, best_finish))
 
     return EmbeddingResult(
         placements=placements,

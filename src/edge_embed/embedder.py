@@ -133,6 +133,13 @@ def _split_route(catalog: PathCatalog) -> Route:
     return route
 
 
+def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
+    """F x n seconds: row k is function k (stored order) on each server,
+    ``flops / psi`` as ``processing_time`` divides it (the collector's 0)."""
+    psi = np.array([s.psi for s in net.servers])
+    return np.array([f.flops for f in dag.functions])[:, None] / psi
+
+
 def _dynamic_embed(
     dag: AugmentedDag,
     net: EdgeNetwork,
@@ -154,10 +161,8 @@ def _dynamic_embed(
     the embedding, whose cross-server streams ``route`` maps; ``transit``
     must price the streams as ``route`` sends them.
     """
-    psi = np.array([s.psi for s in net.servers])
     ready_row = np.array(_ready_row(net, ready))
-    # procs[k]: seconds function k takes on each server (the collector's 0)
-    procs = np.array([f.flops for f in dag.functions])[:, None] / psi
+    procs = _processing_table(dag, net)
     finish: dict[int, np.ndarray] = {}
     columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
     # sources[fj][fi]: fi's server per server of fj, or one int if committed.
@@ -321,15 +326,17 @@ def simulate_embedding(
     summed from those left to right, like ``path_coefficient``.
     """
     inverse = [1.0 / link.throughput for link in net.links]
+    psi = [s.psi for s in net.servers]
     ready_row = _ready_row(net, ready)
+    predecessors = dag.predecessors
     finish: dict[int, float] = {}
     for node in dag.functions:
         fid = node.id
-        server = net.servers[placements[fid]]
-        proc = processing_time(node, server)
-        preds = dag.predecessors[fid]
+        server = placements[fid]
+        proc = node.flops / psi[server]  # processing_time's formula
+        preds = predecessors[fid]
         if not preds:
-            finish[fid] = proc + ready_row[server.id]
+            finish[fid] = proc + ready_row[server]
             continue
         slowest_input = 0.0
         for fi in preds:
@@ -344,7 +351,9 @@ def simulate_embedding(
                         coefficient += inverse[link_id]
                     branches.append((coefficient, z))
                 transit = routing_time(branches)
-            slowest_input = max(slowest_input, finish[fi] + transit)
+            arrive = finish[fi] + transit
+            if arrive > slowest_input:
+                slowest_input = arrive
         finish[fid] = slowest_input + proc
     return finish, finish[dag.dummy_id]
 

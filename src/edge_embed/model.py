@@ -210,6 +210,7 @@ def validate_dag(dag: WorkloadDag) -> None:
             raise ValidationError(f"function {f.id} has negative flops")
     position = dag.position
     seen_edges: set[tuple[int, int]] = set()
+    against = None  # the first edge that runs against the stored order
     for e in dag.edges:
         if e.src not in position or e.dst not in position:
             raise ValidationError(
@@ -221,12 +222,14 @@ def validate_dag(dag: WorkloadDag) -> None:
         if key in seen_edges:
             raise ValidationError(f"more than one stream edge from {e.src} to {e.dst}")
         seen_edges.add(key)
-    _check_acyclic(dag)
-    for e in dag.edges:
-        if position[e.src] >= position[e.dst]:
-            raise ValidationError(
-                f"edge {e.src}->{e.dst} runs against the stored function order"
-            )
+        if against is None and position[e.src] >= position[e.dst]:
+            against = e
+    if against is not None:
+        # every cycle has such an edge, and its witness is reported first
+        _check_acyclic(dag)
+        raise ValidationError(
+            f"edge {against.src}->{against.dst} runs against the stored function order"
+        )
 
 
 def _cycle_error(cycle: list[int]) -> ValidationError:

@@ -197,14 +197,33 @@ def resolve_path_cap() -> int:
     return int(env)
 
 
+def _short_path_count(net: EdgeNetwork) -> int:
+    """A lower bound on the walk's steps: its paths of one or two links.
+
+    A server v with k distinct neighbours starts at least k one-link paths
+    and is the middle of at least k(k - 1) two-link ones. On a valid
+    network (no parallel links, no self-loops) k is v's degree and the
+    count, 2|links| + sum k(k - 1), is exact.
+    """
+    total = 0
+    for v, entries in net.adjacency.items():
+        k = len({w for w, _ in entries if w != v})
+        total += k * k
+    return total
+
+
 def build_catalog(net: EdgeNetwork) -> PathCatalog:
     """Walk from every server of ``net`` into a catalog of all ordered pairs.
 
     Raises PathExplosionError as soon as the total number of enumerated
     paths, summed across ordered pairs, passes ``resolve_path_cap()``, so
-    hopeless networks fail fast; the cap bounds the work of the walk.
+    hopeless networks fail fast; the cap bounds the work of the walk. When
+    the paths of at most two links alone pass the cap, it raises before
+    the first step, since the walk would reach the same error.
     """
     cap = resolve_path_cap()
+    if _short_path_count(net) > cap:
+        raise PathExplosionError(cap)
     total_paths = 0
     recursion_calls: dict[tuple[int, int], int] = {}
     cheapest: dict[tuple[int, int], SimplePath] = {}

@@ -163,6 +163,30 @@ def test_heft_serializes_shared_server():
     assert result.makespan == 5.0
 
 
+def test_heft_ties_keep_the_smallest_server_id():
+    # on three identical servers every placement of the chain finishes at
+    # the same time, so each function stays on server 0
+    net = complete_network(3)
+    aug = chain_dag([1.0, 2.0], sizes=[1.0], dst_out=1.0)
+    result = heft_schedule(aug, net, passive_routes(build_catalog(net)))
+    assert result.placements == {0: 0, 1: 0, 2: 0}
+    assert result.makespan == 3.0
+
+
+def test_heft_inserts_into_a_gap_it_fills_exactly():
+    # server 1 idles until function 3's input arrives from server 0 at 3 s;
+    # function 2, ranked after 3 and 3 s long, fills that gap to the end
+    net = make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 1, 1.0)])
+    dag = WorkloadDag(
+        functions=tuple(FunctionNode(i, f) for i, f in enumerate([1.0, 4.0, 3.0, 4.0])),
+        edges=(StreamEdge(0, 1, 4.0), StreamEdge(0, 3, 2.0)),
+    )
+    aug = augment_dummy_tail(dag, {1: 1.0, 2: 1.0, 3: 1.0})
+    result = heft_schedule(aug, net, passive_routes(build_catalog(net)))
+    assert result.placements == {0: 0, 1: 0, 2: 1, 3: 1, 4: 1}
+    assert result.finish_times == {0: 1.0, 1: 5.0, 2: 3.0, 3: 7.0, 4: 7.0}
+
+
 def test_heft_respects_exclusivity_and_precedence(rng):
     for _ in range(10):
         net = small_random_network(rng)

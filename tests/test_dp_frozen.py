@@ -4,7 +4,10 @@ Each embedding's makespan (as ``float.hex()``) and placement tuple, in
 stored function order, are literals, so a later change to the DP that
 alters a single bit of any result fails here. Rows hold, per DAG, ``dpe``
 on idle servers, ``dpe`` with ``READY``, and ``placement-only``. One digest
-pins every stream mapping of ``dpe`` with ``READY`` the same way.
+pins every stream mapping of ``dpe`` with ``READY`` the same way. The list
+scheduler's makespans and placements are literals too, with one digest over
+its finish times and stream mappings, and one digest pins the replayed
+finish times of every embedding above.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from edge_embed import (
     dpe_embed,
     generate_dag_records,
     generate_network,
+    heft_schedule,
+    passive_routes,
     placement_only_embed,
+    simulate_embedding,
 )
 
 READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
@@ -27,6 +33,37 @@ READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
 # sha256 over the path nodes and float.hex allocations of every stream of
 # dpe with READY on the 20 DAGs, 74 of which cross servers
 MAPPINGS_SHA256 = "d21108a7377a5beb2faf4cc9f7f799eaffb9e75f0dafc312a6d93f0dab57cf53"
+
+# sha256 over the float.hex finish times and the stream mappings (path
+# nodes, float.hex allocations) of heft on the 20 DAGs
+HEFT_SHA256 = "4d57798759ef6584a5c56df522adad9907c1bccf6a1685f662c7383c1ef6cc6b"
+
+# sha256 over the float.hex finish times that simulate_embedding replays
+# from dpe (idle and with READY), placement-only and heft on the 20 DAGs
+REPLAY_SHA256 = "d5432774a87397d843ec2104bc66fe6ce9ac47e96880b7e1ea324167e4b1b3f3"
+
+HEFT_FROZEN = [
+    ('0x1.3736f3ab70bddp+0', (0, 0, 0, 0, 1, 0, 3, 1, 0, 3, 0, 1, 3, 1, 0)),
+    ('0x1.5d477d1ab1cddp+0', (0, 0, 3, 3, 1, 0, 3, 0, 1, 0, 1, 0, 4, 0, 0, 0, 1, 0, 0)),
+    ('0x1.834c431118fcfp+0', (0, 0, 0, 0, 0, 0, 3, 1, 5, 2, 1, 0, 0, 2, 0, 1)),
+    ('0x1.66d8ffaa5ea7ep-2', (0, 0, 0)),
+    ('0x1.6c0d5b3ec9a80p-1', (0, 0, 0, 0, 0)),
+    ('0x1.71e07e11c7f44p-1', (0, 0, 0, 0, 0, 0, 0)),
+    ('0x1.3eb5c60a07f82p-1', (0, 0, 0, 0, 0)),
+    ('0x1.13eaacde7544ap+0', (0, 0, 0, 0, 0, 0, 0, 1, 0)),
+    ('0x1.f2d2adf6fe68bp+0', (0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1)),
+    ('0x1.c0ce35de0a7ebp+0', (0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 1, 0, 0, 1, 1)),
+    ('0x1.0621642f0ffa8p+1', (0, 0, 1, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 2, 0, 2, 3, 0)),
+    ('0x1.49a1e5b79edb0p+0', (0, 0, 0, 0, 3, 0, 0, 1, 0, 1, 0, 0)),
+    ('0x1.c86d5a06741ecp+0', (0, 0, 0, 0, 0, 0, 0, 3, 3, 0, 0, 1, 1, 1, 2, 3, 1, 0, 0, 1)),
+    ('0x1.51c78ffe2de63p+0', (0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 1, 1)),
+    ('0x1.5545018fa5fd4p-1', (0, 0, 0, 0, 0, 0, 0)),
+    ('0x1.9d655c553d28dp-2', (0, 0, 0, 0, 0)),
+    ('0x1.9c0e9b0c8446cp-1', (0, 0, 0, 0, 0, 0)),
+    ('0x1.56d74b0b024cbp+0', (0, 0, 0, 1, 0, 1, 3, 0, 3, 0, 1, 0, 3, 0, 0)),
+    ('0x1.c9e8f0753eb76p-2', (0, 0, 0, 0)),
+    ('0x1.2bc37a8432562p-2', (0, 0, 0)),
+]
 
 FROZEN = [
     (
@@ -165,3 +202,46 @@ def test_dp_stream_mappings_are_frozen(desk):
             allocations = [z.hex() for z in mapping.allocations]
             digest.update(repr((edge, nodes, allocations)).encode())
     assert digest.hexdigest() == MAPPINGS_SHA256
+
+
+def _mapping_key(edge, mapping) -> str:
+    nodes = [p.nodes for p in mapping.paths]
+    allocations = [z.hex() for z in mapping.allocations]
+    return repr((edge, nodes, allocations))
+
+
+def test_heft_output_is_frozen(desk):
+    net, catalog, dags = desk
+    routes = passive_routes(catalog)
+    got = []
+    digest = hashlib.sha256()
+    for aug in dags:
+        result = heft_schedule(aug, net, routes)
+        got.append(
+            (result.makespan.hex(), tuple(result.placements[f.id] for f in aug.functions))
+        )
+        finish = [(f, t.hex()) for f, t in sorted(result.finish_times.items())]
+        digest.update(repr(finish).encode())
+        for edge, mapping in sorted(result.edge_mappings.items()):
+            digest.update(_mapping_key(edge, mapping).encode())
+    assert got == HEFT_FROZEN
+    assert digest.hexdigest() == HEFT_SHA256
+
+
+def test_replayed_finish_times_are_frozen(desk):
+    net, catalog, dags = desk
+    routes = passive_routes(catalog)
+    digest = hashlib.sha256()
+    for aug in dags:
+        for result, ready in (
+            (dpe_embed(aug, net, catalog), None),
+            (dpe_embed(aug, net, catalog, READY), READY),
+            (placement_only_embed(aug, net, catalog), None),
+            (heft_schedule(aug, net, routes), None),
+        ):
+            finish, makespan = simulate_embedding(
+                aug, net, result.placements, result.edge_mappings, ready
+            )
+            replayed = [(f, t.hex()) for f, t in sorted(finish.items())]
+            digest.update(repr((replayed, makespan.hex())).encode())
+    assert digest.hexdigest() == REPLAY_SHA256

@@ -19,9 +19,11 @@ from edge_embed import (
     embedding_to_json,
     make_network,
     placement_only_embed,
+    processing_time,
     simulate_embedding,
     validate_network,
 )
+from edge_embed.embedder import _processing_table
 
 from conftest import (
     chain_dag,
@@ -63,6 +65,16 @@ def test_entry_row_is_processing_time_per_server():
     pinned = dpe_embed(aug, net, build_catalog(net), ready={1: 0.1})
     assert pinned.placements[0] == 0
     assert pinned.finish_times[0] == 0.2
+
+
+def test_processing_table_divides_like_processing_time(rng):
+    # the dynamic program and heft read the table, the replay and brute
+    # force call processing_time: the floats must be the same
+    for _ in range(20):
+        net, aug = small_random_network(rng), random_general_dag(rng)
+        assert _processing_table(aug, net).tolist() == [
+            [processing_time(f, s) for s in net.servers] for f in aug.functions
+        ]
 
 
 def test_entry_rows_honor_ready_times():

@@ -24,6 +24,7 @@ from edge_embed import (
     validate_dag,
     validate_network,
 )
+from edge_embed import model
 
 from conftest import chain_dag, complete_network, triangle_network
 
@@ -146,6 +147,31 @@ def test_validate_dag_order_violation_distinct_from_cycle():
         validate_dag(dag)
     assert str(exc.value) == "edge 1->0 runs against the stored function order"
     assert "cycle" not in str(exc.value)
+
+
+def test_validate_dag_reports_a_cycle_before_an_earlier_order_violation():
+    # edge 1->0 runs backward first, but the 2 -> 3 -> 2 cycle is the error
+    dag = WorkloadDag(
+        functions=tuple(FunctionNode(i, 1.0) for i in range(4)),
+        edges=(StreamEdge(1, 0, 1.0), StreamEdge(2, 3, 1.0), StreamEdge(3, 2, 1.0)),
+    )
+    with pytest.raises(ValidationError) as exc:
+        validate_dag(dag)
+    assert str(exc.value) == "workload edges form a cycle: 2 -> 3 -> 2"
+
+
+def test_validate_dag_seeks_cycles_only_past_an_order_violation(monkeypatch):
+    # every edge of a forward-ordered DAG runs with the stored order, so no
+    # cycle can hide in it and the depth-first walk is skipped
+    def no_walk(dag):
+        raise AssertionError("validate_dag walked for cycles")
+
+    monkeypatch.setattr(model, "_check_acyclic", no_walk)
+    dag = WorkloadDag(
+        functions=tuple(FunctionNode(i, 1.0) for i in range(3)),
+        edges=(StreamEdge(0, 1, 1.0), StreamEdge(0, 2, 1.0), StreamEdge(1, 2, 1.0)),
+    )
+    validate_dag(dag)
 
 
 def test_validate_dag_rejects_nonpositive_stream():

@@ -26,6 +26,7 @@ from edge_embed import (
     resolve_path_cap,
     validate_network,
 )
+from edge_embed import pathfind
 from edge_embed.embedder import _split_route
 from edge_embed.pathfind import DEFAULT_PATH_CAP, PATH_CAP_ENV_VAR
 
@@ -306,6 +307,45 @@ def test_path_cap_aborts_early_on_large_network(monkeypatch):
     net = complete_network(10)
     with pytest.raises(PathExplosionError):
         build_catalog(net)
+
+
+def test_catalog_past_cap_raises_before_walking(monkeypatch):
+    # K_150 has 150 * 149^2 = 3,330,150 paths of at most two links, past
+    # the default cap, so the catalog fails without a single walk step
+    monkeypatch.delenv(PATH_CAP_ENV_VAR, raising=False)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the catalog walked")
+
+    monkeypatch.setattr(pathfind, "_walk", no_walk)
+    with pytest.raises(PathExplosionError) as exc:
+        build_catalog(complete_network(150))
+    assert exc.value.cap == DEFAULT_PATH_CAP
+
+
+def test_path_cap_raises_iff_the_walk_passes_it(monkeypatch, rng):
+    monkeypatch.delenv(PATH_CAP_ENV_VAR, raising=False)
+    # drawn before any cap is set: the generator checks the cap too
+    nets = [small_random_network(rng, max_servers=6) for _ in range(20)]
+    # unvalidated: two links join servers 0 and 1, and a third loops on 1;
+    # the walk takes 4 steps, one per link and direction between them,
+    # while one step per distinct neighbour takes 2
+    nets.append(
+        make_network(
+            [Server(0, 1.0), Server(1, 1.0)],
+            [Link(0, 0, 1, 1.0), Link(1, 0, 1, 2.0), Link(2, 1, 1, 1.0)],
+        )
+    )
+    for net in nets:
+        monkeypatch.delenv(PATH_CAP_ENV_VAR, raising=False)
+        total = build_catalog(net).total_paths
+        for cap in range(total + 2):
+            monkeypatch.setenv(PATH_CAP_ENV_VAR, str(cap))
+            if total > cap:
+                with pytest.raises(PathExplosionError):
+                    build_catalog(net)
+            else:
+                assert build_catalog(net).total_paths == total
 
 
 def test_resolve_path_cap_precedence(monkeypatch):
