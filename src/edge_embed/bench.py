@@ -4,7 +4,10 @@ All randomness flows through numpy PCG64 generators seeded from a single
 integer via named substreams (SeedSequence spawn keys): stream 0 draws the
 network, stream 1 draws DAG sizes and shapes, stream 2 draws weights
 (flops, stream bits, destination output bits). Identical spec, identical
-artifacts, byte for byte.
+artifacts, byte for byte. Stream 1 draws each function's predecessors by
+Floyd's sample over scalar ``integers``, which makes exactly the draws
+``Generator.choice(pos, size=k, replace=False)`` makes, so workloads are
+byte-identical to those of versions that called ``choice``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .model import (
     network_from_json,
     network_to_json,
     validate_time_range,
-    validate_dag,
     validate_network,
 )
 from .pathfind import PathCatalog, build_catalog, resolve_path_cap
@@ -77,6 +79,8 @@ class WorkloadSpec:
         for name in ("dag_size_range", "psi_range", "bandwidth_range",
                      "flops_range", "stream_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"{name} must have finite ends")
             if lo <= 0 or lo > hi:
                 raise ValidationError(f"{name} must satisfy 0 < lo <= hi")
 
@@ -135,8 +139,35 @@ def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
     return nested_networks(spec, [spec.n_servers])[0]
 
 
+def _floyd_sample(rng: np.random.Generator, pos: int, k: int) -> list[int]:
+    """``sorted(rng.choice(pos, size=k, replace=False))``, with the same draws.
+
+    ``choice`` runs Floyd's sampling algorithm (Bentley & Floyd, CACM 1987)
+    for small samples: for each j in pos-k .. pos-1 it draws v in [0, j] and
+    keeps j if v is already taken, else v. It then shuffles the sample with
+    k-1 more draws. The caller sorts the sample, so only the shuffle's draws
+    matter, not its order. Scalar ``integers`` makes each draw at a fraction
+    of one ``choice`` call's set-up cost.
+    """
+    draw = rng.integers  # draw(m) is integers(0, m)
+    sample: list[int] = []
+    for j in range(pos - k, pos):
+        v = int(draw(j + 1))
+        sample.append(j if v in sample else v)
+    for i in range(k - 1, 0, -1):
+        draw(i + 1)
+    sample.sort()
+    return sample
+
+
 def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
-    """Layered random DAGs: every non-entry picks 1..3 earlier functions."""
+    """Layered random DAGs: every non-entry picks 1..3 earlier functions.
+
+    Each DAG is valid by construction: dense ids, every edge from an earlier
+    position to a later one, no repeated edge, and finite positive weights
+    (``WorkloadSpec`` requires every range to be finite with 0 < lo).
+    ``augment_dummy_tail`` validates it before any embedder reads it.
+    """
     rng_shape = _substream(spec.seed, STREAM_DAG_SHAPE)
     rng_weight = _substream(spec.seed, STREAM_WEIGHTS)
     lo, hi = spec.dag_size_range
@@ -146,22 +177,18 @@ def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
         edge_pairs: list[tuple[int, int]] = []
         for pos in range(1, q):
             k = int(rng_shape.integers(1, min(3, pos) + 1))
-            preds = sorted(int(p) for p in rng_shape.choice(pos, size=k, replace=False))
-            edge_pairs.extend((p, pos) for p in preds)
-        flops = rng_weight.uniform(*spec.flops_range, size=q)
-        sizes = rng_weight.uniform(*spec.stream_range, size=len(edge_pairs))
-        functions = tuple(
-            FunctionNode(id=i, flops=float(flops[i])) for i in range(q)
-        )
+            edge_pairs.extend((p, pos) for p in _floyd_sample(rng_shape, pos, k))
+        flops = rng_weight.uniform(*spec.flops_range, size=q).tolist()
+        sizes = rng_weight.uniform(*spec.stream_range, size=len(edge_pairs)).tolist()
+        functions = tuple(FunctionNode(id=i, flops=f) for i, f in enumerate(flops))
         edges = tuple(
-            StreamEdge(src=s, dst=d, size=float(sizes[k]))
-            for k, (s, d) in enumerate(edge_pairs)
+            StreamEdge(src=s, dst=d, size=size)
+            for (s, d), size in zip(edge_pairs, sizes)
         )
         dag = WorkloadDag(functions=functions, edges=edges)
-        validate_dag(dag)
         destinations = dag.destination_ids
-        outs = rng_weight.uniform(*spec.stream_range, size=len(destinations))
-        dst_out = {d: float(outs[k]) for k, d in enumerate(sorted(destinations))}
+        outs = rng_weight.uniform(*spec.stream_range, size=len(destinations)).tolist()
+        dst_out = dict(zip(sorted(destinations), outs))
         records.append(DagRecord(dag=dag, dst_out=dst_out))
     return records
 

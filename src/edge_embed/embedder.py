@@ -163,6 +163,7 @@ def _dynamic_embed(
     """
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
+    servers = np.arange(net.n_servers)
     finish: dict[int, np.ndarray] = {}
     columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
     # sources[fj][fi]: fi's server per server of fj, or one int if committed.
@@ -185,8 +186,8 @@ def _dynamic_embed(
             if c is None:
                 phi = columns[fi] + cost
                 phi += proc
-                picks[fi] = phi.argmin(axis=0)
-                arrivals[fi] = np.minimum.reduce(phi, axis=0)
+                pick = picks[fi] = phi.argmin(axis=0)
+                arrivals[fi] = phi[pick, servers]  # the minimum argmin picked
                 if len(dag.successors[fi]) >= 2:
                     blocks[fi] = phi
             else:

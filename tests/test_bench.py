@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from edge_embed import (
@@ -26,8 +31,18 @@ from edge_embed import (
     validate_network,
     write_workload,
 )
-from edge_embed.bench import ALGORITHMS, TrialRecord, generate_dag_records
-from edge_embed.model import dag_to_json
+from edge_embed.bench import (
+    ALGORITHMS,
+    TrialRecord,
+    _floyd_sample,
+    generate_dag_records,
+)
+from edge_embed.model import canonical_json, dag_to_json
+
+# sha256 over the canonical JSON of every DAG record that WorkloadSpec(seed=s,
+# n_dags=50, dag_size_range=r) generates, s in 0..2, r in (2, 20), (20, 60),
+# (1, 3), recorded when predecessors were drawn by Generator.choice
+GENERATED_SHA256 = "5986cb779ab88f7f371104f7a17655aed3b119992cb377abfb8707fe1f67c1ed"
 
 SMALL = WorkloadSpec(
     seed=7,
@@ -91,6 +106,17 @@ def test_spec_validation():
         WorkloadSpec(psi_range=(4.0e10, 2.0e10))
 
 
+@pytest.mark.parametrize(
+    "name", ["flops_range", "stream_range", "psi_range", "bandwidth_range"]
+)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_spec_rejects_non_finite_range_ends(name, bad):
+    lo, hi = getattr(WorkloadSpec(), name)
+    for ends in ((lo, bad), (bad, hi), (bad, bad)):
+        with pytest.raises(ValidationError, match="finite"):
+            WorkloadSpec(**{name: ends})
+
+
 # ---------------------------------------------------------------------------
 # workload generation
 # ---------------------------------------------------------------------------
@@ -104,18 +130,44 @@ def test_dag_batch_is_deterministic_and_in_range():
         dag_to_json(r.dag, r.dst_out) for r in generate_dag_records(SMALL)
     ]
     assert first == second
-    for record in generate_dag_records(SMALL):
-        dag = record.dag
-        validate_dag(dag)
-        assert 2 <= len(dag.functions) <= 6
-        for f in dag.functions:
-            assert 1.0e9 <= f.flops <= 1.0e10
-        for e in dag.edges:
-            assert 5.0e6 <= e.size <= 1.5e7
-        # layered shape: exactly one entry, at most 3 inputs per function
-        assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
-        for fid in dag.predecessors:
-            assert len(dag.predecessors[fid]) <= 3
+    # Generation does not validate: every DAG must be valid by construction.
+    for size_range in ((2, 6), (1, 1), (20, 60), (150, 200)):
+        lo, hi = size_range
+        for record in generate_dag_records(replace(SMALL, dag_size_range=size_range)):
+            dag = record.dag
+            validate_dag(dag)
+            assert lo <= len(dag.functions) <= hi
+            for f in dag.functions:
+                assert 1.0e9 <= f.flops <= 1.0e10
+            for e in dag.edges:
+                assert 5.0e6 <= e.size <= 1.5e7
+            # layered shape: exactly one entry, at most 3 inputs per function
+            assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
+            for fid in dag.predecessors:
+                assert len(dag.predecessors[fid]) <= 3
+
+
+def test_generated_workloads_are_frozen():
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for size_range in ((2, 20), (20, 60), (1, 3)):
+            spec = WorkloadSpec(seed=seed, n_dags=50, dag_size_range=size_range)
+            for record in generate_dag_records(spec):
+                doc = dag_to_json(record.dag, record.dst_out)
+                digest.update(canonical_json(doc).encode())
+    assert digest.hexdigest() == GENERATED_SHA256
+
+
+def test_floyd_sample_matches_choice():
+    pairs = [(pos, k) for pos in range(1, 41) for k in range(1, min(3, pos) + 1)]
+    for seed in range(200):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        random.Random(seed).shuffle(pairs)
+        for pos, k in pairs:
+            expected = sorted(int(p) for p in theirs.choice(pos, size=k, replace=False))
+            assert _floyd_sample(ours, pos, k) == expected
+            assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_records_augment_cleanly():
