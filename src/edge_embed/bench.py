@@ -4,10 +4,13 @@ All randomness flows through numpy PCG64 generators seeded from a single
 integer via named substreams (SeedSequence spawn keys): stream 0 draws the
 network, stream 1 draws DAG sizes and shapes, stream 2 draws weights
 (flops, stream bits, destination output bits). Identical spec, identical
-artifacts, byte for byte. Stream 1 draws each function's predecessors by
-Floyd's sample over scalar ``integers``, which makes exactly the draws
-``Generator.choice(pos, size=k, replace=False)`` makes, so workloads are
-byte-identical to those of versions that called ``choice``.
+artifacts, byte for byte. Streams 1 and 2 are read as PCG64's raw 64-bit
+words and turned into draws by the rules numpy's ``Generator`` applies to
+them: Lemire's bounded integers on 32-bit halves for the shapes (each
+function's predecessors by Floyd's sample), and 53-bit doubles for the
+weights. These are exactly the draws ``integers``, ``choice(pos, size=k,
+replace=False)`` and ``uniform`` made, so workloads are byte-identical to
+those of versions that called them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +54,8 @@ STREAM_NETWORK = 0
 STREAM_DAG_SHAPE = 1
 STREAM_WEIGHTS = 2
 MAX_NETWORK_ATTEMPTS = 1000
+MAX_DAG_SIZE = 2**31 - 1  # keeps every shape draw's span within 32 bits
+_RAW_CHUNK = 256  # raw words the shape stream reads at a time
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,8 @@ class WorkloadSpec:
                 raise ValidationError(f"{name} must have finite ends")
             if lo <= 0 or lo > hi:
                 raise ValidationError(f"{name} must satisfy 0 < lo <= hi")
+        if self.dag_size_range[1] > MAX_DAG_SIZE:
+            raise ValidationError(f"DAG sizes must be <= {MAX_DAG_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -139,56 +146,107 @@ def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
     return nested_networks(spec, [spec.n_servers])[0]
 
 
-def _floyd_sample(rng: np.random.Generator, pos: int, k: int) -> list[int]:
+def _words32(rng: np.random.Generator) -> Iterator[int]:
+    """The 32-bit words a fresh ``rng``'s ``integers`` reads, in order, as
+    PCG64 hands them out: the low half, then the high half, of each raw
+    64-bit word."""
+    bit_generator = rng.bit_generator
+    while True:
+        raw = bit_generator.random_raw(_RAW_CHUNK)
+        yield from raw.astype("<u8").view("<u4").tolist()
+
+
+def _bounded(u32: Iterator[int], lo: int, hi: int) -> int:
+    """``rng.integers(lo, hi)`` for a span hi - lo of at most 2**32, drawn
+    from ``u32 = _words32(rng)`` with the same words.
+
+    numpy applies Lemire's rule (Lemire, ACM TOMACS 2019): a span of 1
+    reads no word; otherwise m = word * span is redrawn while its low 32
+    bits fall below (2**32 - span) % span, and the draw is m's high bits.
+    That bound is below span, so most draws skip the modulo.
+    """
+    span = hi - lo
+    if span == 1:
+        return lo
+    m = next(u32) * span
+    if m & 0xFFFFFFFF < span:
+        threshold = (0x100000000 - span) % span
+        while m & 0xFFFFFFFF < threshold:
+            m = next(u32) * span
+    return lo + (m >> 32)
+
+
+def _floyd_sample(u32: Iterator[int], pos: int, k: int) -> list[int]:
     """``sorted(rng.choice(pos, size=k, replace=False))``, with the same draws.
 
     ``choice`` runs Floyd's sampling algorithm (Bentley & Floyd, CACM 1987)
     for small samples: for each j in pos-k .. pos-1 it draws v in [0, j] and
     keeps j if v is already taken, else v. It then shuffles the sample with
     k-1 more draws. The caller sorts the sample, so only the shuffle's draws
-    matter, not its order. Scalar ``integers`` makes each draw at a fraction
-    of one ``choice`` call's set-up cost.
+    matter, not its order.
     """
-    draw = rng.integers  # draw(m) is integers(0, m)
     sample: list[int] = []
     for j in range(pos - k, pos):
-        v = int(draw(j + 1))
+        v = _bounded(u32, 0, j + 1)
         sample.append(j if v in sample else v)
     for i in range(k - 1, 0, -1):
-        draw(i + 1)
+        _bounded(u32, 0, i + 1)
     sample.sort()
     return sample
+
+
+def _unit_doubles(rng: np.random.Generator, count: int) -> list[float]:
+    """The ``count`` doubles in [0, 1) that ``rng.uniform`` would scale:
+    the top 53 bits of each raw 64-bit word, times 2**-53."""
+    return ((rng.bit_generator.random_raw(count) >> 11) * 2.0**-53).tolist()
+
+
+def _uniform(units: Sequence[float], lo: float, hi: float) -> list[float]:
+    """``rng.uniform(lo, hi, len(units))`` from the unit doubles it scales."""
+    span = hi - lo
+    return [lo + span * u for u in units]
 
 
 def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
     """Layered random DAGs: every non-entry picks 1..3 earlier functions.
 
-    Each DAG is valid by construction: dense ids, every edge from an earlier
-    position to a later one, no repeated edge, and finite positive weights
+    The shape stream gives each DAG its size, then for each function after
+    the first its predecessor count k and a sample of k earlier functions.
+    Once every shape is drawn, the weight stream gives each DAG in turn its
+    flops, its stream bits and its destinations' output bits. Each DAG is
+    valid by construction: dense ids, every edge from an earlier position
+    to a later one, no repeated edge, and finite positive weights
     (``WorkloadSpec`` requires every range to be finite with 0 < lo).
     ``augment_dummy_tail`` validates it before any embedder reads it.
     """
-    rng_shape = _substream(spec.seed, STREAM_DAG_SHAPE)
-    rng_weight = _substream(spec.seed, STREAM_WEIGHTS)
+    u32 = _words32(_substream(spec.seed, STREAM_DAG_SHAPE))
     lo, hi = spec.dag_size_range
-    records: list[DagRecord] = []
+    shapes: list[tuple[int, list[tuple[int, int]], list[int]]] = []
+    n_weights = 0
     for _ in range(spec.n_dags):
-        q = int(rng_shape.integers(lo, hi + 1))
+        q = _bounded(u32, lo, hi + 1)
         edge_pairs: list[tuple[int, int]] = []
         for pos in range(1, q):
-            k = int(rng_shape.integers(1, min(3, pos) + 1))
-            edge_pairs.extend((p, pos) for p in _floyd_sample(rng_shape, pos, k))
-        flops = rng_weight.uniform(*spec.flops_range, size=q).tolist()
-        sizes = rng_weight.uniform(*spec.stream_range, size=len(edge_pairs)).tolist()
+            k = _bounded(u32, 1, min(3, pos) + 1)
+            edge_pairs.extend((p, pos) for p in _floyd_sample(u32, pos, k))
+        sources = {src for src, _ in edge_pairs}
+        destinations = [f for f in range(q) if f not in sources]
+        shapes.append((q, edge_pairs, destinations))
+        n_weights += q + len(edge_pairs) + len(destinations)
+    units = _unit_doubles(_substream(spec.seed, STREAM_WEIGHTS), n_weights)
+    records: list[DagRecord] = []
+    at = 0
+    for q, edge_pairs, destinations in shapes:
+        n_bits = len(edge_pairs) + len(destinations)
+        flops = _uniform(units[at:at + q], *spec.flops_range)
+        bits = _uniform(units[at + q:at + q + n_bits], *spec.stream_range)
+        at += q + n_bits
         functions = tuple(FunctionNode(id=i, flops=f) for i, f in enumerate(flops))
         edges = tuple(
-            StreamEdge(src=s, dst=d, size=size)
-            for (s, d), size in zip(edge_pairs, sizes)
+            StreamEdge(src=s, dst=d, size=size) for (s, d), size in zip(edge_pairs, bits)
         )
         dag = WorkloadDag(functions=functions, edges=edges)
-        destinations = dag.destination_ids
-        outs = rng_weight.uniform(*spec.stream_range, size=len(destinations)).tolist()
-        dst_out = dict(zip(sorted(destinations), outs))
+        dst_out = dict(zip(destinations, bits[len(edge_pairs):]))
         records.append(DagRecord(dag=dag, dst_out=dst_out))
     return records
 

@@ -24,8 +24,9 @@ one embedding's.
 The program returns the finished embedding: one loop maps each stream
 between servers over the caller's route, the pair's split (``dpe``,
 ``brute``) or the whole-stream passive route (the baselines). The split
-route checks a pair's coefficients once per pair, not once per stream, and
-same-server streams share one immutable mapping.
+route reads a pair's coefficients and split terms from the catalog, which
+prices each pair once, and same-server streams share one immutable
+mapping.
 
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
@@ -105,30 +106,20 @@ def _split_route(catalog: PathCatalog) -> Route:
     """A stream spread over all paths of its pair by the closed-form split.
 
     Equal to ``optimal_split(SplitProblem(coefficients, bits))`` float for
-    float and error for error, but a pair's listing is read, its
-    coefficients checked and its ``sum(1 / A_k)`` summed once per route;
-    a stream then costs one divide per path.
+    float and error for error, but the catalog prices a pair once:
+    tau = bits / ``inv_coeff_sum[m, n]``, the sum ``optimal_split`` takes,
+    and since division is monotone every allocation lies between
+    tau / max(A) and tau / min(A), so those two and tau decide whether the
+    split stays in the float range. A pair no split accepts is priced nan.
+    Any stream that fails raises through ``optimal_split``.
     """
-    priced: dict[tuple[int, int], tuple] = {}  # (paths, coefficients, sum(1/A_k))
 
     def route(m: int, n: int, bits: float):
-        pair = priced.get((m, n))
-        if pair is None:
-            coefficients = catalog.pair_coefficients(m, n)
-            SplitProblem(coefficients, stream_size=bits)  # the pair's checks
-            pair = priced[(m, n)] = (
-                catalog.pair_paths(m, n),
-                coefficients,
-                sum(1.0 / a for a in coefficients),
-            )
-        elif not 0.0 < bits < math.inf:
-            SplitProblem(pair[1], stream_size=bits)  # raises the bits' error
-        paths, coefficients, inv_sum = pair
+        paths, coefficients, inv_sum, a_max, a_min = catalog.pair_split(m, n)
         tau = bits / inv_sum
-        allocations = tuple(tau / a for a in coefficients)
-        if not all(0.0 < x < math.inf for x in (tau, *allocations)):
+        if not (0.0 < tau < math.inf and 0.0 < tau / a_max and tau / a_min < math.inf):
             optimal_split(SplitProblem(coefficients, stream_size=bits))  # raises
-        return paths, allocations
+        return paths, tuple(tau / a for a in coefficients)
 
     return route
 

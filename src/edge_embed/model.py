@@ -192,7 +192,8 @@ class WorkloadDag:
 
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.functions if not self.successors[f.id])
+        sources = {e.src for e in self.edges}
+        return tuple(f.id for f in self.functions if f.id not in sources)
 
 
 def validate_dag(dag: WorkloadDag) -> None:
@@ -204,9 +205,10 @@ def validate_dag(dag: WorkloadDag) -> None:
         raise ValidationError(
             f"function ids must be dense 0-based integers, got {sorted(ids)}"
         )
+    # each weight is tested once; a message is formatted only on failure
     for f in dag.functions:
-        _require_finite(f"function {f.id} flops", f.flops)
-        if f.flops < 0:
+        if not 0.0 <= f.flops < math.inf:
+            _require_finite(f"function {f.id} flops", f.flops)
             raise ValidationError(f"function {f.id} has negative flops")
     position = dag.position
     seen_edges: set[tuple[int, int]] = set()
@@ -216,8 +218,9 @@ def validate_dag(dag: WorkloadDag) -> None:
             raise ValidationError(
                 f"edge {e.src}->{e.dst} references an unknown function"
             )
-        _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
-        _require_positive(f"stream {e.src}->{e.dst}", e.size, " bits")
+        if not 0.0 < e.size < math.inf:
+            _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
+            _require_positive(f"stream {e.src}->{e.dst}", e.size, " bits")
         key = (e.src, e.dst)
         if key in seen_edges:
             raise ValidationError(f"more than one stream edge from {e.src} to {e.dst}")
@@ -314,8 +317,9 @@ def augment_dummy_tail(
     if parts:
         raise ValidationError("; ".join(parts))
     for d in destinations:
-        _require_finite(f"output of destination {d}", dst_out_sizes[d])
-        _require_positive(f"output of destination {d}", dst_out_sizes[d], " bits")
+        if not 0.0 < dst_out_sizes[d] < math.inf:
+            _require_finite(f"output of destination {d}", dst_out_sizes[d])
+            _require_positive(f"output of destination {d}", dst_out_sizes[d], " bits")
     collector = FunctionNode(id=len(dag.functions), flops=0.0)
     collector_edges = tuple(
         StreamEdge(src=d, dst=collector.id, size=float(dst_out_sizes[d]))

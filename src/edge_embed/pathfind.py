@@ -103,6 +103,8 @@ def _walk(
 
 # a pair's paths in canonical order and, index for index, their coefficients
 _Listing = tuple[tuple[SimplePath, ...], tuple[float, ...]]
+# a listing followed by the pair's split terms (see PathCatalog.pair_split)
+_SplitListing = tuple[tuple[SimplePath, ...], tuple[float, ...], float, float, float]
 
 
 def _list_paths(net: EdgeNetwork, src: int, dst: int) -> _Listing:
@@ -155,7 +157,7 @@ class PathCatalog:
     of least coefficient, which costs ``cheapest_coefficient[u, v]``
     seconds per bit; that matrix is zero on the diagonal. Both matrices
     are read-only n x n arrays. A pair's paths and their coefficients are
-    listed together on first use and memoized.
+    listed together on first use and memoized with the pair's split terms.
     """
 
     net: EdgeNetwork = field(repr=False)
@@ -164,25 +166,41 @@ class PathCatalog:
     cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
     total_paths: int = 0
-    _listed: dict[tuple[int, int], _Listing] = field(
+    _listed: dict[tuple[int, int], _SplitListing] = field(
         default_factory=dict, init=False, repr=False
     )
 
-    def _listing(self, u: int, v: int) -> _Listing:
+    def pair_split(self, u: int, v: int) -> _SplitListing:
+        """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
+        listed once and memoized.
+
+        ``inv_sum`` is ``inv_coeff_sum[u, v]``, the same float as
+        ``sum(1 / A_k)`` over the listing in its order; ``a_max`` and
+        ``a_min`` are the largest and smallest coefficient. When the pair
+        has no path or a coefficient outside (0, inf), which no split
+        accepts, all three are nan.
+        """
         listing = self._listed.get((u, v))
         if listing is None:
             if (u, v) not in self.recursion_calls:
                 raise KeyError((u, v))
-            listing = self._listed[(u, v)] = _list_paths(self.net, u, v)
+            paths, coefficients = _list_paths(self.net, u, v)
+            if coefficients and all(0.0 < a < math.inf for a in coefficients):
+                terms = (
+                    float(self.inv_coeff_sum[u, v]), max(coefficients), min(coefficients)
+                )
+            else:
+                terms = (math.nan, math.nan, math.nan)
+            listing = self._listed[(u, v)] = (paths, coefficients, *terms)
         return listing
 
     def pair_paths(self, u: int, v: int) -> tuple[SimplePath, ...]:
         """The pair's paths in canonical order, listed once and memoized."""
-        return self._listing(u, v)[0]
+        return self.pair_split(u, v)[0]
 
     def pair_coefficients(self, u: int, v: int) -> tuple[float, ...]:
         """Seconds per bit of each path of ``pair_paths(u, v)``, index for index."""
-        return self._listing(u, v)[1]
+        return self.pair_split(u, v)[1]
 
 
 def resolve_path_cap() -> int:

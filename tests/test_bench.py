@@ -31,10 +31,16 @@ from edge_embed import (
     validate_network,
     write_workload,
 )
+from edge_embed import bench
 from edge_embed.bench import (
     ALGORITHMS,
+    MAX_DAG_SIZE,
     TrialRecord,
+    _bounded,
     _floyd_sample,
+    _uniform,
+    _unit_doubles,
+    _words32,
     generate_dag_records,
 )
 from edge_embed.model import canonical_json, dag_to_json
@@ -141,6 +147,8 @@ def test_dag_batch_is_deterministic_and_in_range():
                 assert 1.0e9 <= f.flops <= 1.0e10
             for e in dag.edges:
                 assert 5.0e6 <= e.size <= 1.5e7
+            sinks = tuple(f for f, succ in dag.successors.items() if not succ)
+            assert dag.destination_ids == sinks == tuple(record.dst_out)
             # layered shape: exactly one entry, at most 3 inputs per function
             assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
             for fid in dag.predecessors:
@@ -161,13 +169,94 @@ def test_generated_workloads_are_frozen():
 def test_floyd_sample_matches_choice():
     pairs = [(pos, k) for pos in range(1, 41) for k in range(1, min(3, pos) + 1)]
     for seed in range(200):
-        ours = np.random.default_rng(seed)
+        ours = _words32(np.random.default_rng(seed))
         theirs = np.random.default_rng(seed)
         random.Random(seed).shuffle(pairs)
         for pos, k in pairs:
             expected = sorted(int(p) for p in theirs.choice(pos, size=k, replace=False))
             assert _floyd_sample(ours, pos, k) == expected
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            # one full 32-bit word per side: equal only while both streams
+            # stand at the same word
+            assert _bounded(ours, 0, 2**32) == int(theirs.integers(0, 2**32))
+
+
+# spans numpy draws through Lemire's rule on 32-bit words: the generator's
+# small ones, and large ones of which 2**31 + 1 and 2**31 + 3 redraw about
+# half the time and 3 * 2**30 + 1 a quarter of the time
+SMALL_SPANS = range(1, 71)
+LARGE_SPANS = (2**31, 2**31 + 1, 2**31 + 3, 3 * 2**30 + 1, 2**32 - 1, 2**32)
+
+
+def test_bounded_matches_integers():
+    redraws = 0
+    for seed in range(100):
+        order = random.Random(seed)
+        words = _words32(np.random.default_rng(seed))
+        read = 0
+
+        def counted():
+            nonlocal read
+            for word in words:
+                read += 1
+                yield word
+
+        ours = counted()
+        theirs = np.random.default_rng(seed)
+        spent = 0  # words a draw without redraws reads
+        for _ in range(2000):
+            span = order.choice(SMALL_SPANS if order.random() < 0.5 else LARGE_SPANS)
+            lo = order.randrange(-3, 4)
+            # every draw compared, so one misaligned draw fails all later ones
+            assert _bounded(ours, lo, lo + span) == int(theirs.integers(lo, lo + span))
+            spent += span > 1
+        redraws += read - spent
+    assert redraws > 20_000
+
+
+def test_uniform_scales_raw_words_like_generator_uniform():
+    ranges = [
+        (0.0, 1.0), (1.0e9, 1.0e10), (5.0e6, 1.5e7), (2.0e10, 4.0e10),
+        (3.0, 3.0), (1.0e-300, 1.0e300), (0.1, 0.1 + 1e-15),
+    ]
+    for seed in range(50):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for size in (0, 1, 2, 7, 300):
+            for lo, hi in ranges:
+                got = _uniform(_unit_doubles(ours, size), lo, hi)
+                assert got == theirs.uniform(lo, hi, size).tolist()
+
+
+class _NoSampling(np.random.Generator):
+    """A generator whose sampling methods fail: only its raw words work."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("generation called a Generator sampling method")
+
+    integers = uniform = choice = random = _fail
+
+
+def test_generation_reads_only_raw_words(monkeypatch):
+    specs = [
+        SMALL,
+        WorkloadSpec(seed=3, n_dags=20, dag_size_range=(20, 60)),
+        WorkloadSpec(seed=4, n_dags=30, dag_size_range=(1, 3)),
+    ]
+    expected = [generate_dag_records(spec) for spec in specs]
+    substream = bench._substream
+    monkeypatch.setattr(
+        bench,
+        "_substream",
+        lambda seed, stream: _NoSampling(substream(seed, stream).bit_generator),
+    )
+    assert [generate_dag_records(spec) for spec in specs] == expected
+
+
+def test_spec_caps_dag_sizes_at_32_bit_spans():
+    WorkloadSpec(dag_size_range=(1, MAX_DAG_SIZE))
+    for size_range in ((2, MAX_DAG_SIZE + 1), (MAX_DAG_SIZE, 2**40)):
+        with pytest.raises(ValidationError, match="^DAG sizes must be <= 2147483647$"):
+            WorkloadSpec(dag_size_range=size_range)
 
 
 def test_records_augment_cleanly():

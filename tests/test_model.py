@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -259,6 +260,73 @@ def test_augment_rejects_nonpositive_output_size():
         ValidationError, match=r"output of destination 1 must be > 0 bits, got 0\.0"
     ):
         augment_dummy_tail(dag, {1: 0.0})
+
+
+ALL = ("validate", "augment", "json")
+AUGMENT = ("augment",)
+INF, NAN = math.inf, math.nan
+ZERO_FLOP_TAIL = (
+    "destination 2 has zero flops; workload appears to carry a collector tail already"
+)
+
+# (weight, value, message, routes that raise it; the others accept the value)
+# recorded before each weight's checks were guarded by one comparison
+PINNED_WEIGHT_ERRORS = [
+    ("flops0", NAN, "function 0 flops must be finite, got nan", ALL),
+    ("flops0", INF, "function 0 flops must be finite, got inf", ALL),
+    ("flops0", -INF, "function 0 flops must be finite, got -inf", ALL),
+    ("flops0", -1.0, "function 0 has negative flops", ALL),
+    ("flops0", -0.0, None, ALL),
+    ("flops0", 0.0, None, ALL),
+    ("flops2", NAN, "function 2 flops must be finite, got nan", ALL),
+    ("flops2", INF, "function 2 flops must be finite, got inf", ALL),
+    ("flops2", -INF, "function 2 flops must be finite, got -inf", ALL),
+    ("flops2", -1.0, "function 2 has negative flops", ALL),
+    ("flops2", -0.0, ZERO_FLOP_TAIL, AUGMENT),
+    ("flops2", 0.0, ZERO_FLOP_TAIL, AUGMENT),
+    ("bits", NAN, "stream 0->2 bits must be finite, got nan", ALL),
+    ("bits", INF, "stream 0->2 bits must be finite, got inf", ALL),
+    ("bits", -INF, "stream 0->2 bits must be finite, got -inf", ALL),
+    ("bits", -1.0, "stream 0->2 must be > 0 bits, got -1.0", ALL),
+    ("bits", -0.0, "stream 0->2 must be > 0 bits, got -0.0", ALL),
+    ("bits", 0.0, "stream 0->2 must be > 0 bits, got 0.0", ALL),
+    ("out", NAN, "output of destination 2 must be finite, got nan", AUGMENT),
+    ("out", INF, "output of destination 2 must be finite, got inf", AUGMENT),
+    ("out", -INF, "output of destination 2 must be finite, got -inf", AUGMENT),
+    ("out", -1.0, "output of destination 2 must be > 0 bits, got -1.0", AUGMENT),
+    ("out", -0.0, "output of destination 2 must be > 0 bits, got -0.0", AUGMENT),
+    ("out", 0.0, "output of destination 2 must be > 0 bits, got 0.0", AUGMENT),
+]
+
+
+@pytest.mark.parametrize(
+    "weight, value, message, raising",
+    PINNED_WEIGHT_ERRORS,
+    ids=[f"{row[0]}={row[1]!r}" for row in PINNED_WEIGHT_ERRORS],
+)
+def test_weight_errors_keep_their_messages(weight, value, message, raising):
+    # function 0 feeds the destinations 1 and 2
+    w = {"flops0": 1.0, "flops2": 1.0, "bits": 1.0, "out": 1.0, weight: value}
+    dag = WorkloadDag(
+        functions=(
+            FunctionNode(0, w["flops0"]), FunctionNode(1, 1.0), FunctionNode(2, w["flops2"])
+        ),
+        edges=(StreamEdge(0, 1, 1.0), StreamEdge(0, 2, w["bits"])),
+    )
+    dst_out = {1: 1.0, 2: w["out"]}
+    doc = dag_to_json(dag, dst_out)
+    routes = {
+        "validate": lambda: validate_dag(dag),
+        "augment": lambda: augment_dummy_tail(dag, dst_out),
+        "json": lambda: dag_from_json(doc),
+    }
+    for name, route in routes.items():
+        if message is None or name not in raising:
+            route()
+            continue
+        with pytest.raises(ValidationError) as info:
+            route()
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -16,6 +17,7 @@ from edge_embed import (
     PathExplosionError,
     Server,
     SplitProblem,
+    ValidationError,
     WorkloadSpec,
     build_catalog,
     enumerate_simple_paths,
@@ -230,6 +232,40 @@ def test_split_route_prices_every_pair_like_optimal_split(net):
                 assert paths is catalog.pair_paths(u, v)
                 want = optimal_split(SplitProblem(coeffs, stream_size=bits))
                 assert allocations == want.allocations
+
+
+def _two_servers(*throughputs):
+    servers = [Server(i, 1.0) for i in range(2 + (len(throughputs) > 1))]
+    links = [Link(0, 0, 1, throughputs[0])]
+    if len(throughputs) > 1:  # a detour 0-2-1
+        links += [Link(1, 0, 2, throughputs[1]), Link(2, 2, 1, throughputs[1])]
+    return make_network(servers, links)
+
+
+@pytest.mark.parametrize(
+    "net, bits",
+    [
+        # tau is finite, but the only allocation tau / A overflows
+        (_two_servers(3.542301210811698), sys.float_info.max),
+        # the slow detour's share, tau / max(A), underflows to 0 bits
+        (_two_servers(1e300, 1e-100), 1.0),
+        # one path so slow that tau itself overflows
+        (_two_servers(1e-300), 1e9),
+        # no path at all: the catalog's inverse sum is 0
+        (make_network([Server(0, 1.0), Server(1, 1.0)], []), 1.0),
+        *((triangle_network(), bits) for bits in (math.nan, math.inf, 0.0, -1.0)),
+    ],
+    ids=["tau-over-min", "tau-over-max", "tau", "no-path", "nan", "inf", "zero", "neg"],
+)
+def test_split_route_raises_what_optimal_split_raises(net, bits):
+    catalog = build_catalog(net)
+    with pytest.raises(ValidationError) as want:
+        optimal_split(SplitProblem(catalog.pair_coefficients(0, 1), stream_size=bits))
+    route = _split_route(catalog)
+    for _ in range(2):  # the pair's first stream and a later one
+        with pytest.raises(ValidationError) as got:
+            route(0, 1, bits)
+        assert str(got.value) == str(want.value)
 
 
 def test_catalog_peak_memory_stays_small():
