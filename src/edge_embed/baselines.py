@@ -23,7 +23,7 @@ from .embedder import (
     _map_streams,
     _processing_table,
 )
-from .model import AugmentedDag, EdgeNetwork
+from .model import AugmentedDag, EdgeNetwork, _ready_row
 from .pathfind import PathCatalog, SimplePath
 
 
@@ -98,14 +98,16 @@ def compute_rank_table(
 
 
 def heft_schedule(
-    dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute
+    dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute, ready=None
 ) -> EmbeddingResult:
     """Classic upward-rank list scheduling on the augmented workload.
 
     Functions are taken in decreasing rank order; each is placed on the
     server with the earliest insertion-based finish time, where input
     transfers pay the passive route's full-stream cost. Servers run one
-    function at a time. The collector ranks last and its finish time is
+    function at a time. As in the recurrence, a server's ready time is the
+    earliest start of an entry function on it; other functions start once
+    their inputs arrive. The collector ranks last and its finish time is
     the makespan. Processing times come from the dynamic program's table,
     so both price a function with the same floats.
     """
@@ -118,6 +120,8 @@ def heft_schedule(
 
     predecessors, stream_size = dag.predecessors, dag.stream_size
     servers = range(len(coeff))
+    ready_row = _ready_row(net, ready)
+    idle = [0.0] * len(coeff)
     # busy[s]: the (start, finish) slots taken on server s, in time order
     busy: list[list[tuple[float, float]]] = [[] for _ in servers]
     placements: dict[int, int] = {}
@@ -132,14 +136,13 @@ def heft_schedule(
         best_finish = float("inf")
         best_server = -1
         best_start = 0.0
-        for server, duration, slots in zip(servers, proc, busy):
-            ready = 0.0
+        floor = idle if inputs else ready_row
+        for server, duration, slots, start in zip(servers, proc, busy, floor):
             for finish, row, bits in inputs:
                 arrive = finish + bits * row[server]
-                if arrive > ready:
-                    ready = arrive
-            # insertion: the earliest start >= ready that fits between slots
-            start = ready
+                if arrive > start:
+                    start = arrive
+            # insertion: the earliest start from here that fits between slots
             for slot_start, slot_end in slots:
                 if start + duration <= slot_start:
                     break
@@ -172,6 +175,7 @@ def placement_only_embed(
     net: EdgeNetwork,
     catalog: PathCatalog,
     routes: PassiveRoute | None = None,
+    ready=None,
 ) -> EmbeddingResult:
     """The dynamic program with every split replaced by the passive route.
 
@@ -182,5 +186,5 @@ def placement_only_embed(
     if routes is None:
         routes = passive_routes(catalog)
     return _dynamic_embed(
-        dag, net, lambda bits: bits * routes.coefficient, _whole_route(routes), None
+        dag, net, lambda bits: bits * routes.coefficient, _whole_route(routes), ready
     )

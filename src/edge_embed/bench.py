@@ -38,6 +38,7 @@ from .model import (
     Server,
     StreamEdge,
     WorkloadDag,
+    _reached_from_0,
     augment_dummy_tail,
     canonical_json,
     dag_from_json,
@@ -107,22 +108,6 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
     )
-
-
-def _connected(n: int, pairs: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for nb in adj[node]:
-            if nb not in reached:
-                reached.add(nb)
-                frontier.append(nb)
-    return len(reached) == n
 
 
 def _sample_topology(
@@ -322,13 +307,19 @@ def network_fingerprint(net: EdgeNetwork) -> str:
 def scale_network(
     net: EdgeNetwork, psi_factor: float = 1.0, throughput_factor: float = 1.0
 ) -> EdgeNetwork:
-    """Same topology with uniformly scaled server and link capacities."""
+    """Same topology with uniformly scaled server and link capacities. Each
+    factor must be finite and > 0, and the result a valid network."""
+    for name, factor in (("psi_factor", psi_factor), ("throughput_factor", throughput_factor)):
+        if not 0.0 < factor < math.inf:
+            raise ValidationError(f"{name} must be finite and > 0, got {factor!r}")
     servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
     links = [
         Link(id=l.id, u=l.u, v=l.v, throughput=l.throughput * throughput_factor)
         for l in net.links
     ]
-    return make_network(servers, links)
+    scaled = make_network(servers, links)
+    validate_network(scaled)
+    return scaled
 
 
 def nested_networks(
@@ -360,7 +351,7 @@ def nested_networks(
     psi = [float(x) for x in rng.uniform(*spec.psi_range, size=n)]
     for _ in range(MAX_NETWORK_ATTEMPTS):
         pairs = _sample_topology(rng, n, spec.connectivity)
-        if _connected(n, pairs):
+        if len(_reached_from_0(n, pairs)) == n:
             break
     else:
         raise EdgeEmbedError(
@@ -439,25 +430,13 @@ class ReportBundle:
     seed: int | None = None
 
 
-def _idle_only(name: str, embed: Callable[..., EmbeddingResult]):
-    """``embed(aug, net, catalog)`` as a runner that rejects a ready map."""
-
-    def run(aug, net, catalog, ready=None) -> EmbeddingResult:
-        if ready is not None:
-            raise ValidationError(f"{name} takes no ready times")
-        return embed(aug, net, catalog)
-
-    return run
-
-
-# name -> runner(aug, net, catalog, ready=None); the baselines embed on idle
-# servers only and raise ValidationError when given a ready map
+# name -> runner(aug, net, catalog, ready=None)
 ALGORITHMS: dict[str, Callable[..., EmbeddingResult]] = {
     "dpe": dpe_embed,
-    "heft": _idle_only(
-        "heft", lambda aug, net, catalog: heft_schedule(aug, net, passive_routes(catalog))
-    ),
-    "placement-only": _idle_only("placement-only", placement_only_embed),
+    "heft": lambda aug, net, catalog, ready=None:
+        heft_schedule(aug, net, passive_routes(catalog), ready),
+    "placement-only": lambda aug, net, catalog, ready=None:
+        placement_only_embed(aug, net, catalog, ready=ready),
 }
 
 

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EdgeEmbedError
-from .model import AugmentedDag, EdgeNetwork, processing_time
+from .model import AugmentedDag, EdgeNetwork, _ready_row, processing_time
 from .pathfind import PathCatalog, SimplePath
 from .splitter import SplitProblem, optimal_split, routing_time
 
@@ -71,13 +71,6 @@ class EmbeddingResult:
 
 
 Route = Callable[[int, int, float], tuple[tuple[SimplePath, ...], tuple[float, ...]]]
-
-
-def _ready_row(net: EdgeNetwork, ready) -> list[float]:
-    """Ready seconds per server in id order, 0 for servers not named."""
-    if ready is None:
-        return [0.0] * net.n_servers
-    return [float(ready.get(s.id, 0.0)) for s in net.servers]
 
 
 # shared by every same-server stream: the mapping is immutable

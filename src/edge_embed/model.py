@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Iterable, Mapping
 
 from .errors import SchemaError, ValidationError
@@ -104,6 +105,22 @@ def _require_rate(what: str, value: float) -> None:
         )
 
 
+def _reached_from_0(n: int, pairs: Iterable[tuple[int, int]]) -> set[int]:
+    """The servers of 0..n-1 that links ``pairs`` join to server 0."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        for neighbor in adj[frontier.pop()]:
+            if neighbor not in reached:
+                reached.add(neighbor)
+                frontier.append(neighbor)
+    return reached
+
+
 def validate_network(net: EdgeNetwork) -> None:
     """Check every network invariant; raises ValidationError.
 
@@ -142,15 +159,7 @@ def validate_network(net: EdgeNetwork) -> None:
                 f"more than one link between servers {pair[0]} and {pair[1]}"
             )
         seen_pairs.add(pair)
-    # Reachability from server 0 by breadth-first search.
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        node = frontier.pop()
-        for neighbor, _ in net.adjacency[node]:
-            if neighbor not in reached:
-                reached.add(neighbor)
-                frontier.append(neighbor)
+    reached = _reached_from_0(n, ((link.u, link.v) for link in net.links))
     for server in net.servers:
         if server.id not in reached:
             raise ValidationError(f"server {server.id} is unreachable from server 0")
@@ -335,6 +344,22 @@ def processing_time(function: FunctionNode, server: Server) -> float:
     return function.flops / server.psi
 
 
+def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:
+    """Ready seconds per server in id order, 0 for servers not named: the one
+    reader of a ready map. Rejects keys that are not server ids of ``net``
+    and times that are not finite or are below 0 with ValidationError."""
+    row = [0.0] * net.n_servers
+    for server, seconds in (ready or {}).items():
+        if not (isinstance(server, Integral) and 0 <= server < len(row)):
+            raise ValidationError(f"ready map names unknown server {server!r}")
+        if not (isinstance(seconds, Real) and 0.0 <= seconds < math.inf):
+            raise ValidationError(
+                f"ready time of server {server} must be finite and >= 0, got {seconds!r}"
+            )
+        row[server] = float(seconds)
+    return row
+
+
 def validate_time_range(
     dag: AugmentedDag, net: EdgeNetwork, ready: Mapping[int, float] | None = None
 ) -> None:
@@ -349,7 +374,7 @@ def validate_time_range(
     speeds = [s.psi for s in net.servers]
     route = sum(1.0 / link.throughput for link in net.links)
     upper = (
-        max([0.0, *(ready or {}).values()])
+        max(_ready_row(net, ready))
         + sum(f.flops for f in dag.functions) / min(speeds)
         + sum(e.size for e in dag.edges) * route
     )

@@ -187,6 +187,37 @@ def test_heft_inserts_into_a_gap_it_fills_exactly():
     assert result.finish_times == {0: 1.0, 1: 5.0, 2: 3.0, 3: 7.0, 4: 7.0}
 
 
+def test_heft_delays_an_entry_to_its_servers_ready_time():
+    # the hand case's chain with the fast server 1 busy until 0.25 s: the
+    # entry still takes it, 0.25 s late, and the chain follows back to back
+    net = make_network([Server(0, 1.0), Server(1, 2.0)], [Link(0, 0, 1, 100.0)])
+    aug = chain_dag([1.0, 1.0], sizes=[1.0], dst_out=1.0)
+    routes = passive_routes(build_catalog(net))
+    result = heft_schedule(aug, net, routes, {1: 0.25})
+    assert result.placements == {0: 1, 1: 1, 2: 1}
+    assert result.finish_times == {0: 0.75, 1: 1.25, 2: 1.25}
+    # busy until 1 s, server 1 would finish the entry after server 0 does
+    assert heft_schedule(aug, net, routes, {1: 1.0}).placements[0] == 0
+
+
+def test_heft_replays_no_later_than_its_schedule_on_busy_servers(rng):
+    # the replay drops server exclusivity, so it can only finish earlier
+    for _ in range(10):
+        net = small_random_network(rng)
+        aug = random_general_dag(rng)
+        ready = {s: float(rng.uniform(0.0, 5.0)) for s in range(net.n_servers)}
+        result = heft_schedule(aug, net, passive_routes(build_catalog(net)), ready)
+        finish, _ = simulate_embedding(
+            aug, net, result.placements, result.edge_mappings, ready
+        )
+        for fid, t in finish.items():
+            assert t <= result.finish_times[fid] * (1 + REL)
+            if not aug.predecessors[fid]:
+                server = net.servers[result.placements[fid]]
+                proc = processing_time(aug.by_id[fid], server)
+                assert result.finish_times[fid] >= ready[server.id] + proc
+
+
 def test_heft_respects_exclusivity_and_precedence(rng):
     for _ in range(10):
         net = small_random_network(rng)
@@ -255,11 +286,13 @@ def test_placement_only_replays_consistently(rng):
         net = small_random_network(rng)
         aug = random_general_dag(rng)
         catalog = build_catalog(net)
-        result = placement_only_embed(aug, net, catalog)
-        finish, makespan = simulate_embedding(
-            aug, net, result.placements, result.edge_mappings
-        )
-        assert makespan == pytest.approx(result.makespan, rel=REL)
+        busy = {s: 1.5 * s for s in range(net.n_servers)}
+        for ready in (None, busy):
+            result = placement_only_embed(aug, net, catalog, ready=ready)
+            finish, makespan = simulate_embedding(
+                aug, net, result.placements, result.edge_mappings, ready
+            )
+            assert makespan == pytest.approx(result.makespan, rel=REL)
         # whole streams ride single paths: one allocation per routed edge
         for mapping in result.edge_mappings.values():
             if not mapping.same_server:

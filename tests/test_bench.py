@@ -357,6 +357,18 @@ def test_scale_network_scales_uniformly():
         assert after.throughput == before.throughput * 3.0
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [{"psi_factor": 0.0}, {"psi_factor": -1.0}, {"throughput_factor": 1e308}],
+    ids=["zero-psi", "negative-psi", "overflowing-throughput"],
+)
+def test_scale_network_rejects_factors_that_break_the_network(factors):
+    # these gave dpe a nan makespan, a negative one, and a ZeroDivisionError
+    net = generate_network(WorkloadSpec(seed=0, n_servers=4))
+    with pytest.raises(ValidationError):
+        scale_network(net, **factors)
+
+
 def test_network_fingerprint_tracks_content():
     net = generate_network(SMALL)
     fp = network_fingerprint(net)
@@ -446,15 +458,19 @@ def test_run_benchmark_rejects_bad_requests():
         run_benchmark(["dpe"], spec=SMALL, timing="sometimes")
 
 
-def test_baseline_runners_reject_a_ready_map():
+def test_every_runner_honours_a_ready_map():
+    # every server busy for 100 s delays every entry, and with it the whole
+    # embedding, by 100 s
     net = generate_network(SMALL)
     catalog = build_catalog(net)
     aug = generate_dag_records(SMALL)[0].augmented()
-    for algo in ("heft", "placement-only"):
-        with pytest.raises(ValidationError, match=f"^{algo} takes no ready times$"):
-            ALGORITHMS[algo](aug, net, catalog, {0: 1.0})
-        assert ALGORITHMS[algo](aug, net, catalog).makespan > 0
-    assert ALGORITHMS["dpe"](aug, net, catalog, {0: 1.0}).makespan > 0
+    busy = {server: 100.0 for server in range(net.n_servers)}
+    entries = [f.id for f in aug.functions if not aug.predecessors[f.id]]
+    for runner in ALGORITHMS.values():
+        idle = runner(aug, net, catalog)
+        result = runner(aug, net, catalog, busy)
+        assert result.makespan == pytest.approx(idle.makespan + 100.0, rel=1e-9)
+        assert all(result.finish_times[f] > 100.0 for f in entries)
 
 
 def test_trial_record_rejects_impossible_values():

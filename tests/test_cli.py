@@ -204,19 +204,6 @@ def test_embed_accepts_ready_map_for_dpe(tmp_path, capsys):
     assert delayed["makespan"] >= fresh["makespan"]
 
 
-def test_embed_rejects_ready_map_for_list_scheduler(tmp_path, capsys):
-    net = write_triangle(tmp_path)
-    dag = write_diamond(tmp_path)
-    ready = tmp_path / "ready.json"
-    ready.write_text(json.dumps({"0": 1.0}), encoding="utf-8")
-    # one loop, not parametrized ids, so the test keeps its id
-    for algo in ("heft", "placement-only"):
-        code = main(
-            ["embed", "--network", net, "--dag", dag, "--algo", algo, "--ready", str(ready)]
-        )
-        assert_one_error(capsys, code)
-
-
 @pytest.mark.parametrize(
     "algo, ready",
     [
@@ -225,15 +212,22 @@ def test_embed_rejects_ready_map_for_list_scheduler(tmp_path, capsys):
         ("placement-only", None),
         ("brute", None),
         ("dpe", {0: 0.5, 2: 3.0}),
+        ("heft", {0: 0.5, 2: 3.0}),
+        ("placement-only", {0: 0.5, 2: 3.0}),
         ("brute", {0: 0.5, 2: 3.0}),
     ],
-    ids=["dpe", "heft", "placement-only", "brute", "dpe-ready", "brute-ready"],
+    ids=[
+        "dpe", "heft", "placement-only", "brute",
+        "dpe-ready", "heft-ready", "placement-only-ready", "brute-ready",
+    ],
 )
 def test_embed_prints_the_library_embedding(tmp_path, capsys, algo, ready):
     library = {
         "dpe": lambda aug, net, cat: dpe_embed(aug, net, cat, ready),
-        "heft": lambda aug, net, cat: heft_schedule(aug, net, passive_routes(cat)),
-        "placement-only": lambda aug, net, cat: placement_only_embed(aug, net, cat),
+        "heft": lambda aug, net, cat: heft_schedule(aug, net, passive_routes(cat), ready),
+        "placement-only": lambda aug, net, cat: placement_only_embed(
+            aug, net, cat, ready=ready
+        ),
         "brute": lambda aug, net, cat: brute_force_embed(aug, net, cat, ready),
     }[algo]
     net = triangle_network()
@@ -394,7 +388,7 @@ def _embed_docs(tmp_path, net_doc, dag_doc, ready_doc, algo):
     net.write_text(json.dumps(net_doc), encoding="utf-8")
     argv = ["embed", "--network", str(net),
             "--dag", write_diamond(tmp_path, dag_doc), "--algo", algo]
-    if ready_doc is not None and algo in ("dpe", "brute"):
+    if ready_doc is not None:
         ready = tmp_path / "ready.json"
         ready.write_text(json.dumps(ready_doc), encoding="utf-8")
         argv += ["--ready", str(ready)]

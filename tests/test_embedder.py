@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from edge_embed import (
@@ -12,18 +15,23 @@ from edge_embed import (
     StreamEdge,
     ValidationError,
     WorkloadDag,
+    WorkloadSpec,
     augment_dummy_tail,
     brute_force_embed,
     build_catalog,
     dpe_embed,
     embedding_to_json,
+    generate_dag_records,
+    generate_network,
     make_network,
     placement_only_embed,
     processing_time,
     simulate_embedding,
     validate_network,
 )
+from edge_embed.cli import EMBEDDERS
 from edge_embed.embedder import _processing_table
+from edge_embed.model import validate_time_range
 
 from conftest import (
     chain_dag,
@@ -295,8 +303,11 @@ def test_split_strictly_beats_single_path_embedding():
     ready = {0: 0.0, 1: 1000.0, 2: 1000.0}
     with_split = dpe_embed(aug, net, catalog, ready=ready)
     assert with_split.makespan == pytest.approx(2.1, rel=REL)
-    # placement-only takes no ready map; emulate the pin via brute replay:
-    # place identically but route the whole stream over the best path.
+    # placement-only places identically but sends the stream whole over
+    # the best path
+    passive = placement_only_embed(aug, net, catalog, ready=ready)
+    assert passive.placements == with_split.placements
+    assert passive.makespan == pytest.approx(3.1, rel=REL)
     mapping = with_split.edge_mappings[(0, 1)]
     assert not mapping.same_server
     assert len(mapping.paths) == 2  # both routes genuinely carry bits
@@ -366,6 +377,82 @@ def test_late_entries_embed_like_entries_first():
         result = embed(aug_late)
         assert result == embed(aug_early)
         assert result.makespan == pytest.approx(oracle.makespan, rel=REL)
+
+
+def test_splitting_beats_placement_only_on_a_busy_desk_suite():
+    # The desk suite with each DAG's servers busy for U(0, 3) s, drawn on
+    # substream 3 of the seed in (DAG, server) order. Busy servers spread
+    # DAGs over servers, so streams cross links and splitting pays. The
+    # commit-once rule is a heuristic, so dpe is not better on every DAG.
+    spec = WorkloadSpec(seed=0)
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(3,)))
+    )
+    draws = rng.uniform(0.0, 3.0, size=(spec.n_dags, net.n_servers))
+    dpe, passive = [], []
+    for record, row in zip(generate_dag_records(spec), draws):
+        ready = {server: float(t) for server, t in enumerate(row)}
+        aug = record.augmented()
+        dpe.append(dpe_embed(aug, net, catalog, ready).makespan)
+        passive.append(placement_only_embed(aug, net, catalog, ready=ready).makespan)
+    assert sum(dpe) / len(dpe) < sum(passive) / len(passive)
+    assert sum(d > p for d, p in zip(dpe, passive)) == 0
+    assert sum(d == p for d, p in zip(dpe, passive)) == 99
+
+
+# ---------------------------------------------------------------------------
+# the ready-time contract
+# ---------------------------------------------------------------------------
+
+
+def _contract_case():
+    net = generate_network(WorkloadSpec(seed=0, n_servers=4))
+    spec = WorkloadSpec(seed=0, n_servers=4, n_dags=1, dag_size_range=(5, 5))
+    return generate_dag_records(spec)[0].augmented(), net, build_catalog(net)
+
+
+def _replay_idle_dpe(aug, net, catalog, ready):
+    result = dpe_embed(aug, net, catalog)
+    return simulate_embedding(aug, net, result.placements, result.edge_mappings, ready)
+
+
+READY_READERS = {
+    **EMBEDDERS,
+    "simulate": _replay_idle_dpe,
+    "time-range": lambda aug, net, catalog, ready: validate_time_range(aug, net, ready),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READY_READERS))
+@pytest.mark.parametrize(
+    "ready",
+    [{0: -1.0}, {0: math.nan}, {0: math.inf}, {99: 1.0}, {"0": 1.0}, {0.0: 1.0}],
+    ids=["negative", "nan", "inf", "unknown-server", "string-key", "float-key"],
+)
+def test_every_reader_rejects_a_malformed_ready_map(reader, ready):
+    aug, net, catalog = _contract_case()
+    with pytest.raises(ValidationError, match="ready"):
+        READY_READERS[reader](aug, net, catalog, ready)
+
+
+def _bits(result):
+    """An embedding with every float as its hex string."""
+    mappings = {
+        edge: (m.same_server, m.paths, [z.hex() for z in m.allocations])
+        for edge, m in result.edge_mappings.items()
+    }
+    finish = {f: t.hex() for f, t in result.finish_times.items()}
+    return result.placements, mappings, finish, result.makespan.hex()
+
+
+@pytest.mark.parametrize("algo", sorted(EMBEDDERS))
+def test_an_all_zero_ready_map_embeds_like_none(algo):
+    aug, net, catalog = _contract_case()
+    zeros = {server: 0.0 for server in range(net.n_servers)}
+    embed = EMBEDDERS[algo]
+    assert _bits(embed(aug, net, catalog, zeros)) == _bits(embed(aug, net, catalog, None))
 
 
 # ---------------------------------------------------------------------------
