@@ -9,7 +9,6 @@ seeded benchmark harness round out the package.
 """
 
 from .baselines import (
-    compute_rank_table,
     heft_schedule,
     passive_routes,
     placement_only_embed,
@@ -44,8 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    AugmentedDag,
-    EdgeNetwork,
     FunctionNode,
     Link,
     Server,
@@ -74,17 +71,14 @@ from .splitter import (
     SplitProblem,
     bisection_oracle,
     optimal_split,
-    routing_time,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedDag",
     "DagRecord",
     "EdgeEmbedError",
     "EdgeMapping",
-    "EdgeNetwork",
     "EmbeddingResult",
     "FunctionNode",
     "Link",
@@ -104,7 +98,6 @@ __all__ = [
     "brute_force_embed",
     "build_catalog",
     "canonical_json",
-    "compute_rank_table",
     "dag_from_json",
     "dag_to_json",
     "dpe_embed",
@@ -127,7 +120,6 @@ __all__ = [
     "placement_only_embed",
     "processing_time",
     "resolve_path_cap",
-    "routing_time",
     "run_benchmark",
     "scale_network",
     "simulate_embedding",

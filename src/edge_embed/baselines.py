@@ -63,8 +63,9 @@ def _whole_route(routes: PassiveRoute) -> Route:
 def _upward_rank(
     dag: AugmentedDag, procs: list[list[float]], coeff: list[list[float]]
 ) -> dict[int, float]:
-    """Upward rank per function from the F x n processing-time table
-    ``procs`` (stored order) and the n x n passive-route cost ``coeff``."""
+    """Upward rank, the list scheduler's priority: a function's mean over
+    servers in the F x n time table ``procs`` (stored order) plus its largest
+    mean transfer (n x n passive-route cost ``coeff``) + successor rank."""
     n = len(coeff)
     # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
     mean_coeff = sum(chain.from_iterable(coeff)) / (n * n)
@@ -79,22 +80,6 @@ def _upward_rank(
                 best_tail = tail
         upward[fid] = sum(proc) / n + best_tail
     return upward
-
-
-def compute_rank_table(
-    dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute
-) -> dict[int, float]:
-    """Upward rank per function: the priority of the list scheduler.
-
-    A function's rank is its processing time averaged over all servers
-    plus the largest (mean transfer time + successor rank) over its
-    out-edges, i.e. the average length of the longest remaining chain. The
-    mean transfer time averages an edge's cost over all ordered server
-    pairs; same-server pairs contribute zero.
-    """
-    return _upward_rank(
-        dag, _processing_table(dag, net).tolist(), routes.coefficient.tolist()
-    )
 
 
 def heft_schedule(

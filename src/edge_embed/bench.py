@@ -22,6 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -74,6 +75,10 @@ class WorkloadSpec:
     stream_range: tuple[float, float] = (5.0e6, 1.5e7)  # bits
 
     def __post_init__(self):
+        counts = [("seed", self.seed), ("n_servers", self.n_servers), ("n_dags", self.n_dags)]
+        for name, x in counts + [("dag_size_range", x) for x in self.dag_size_range]:
+            if isinstance(x, bool) or not isinstance(x, Integral):
+                raise ValidationError(f"{name}: {x!r} is not an integer")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         if self.n_servers < 1 or self.n_dags < 1:

@@ -40,6 +40,8 @@ def _load_ready(raw) -> dict[int, float]:
         raise SchemaError("ready file must map server ids to seconds")
     ready: dict[int, float] = {}
     for key, value in raw.items():
+        if isinstance(value, bool):  # float(True) would read it as 1 s
+            raise SchemaError(f"ready entry {key!r}: {value!r} is not a time")
         try:
             ready[int(key)] = float(value)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -69,7 +71,7 @@ def _cmd_split(args) -> int:
         "allocations_bits": list(solution.allocations),
     }
     if args.verify:
-        oracle = bisection_oracle(problem, tol=1e-15 * solution.bottleneck_time)
+        oracle = bisection_oracle(problem)
         if not math.isfinite(oracle):  # its start, size * min(A_k), overflows
             raise ValidationError("the bisection oracle leaves the float range")
         payload["oracle_bottleneck_time_s"] = oracle

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import EdgeEmbedError
 from .model import AugmentedDag, EdgeNetwork, _ready_row, processing_time
 from .pathfind import PathCatalog, SimplePath
-from .splitter import SplitProblem, optimal_split, routing_time
+from .splitter import SplitProblem, optimal_split
 
 EXHAUSTIVE_LIMIT = 10**6
 
@@ -329,13 +329,13 @@ def simulate_embedding(
             if mapping.same_server:
                 transit = 0.0
             else:
-                branches = []
+                branch_times = []
                 for p, z in zip(mapping.paths, mapping.allocations):
                     coefficient = 0.0
                     for link_id in p.link_ids:
                         coefficient += inverse[link_id]
-                    branches.append((coefficient, z))
-                transit = routing_time(branches)
+                    branch_times.append(coefficient * z)
+                transit = max(branch_times)  # no path: ValueError
             arrive = finish[fi] + transit
             if arrive > slowest_input:
                 slowest_input = arrive

@@ -346,10 +346,12 @@ def processing_time(function: FunctionNode, server: Server) -> float:
 
 def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:
     """Ready seconds per server in id order, 0 for servers not named: the one
-    reader of a ready map. Rejects keys that are not server ids of ``net``
-    and times that are not finite or are below 0 with ValidationError."""
+    reader of a ready map. Raises ValidationError for a bool key or time, a
+    key that is not a server id of ``net`` and a time not finite and >= 0."""
     row = [0.0] * net.n_servers
     for server, seconds in (ready or {}).items():
+        if isinstance(server, bool) or isinstance(seconds, bool):
+            raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
         if not (isinstance(server, Integral) and 0 <= server < len(row)):
             raise ValidationError(f"ready map names unknown server {server!r}")
         if not (isinstance(seconds, Real) and 0.0 <= seconds < math.inf):

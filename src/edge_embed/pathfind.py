@@ -194,14 +194,6 @@ class PathCatalog:
             listing = self._listed[(u, v)] = (paths, coefficients, *terms)
         return listing
 
-    def pair_paths(self, u: int, v: int) -> tuple[SimplePath, ...]:
-        """The pair's paths in canonical order, listed once and memoized."""
-        return self.pair_split(u, v)[0]
-
-    def pair_coefficients(self, u: int, v: int) -> tuple[float, ...]:
-        """Seconds per bit of each path of ``pair_paths(u, v)``, index for index."""
-        return self.pair_split(u, v)[1]
-
 
 def resolve_path_cap() -> int:
     """Path cap: the env var (a non-negative integer), else the default."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -61,43 +60,26 @@ def optimal_split(problem: SplitProblem) -> SplitSolution:
     return SplitSolution(allocations=allocations, bottleneck_time=tau)
 
 
-def bisection_oracle(problem: SplitProblem, tol: float = 1e-12) -> float:
+def bisection_oracle(problem: SplitProblem) -> float:
     """Minimal feasible bottleneck time found by binary search.
 
     A deadline tau is feasible when the paths can jointly move the whole
     stream by then, i.e. sum(tau / A_k) >= s. Feasibility is monotone in
     tau, so bisection over [0, s * min(A_k)] converges to the optimum.
-    The search also stops once the interval can no longer shrink in
-    floating point, so tiny ``tol`` values yield full precision.
+    The search runs until the interval can no longer shrink in floating
+    point, so it holds full precision at every scale.
     """
     s = problem.stream_size
     lo = 0.0
     hi = s * min(problem.coefficients)  # one path alone meets this deadline
-
-    def feasible(tau: float) -> bool:
-        moved = 0.0
+    # stops once no float lies strictly between lo and hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        moved = 0.0  # bits the paths move by the deadline mid
         for a in problem.coefficients:
-            moved += tau / a
-        return moved >= s
-
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval exhausted at float resolution
-        if feasible(mid):
+            moved += mid / a
+        if moved >= s:  # mid is feasible
             hi = mid
         else:
             lo = mid
     return hi
 
-
-def routing_time(branches: Iterable[tuple[float, float]]) -> float:
-    """Seconds a routed transfer occupies the network.
-
-    ``branches`` holds (coefficient, bits) pairs, one per used path; the
-    transfer ends when the slowest branch ends.
-    """
-    branch_list: Sequence[tuple[float, float]] = list(branches)
-    if not branch_list:
-        raise ValueError("a routed transfer needs at least one branch")
-    return max(coeff * bits for coeff, bits in branch_list)

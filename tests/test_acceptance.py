@@ -115,7 +115,7 @@ def test_criterion_1_split_optimality():
         size = float(10.0 ** rng.uniform(0.0, 8.0))
         problem = SplitProblem(coefficients=coeffs, stream_size=size)
         sol = optimal_split(problem)
-        searched = bisection_oracle(problem, tol=0.0)
+        searched = bisection_oracle(problem)
         ok = (
             _close(sol.bottleneck_time, searched)
             and all(z > 0 for z in sol.allocations)
@@ -158,7 +158,7 @@ def test_criterion_2_path_enumeration():
             for v in range(n):
                 if u == v:
                     continue
-                got = len(catalog.pair_paths(u, v))
+                got = len(catalog.pair_split(u, v)[0])
                 if got != want:
                     problems.append(f"K_{n} pair ({u},{v}): {got} != {want}")
                 calls = catalog.recursion_calls[(u, v)]

@@ -13,7 +13,6 @@ from edge_embed import (
     augment_dummy_tail,
     brute_force_embed,
     build_catalog,
-    compute_rank_table,
     dpe_embed,
     heft_schedule,
     make_network,
@@ -23,6 +22,8 @@ from edge_embed import (
     simulate_embedding,
     validate_network,
 )
+from edge_embed.baselines import _upward_rank
+from edge_embed.embedder import _processing_table
 
 from conftest import (
     chain_dag,
@@ -105,7 +106,8 @@ def test_rank_table_hand_values():
     net = make_network([Server(0, 1.0), Server(1, 3.0)], [Link(0, 0, 1, 2.0)])
     aug = chain_dag([3.0, 6.0], sizes=[4.0], dst_out=2.0)
     routes = passive_routes(build_catalog(net))
-    rank = compute_rank_table(aug, net, routes)
+    procs = _processing_table(aug, net).tolist()
+    rank = _upward_rank(aug, procs, routes.coefficient.tolist())
     # mean exec time: mean of c/psi over both servers (2.0, 4.0, 0.0); mean
     # transfer: size * mean coefficient over all 4 ordered pairs
     mean_coeff = (0.5 + 0.5) / 4
@@ -123,7 +125,8 @@ def test_rank_decreases_along_every_edge(rng):
         net = small_random_network(rng)
         aug = random_general_dag(rng)
         routes = passive_routes(build_catalog(net))
-        rank = compute_rank_table(aug, net, routes)
+        procs = _processing_table(aug, net).tolist()
+        rank = _upward_rank(aug, procs, routes.coefficient.tolist())
         for e in aug.edges:
             assert rank[e.src] > rank[e.dst]
         # the collector always ranks last

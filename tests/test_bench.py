@@ -110,6 +110,13 @@ def test_spec_validation():
         WorkloadSpec(dag_size_range=(0, 5))
     with pytest.raises(ValueError):
         WorkloadSpec(psi_range=(4.0e10, 2.0e10))
+    counts = [
+        ("n_dags", 2.5), ("seed", 1.5), ("n_servers", 3.5), ("seed", True),
+        ("n_dags", True), ("dag_size_range", (2.5, 4)), ("dag_size_range", (2, False)),
+    ]
+    for name, bad in counts:
+        with pytest.raises(ValidationError, match=f"^{name}: .* is not an integer"):
+            WorkloadSpec(**{name: bad})
 
 
 @pytest.mark.parametrize(

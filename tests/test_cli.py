@@ -269,7 +269,10 @@ def test_embed_rejects_unreadable_dag(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize(
     "ready",
-    [{"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0], {"0": -1.0}],
+    [
+        {"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0], {"0": -1.0},
+        {"0": True},
+    ],
 )
 def test_embed_rejects_malformed_ready_map(tmp_path, capsys, ready):
     net = write_triangle(tmp_path)

@@ -9,9 +9,11 @@ import pytest
 
 from edge_embed import (
     EdgeEmbedError,
+    EdgeMapping,
     FunctionNode,
     Link,
     Server,
+    SimplePath,
     StreamEdge,
     ValidationError,
     WorkloadDag,
@@ -289,6 +291,33 @@ def test_worked_example_replays_to_exactly_7_5_seconds():
     assert finish[aug.dummy_id] == 7.5
 
 
+def _two_route_replay(mapping):
+    """Replay f0 on server 0 -> f1 on server 1, the stream mapped by hand
+    over the direct link (0.5 s/bit) and the detour via 2 (0.25 s/bit)."""
+    net = make_network(
+        [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
+        [Link(0, 0, 1, 2.0), Link(1, 0, 2, 8.0), Link(2, 2, 1, 8.0)],
+    )
+    aug = chain_dag([1.0, 1.0], sizes=[16.0], dst_out=1.0)
+    placements = {0: 0, 1: 1, aug.dummy_id: 1}
+    mappings = {(0, 1): mapping, (1, aug.dummy_id): EdgeMapping(same_server=True)}
+    return simulate_embedding(aug, net, placements, mappings)
+
+
+def test_replay_waits_for_the_slowest_branch():
+    direct = SimplePath(nodes=(0, 1), link_ids=(0,))
+    detour = SimplePath(nodes=(0, 2, 1), link_ids=(1, 2))
+    mapping = EdgeMapping(False, (direct, detour), (6.0, 10.0))
+    finish, makespan = _two_route_replay(mapping)
+    assert finish[1] == 1.0 + 3.0 + 1.0  # max(0.5 * 6, 0.25 * 10) = 3 s in transit
+    assert makespan == 5.0
+
+
+def test_replay_rejects_a_routed_stream_without_paths():
+    with pytest.raises(ValueError):
+        _two_route_replay(EdgeMapping(same_server=False))
+
+
 def test_split_strictly_beats_single_path_embedding():
     # Entry is pinned to server 0 by huge ready times elsewhere. The stream
     # to the worker on server 1 can ride two disjoint unit-rate routes:
@@ -312,15 +341,9 @@ def test_split_strictly_beats_single_path_embedding():
     assert not mapping.same_server
     assert len(mapping.paths) == 2  # both routes genuinely carry bits
     assert all(z > 0 for z in mapping.allocations)
-    passive_transit = 2.0 * min(
-        catalog.pair_coefficients(with_split.placements[0], with_split.placements[1])
-    )
-    split_transit = 2.0 / sum(
-        1.0 / a
-        for a in catalog.pair_coefficients(
-            with_split.placements[0], with_split.placements[1]
-        )
-    )
+    coeffs = catalog.pair_split(with_split.placements[0], with_split.placements[1])[1]
+    passive_transit = 2.0 * min(coeffs)
+    split_transit = 2.0 / sum(1.0 / a for a in coeffs)
     assert split_transit == pytest.approx(1.0, rel=REL)
     assert passive_transit == pytest.approx(2.0, rel=REL)
 
@@ -428,8 +451,14 @@ READY_READERS = {
 @pytest.mark.parametrize("reader", sorted(READY_READERS))
 @pytest.mark.parametrize(
     "ready",
-    [{0: -1.0}, {0: math.nan}, {0: math.inf}, {99: 1.0}, {"0": 1.0}, {0.0: 1.0}],
-    ids=["negative", "nan", "inf", "unknown-server", "string-key", "float-key"],
+    [
+        {0: -1.0}, {0: math.nan}, {0: math.inf}, {99: 1.0}, {"0": 1.0}, {0.0: 1.0},
+        {True: 1.0}, {0: True},
+    ],
+    ids=[
+        "negative", "nan", "inf", "unknown-server", "string-key", "float-key",
+        "bool-key", "bool-value",
+    ],
 )
 def test_every_reader_rejects_a_malformed_ready_map(reader, ready):
     aug, net, catalog = _contract_case()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import types
 
 import pytest
 
@@ -25,6 +26,7 @@ from edge_embed import (
     validate_dag,
     validate_network,
 )
+import edge_embed
 from edge_embed import model
 
 from conftest import chain_dag, complete_network, triangle_network
@@ -395,3 +397,20 @@ def test_network_round_trip_via_canonical_text():
     text = canonical_json(network_to_json(net))
     back = network_from_json(json.loads(text))
     assert canonical_json(network_to_json(back)) == text
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+
+def test_all_names_exactly_the_public_attributes():
+    names = edge_embed.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    public = {
+        name
+        for name, value in vars(edge_embed).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public

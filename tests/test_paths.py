@@ -153,7 +153,7 @@ def test_catalog_transit_aggregates_parallel_paths():
     net = triangle_network()
     catalog = build_catalog(net)
     # pair (0, 1): direct coeff 1.0, detour coeff 1/4 + 1/2 = 0.75
-    assert catalog.pair_coefficients(0, 1) == (1.0, 0.75)
+    assert catalog.pair_split(0, 1)[1] == (1.0, 0.75)
     inv_sum = 1 / 1.0 + 1 / 0.75
     assert 7.0 / catalog.inv_coeff_sum[0, 1] == pytest.approx(7.0 / inv_sum, rel=1e-12)
     assert 7.0 / catalog.inv_coeff_sum[1, 0] == pytest.approx(7.0 / inv_sum, rel=1e-12)
@@ -167,7 +167,7 @@ def test_catalog_covers_all_ordered_pairs():
     for u in range(4):
         for v in range(4):
             if u != v:
-                assert len(catalog.pair_paths(u, v)) == 5
+                assert len(catalog.pair_split(u, v)[0]) == 5
 
 
 def _oracle_networks():
@@ -191,10 +191,10 @@ def test_catalog_aggregates_match_oracle(net):
                 continue
             want = sorted(oracle_simple_paths(net, u, v), key=lambda ns: (len(ns), ns))
             total += len(want)
-            paths = catalog.pair_paths(u, v)
+            paths, listed_coeffs = catalog.pair_split(u, v)[:2]
             assert [p.nodes for p in paths] == want
             coeffs = tuple(path_coefficient(p, net) for p in paths)
-            assert catalog.pair_coefficients(u, v) == coeffs
+            assert listed_coeffs == coeffs
             # the same floats from the oracle's node sequences alone
             oracle_coeffs = []
             for nodes in want:
@@ -224,12 +224,12 @@ def test_split_route_prices_every_pair_like_optimal_split(net):
         for v in range(net.n_servers):
             if u == v:
                 continue
-            coeffs = catalog.pair_coefficients(u, v)
+            coeffs = catalog.pair_split(u, v)[1]
             # the DP's pair cost and the split's denominator are one float
             assert float(catalog.inv_coeff_sum[u, v]) == sum(1 / a for a in coeffs)
             for bits in (1.0, 7.3e6, 2.9e7):
                 paths, allocations = route(u, v, bits)
-                assert paths is catalog.pair_paths(u, v)
+                assert paths is catalog.pair_split(u, v)[0]
                 want = optimal_split(SplitProblem(coeffs, stream_size=bits))
                 assert allocations == want.allocations
 
@@ -260,7 +260,7 @@ def _two_servers(*throughputs):
 def test_split_route_raises_what_optimal_split_raises(net, bits):
     catalog = build_catalog(net)
     with pytest.raises(ValidationError) as want:
-        optimal_split(SplitProblem(catalog.pair_coefficients(0, 1), stream_size=bits))
+        optimal_split(SplitProblem(catalog.pair_split(0, 1)[1], stream_size=bits))
     route = _split_route(catalog)
     for _ in range(2):  # the pair's first stream and a later one
         with pytest.raises(ValidationError) as got:
@@ -301,15 +301,13 @@ def test_catalog_of_a_large_star():
 def test_pair_paths_are_listed_once_and_match_enumeration():
     net = irregular_network()
     catalog = build_catalog(net)
-    first = catalog.pair_paths(0, 4)
-    assert catalog.pair_paths(0, 4) is first
-    assert list(first) == enumerate_simple_paths(net, 0, 4)
-    assert catalog.pair_coefficients(0, 4) == tuple(
-        path_coefficient(p, net) for p in first
-    )
-    for read in (catalog.pair_paths, catalog.pair_coefficients):
-        with pytest.raises(KeyError):
-            read(2, 2)
+    first = catalog.pair_split(0, 4)
+    assert catalog.pair_split(0, 4) is first
+    paths, coeffs = first[:2]
+    assert list(paths) == enumerate_simple_paths(net, 0, 4)
+    assert coeffs == tuple(path_coefficient(p, net) for p in paths)
+    with pytest.raises(KeyError):
+        catalog.pair_split(2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +397,7 @@ def test_catalog_is_deterministic():
     for u in range(5):
         for v in range(5):
             if u != v:
-                assert [p.nodes for p in a.pair_paths(u, v)] == [
-                    p.nodes for p in b.pair_paths(u, v)
-                ]
-                assert a.pair_coefficients(u, v) == b.pair_coefficients(u, v)
+                a_paths, a_coeffs = a.pair_split(u, v)[:2]
+                b_paths, b_coeffs = b.pair_split(u, v)[:2]
+                assert [p.nodes for p in a_paths] == [p.nodes for p in b_paths]
+                assert a_coeffs == b_coeffs

@@ -11,7 +11,6 @@ from edge_embed import (
     ValidationError,
     bisection_oracle,
     optimal_split,
-    routing_time,
 )
 
 # ---------------------------------------------------------------------------
@@ -42,6 +41,9 @@ def test_equal_paths_split_evenly():
 def test_bisection_oracle_matches_on_example():
     problem = SplitProblem(coefficients=(0.5, 0.25), stream_size=6.0)
     assert bisection_oracle(problem) == pytest.approx(1.0, rel=1e-9)
+    # far below any absolute tolerance: the search still runs to float resolution
+    tiny = SplitProblem(coefficients=(1e-20, 1e-20), stream_size=1.0)
+    assert bisection_oracle(tiny) == optimal_split(tiny).bottleneck_time
 
 
 def test_problem_validation():
@@ -93,7 +95,7 @@ def test_split_conserves_and_equalizes(coeffs, size):
 def test_closed_form_matches_full_precision_bisection(coeffs, size):
     problem = SplitProblem(coefficients=tuple(coeffs), stream_size=size)
     closed = optimal_split(problem).bottleneck_time
-    searched = bisection_oracle(problem, tol=0.0)  # run to float exhaustion
+    searched = bisection_oracle(problem)
     assert searched == pytest.approx(closed, rel=1e-9)
 
 
@@ -112,16 +114,3 @@ def test_split_scales_linearly_with_stream_size(coeffs, size, factor):
     scaled = optimal_split(SplitProblem(tuple(coeffs), size * factor))
     assert scaled.bottleneck_time == pytest.approx(base.bottleneck_time * factor, rel=1e-9)
 
-
-# ---------------------------------------------------------------------------
-# routing time of a mapped transfer
-# ---------------------------------------------------------------------------
-
-
-def test_routing_time_is_slowest_branch():
-    assert routing_time([(0.5, 6.0), (0.25, 10.0)]) == 3.0  # max(3.0, 2.5)
-
-
-def test_routing_time_rejects_contradictory_call():
-    with pytest.raises(ValueError):
-        routing_time([])
