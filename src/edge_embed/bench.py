@@ -20,9 +20,10 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -81,16 +82,21 @@ class WorkloadSpec:
                 raise ValidationError(f"{name}: {x!r} is not an integer")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        reals = ("psi_range", "bandwidth_range", "flops_range", "stream_range")
+        for name, x in [("connectivity", self.connectivity)] + [
+            (name, x) for name in reals for x in getattr(self, name)
+        ]:
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ValidationError(f"{name}: {x!r} is not a number")
         if self.n_servers < 1 or self.n_dags < 1:
             raise ValidationError("server and DAG counts must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
             raise ValidationError("connectivity must lie in (0, 1]")
         if self.dag_size_range[0] < 1:
             raise ValidationError("DAG sizes must be >= 1")
-        for name in ("dag_size_range", "psi_range", "bandwidth_range",
-                     "flops_range", "stream_range"):
+        for name in ("dag_size_range",) + reals:
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
                 raise ValidationError(f"{name} must have finite ends")
             if lo <= 0 or lo > hi:
                 raise ValidationError(f"{name} must satisfy 0 < lo <= hi")

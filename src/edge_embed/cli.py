@@ -33,20 +33,15 @@ from .splitter import SplitProblem, bisection_oracle, optimal_split
 EMBEDDERS = {**ALGORITHMS, "brute": brute_force_embed}
 
 
-def _load_ready(raw) -> dict[int, float]:
-    """Per-server ready seconds from a ``{"<server id>": seconds}`` map. Only
-    its shape is checked here: the library checks its servers and times."""
+def _load_ready(raw) -> dict:
+    """A ``{"<server id>": seconds}`` map keyed by integer server id. Only
+    its shape and keys are read here: the library checks servers and times."""
     if not isinstance(raw, dict):
         raise SchemaError("ready file must map server ids to seconds")
-    ready: dict[int, float] = {}
-    for key, value in raw.items():
-        if isinstance(value, bool):  # float(True) would read it as 1 s
-            raise SchemaError(f"ready entry {key!r}: {value!r} is not a time")
-        try:
-            ready[int(key)] = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"ready entry {key!r}: {exc}") from exc
-    return ready
+    try:
+        return {int(key): value for key, value in raw.items()}
+    except ValueError as exc:  # a key that is not an integer
+        raise SchemaError(f"ready file: {exc}") from exc
 
 
 def _cmd_paths(args) -> int:
@@ -86,9 +81,7 @@ def _cmd_embed(args) -> int:
     net = load_network(args.network)
     dag, dst_out = dag_from_json(_read_json(args.dag))
     aug = augment_dummy_tail(dag, dst_out)
-    ready = None
-    if args.ready:
-        ready = _load_ready(_read_json(args.ready))
+    ready = _load_ready(_read_json(args.ready)) if args.ready else None
     validate_time_range(aug, net, ready)
     result = EMBEDDERS[args.algo](aug, net, build_catalog(net), ready)
     print(json.dumps(embedding_to_json(result), sort_keys=True, indent=2))
@@ -97,9 +90,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_gen(args) -> int:
     spec = WorkloadSpec(
-        seed=args.seed,
-        n_servers=args.servers,
-        connectivity=args.connectivity,
+        seed=args.seed, n_servers=args.servers, connectivity=args.connectivity,
         n_dags=args.dags,
     )
     net_path, dags_path = write_workload(spec, args.out)
@@ -121,9 +112,7 @@ def _cmd_bench(args) -> int:
         )
     else:
         spec = WorkloadSpec(
-            seed=args.seed,
-            n_servers=args.servers,
-            connectivity=args.connectivity,
+            seed=args.seed, n_servers=args.servers, connectivity=args.connectivity,
             n_dags=args.n_dags,
         )
         bundle = run_benchmark(algos, spec=spec, timing=args.timing)
@@ -168,21 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a seeded workload")
     p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--servers", type=int, default=6)
-    p_gen.add_argument("--connectivity", type=float, default=0.5)
-    p_gen.add_argument("--dags", type=int, default=200)
+    p_gen.add_argument("--servers", type=int, default=WorkloadSpec.n_servers)
+    p_gen.add_argument("--connectivity", type=float, default=WorkloadSpec.connectivity)
+    p_gen.add_argument("--dags", type=int, default=WorkloadSpec.n_dags)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="run algorithms and emit reports")
     p_bench.add_argument("--network")
     p_bench.add_argument("--dags")
-    p_bench.add_argument("--algos", default="dpe,heft,placement-only")
+    p_bench.add_argument("--algos", default=",".join(ALGORITHMS))
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--servers", type=int, default=6)
-    p_bench.add_argument("--connectivity", type=float, default=0.5)
-    p_bench.add_argument("--n-dags", type=int, default=200)
+    p_bench.add_argument("--seed", type=int, default=WorkloadSpec.seed)
+    p_bench.add_argument("--servers", type=int, default=WorkloadSpec.n_servers)
+    p_bench.add_argument("--connectivity", type=float, default=WorkloadSpec.connectivity)
+    p_bench.add_argument("--n-dags", type=int, default=WorkloadSpec.n_dags)
     # Wall-clock timing makes report bytes vary run to run; it is opt-in
     # here so two identical invocations produce identical files.
     p_bench.add_argument("--timing", choices=["wall", "off"], default="off")

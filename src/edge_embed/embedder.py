@@ -53,11 +53,14 @@ EXHAUSTIVE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class EdgeMapping:
-    """How one stream travels: over concrete paths, or not at all."""
+    """A stream's bits per path; with no paths it stays on one server."""
 
-    same_server: bool
     paths: tuple[SimplePath, ...] = ()
     allocations: tuple[float, ...] = ()
+
+    @property
+    def same_server(self) -> bool:
+        return not self.paths
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ Route = Callable[[int, int, float], tuple[tuple[SimplePath, ...], tuple[float, .
 
 
 # shared by every same-server stream: the mapping is immutable
-_SAME_SERVER = EdgeMapping(same_server=True)
+_SAME_SERVER = EdgeMapping()
 
 
 def _map_streams(
@@ -85,13 +88,9 @@ def _map_streams(
     mappings: dict[tuple[int, int], EdgeMapping] = {}
     for e in dag.edges:
         m, n = placements[e.src], placements[e.dst]
-        if m == n:
-            mappings[(e.src, e.dst)] = _SAME_SERVER
-        else:
-            paths, allocations = route(m, n, e.size)
-            mappings[(e.src, e.dst)] = EdgeMapping(
-                same_server=False, paths=paths, allocations=allocations
-            )
+        mappings[(e.src, e.dst)] = (
+            _SAME_SERVER if m == n else EdgeMapping(*route(m, n, e.size))
+        )
     return mappings
 
 
@@ -247,20 +246,15 @@ def brute_force_embed(
             f"limit of {EXHAUSTIVE_LIMIT}"
         )
 
-    order = [f.id for f in dag.functions]
-    index_of = {fid: k for k, fid in enumerate(order)}
-    proc = [
-        [processing_time(dag.by_id[fid], server) for server in net.servers]
-        for fid in order
-    ]
+    proc = [[processing_time(f, server) for server in net.servers] for f in dag.functions]
     # transit_factor[m][n]: seconds per bit between servers m and n (1/inf
     # is 0.0 on the diagonal).
     transit_factor = (1.0 / catalog.inv_coeff_sum).tolist()
     ready_row = _ready_row(net, ready)
     # Per function: list of (pred index, stream bits) for the recurrence.
-    pred_rows: list[list[tuple[int, float]]] = [[] for _ in order]
+    pred_rows: list[list[tuple[int, float]]] = [[] for _ in range(q)]
     for e in dag.edges:
-        pred_rows[index_of[e.dst]].append((index_of[e.src], e.size))
+        pred_rows[dag.position[e.dst]].append((dag.position[e.src], e.size))
 
     best_value = float("inf")
     best_vector: tuple[int, ...] | None = None
@@ -284,7 +278,7 @@ def brute_force_embed(
             best_vector = vector
 
     assert best_vector is not None
-    placements = {fid: best_vector[index_of[fid]] for fid in order}
+    placements = {f.id: best_vector[k] for k, f in enumerate(dag.functions)}
     mappings = _map_streams(dag, placements, _split_route(catalog))
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)
     return EmbeddingResult(
@@ -304,11 +298,12 @@ def simulate_embedding(
 ) -> tuple[dict[int, float], float]:
     """Replay a fixed embedding through the finish-time recurrence.
 
-    Routing times are re-derived from the mapped paths and the raw link
-    throughputs, independent of any catalog aggregates, so this doubles as
-    the self-consistency oracle for every embedding producer. Each link's
-    inverse throughput is taken once per call and a path's coefficient is
-    summed from those left to right, like ``path_coefficient``.
+    Routing times are re-derived from the placements, the mapped paths and
+    the raw link throughputs, independent of any catalog aggregates, so this
+    is the self-consistency oracle for every producer. A stream between two
+    servers waits for its slowest path (ValueError if it has none); a path's
+    coefficient sums per-call inverse link throughputs left to right, like
+    ``path_coefficient``.
     """
     inverse = [1.0 / link.throughput for link in net.links]
     psi = [s.psi for s in net.servers]
@@ -325,10 +320,10 @@ def simulate_embedding(
             continue
         slowest_input = 0.0
         for fi in preds:
-            mapping = edge_mappings[(fi, fid)]
-            if mapping.same_server:
+            if placements[fi] == server:
                 transit = 0.0
             else:
+                mapping = edge_mappings[(fi, fid)]
                 branch_times = []
                 for p, z in zip(mapping.paths, mapping.allocations):
                     coefficient = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -347,14 +348,14 @@ def processing_time(function: FunctionNode, server: Server) -> float:
 def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:
     """Ready seconds per server in id order, 0 for servers not named: the one
     reader of a ready map. Raises ValidationError for a bool key or time, a
-    key that is not a server id of ``net`` and a time not finite and >= 0."""
+    key that is not a server id of ``net`` and a time not a real in [0, max float]."""
     row = [0.0] * net.n_servers
     for server, seconds in (ready or {}).items():
         if isinstance(server, bool) or isinstance(seconds, bool):
             raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
         if not (isinstance(server, Integral) and 0 <= server < len(row)):
             raise ValidationError(f"ready map names unknown server {server!r}")
-        if not (isinstance(seconds, Real) and 0.0 <= seconds < math.inf):
+        if not (isinstance(seconds, Real) and 0.0 <= seconds <= sys.float_info.max):
             raise ValidationError(
                 f"ready time of server {server} must be finite and >= 0, got {seconds!r}"
             )
@@ -396,18 +397,26 @@ def validate_time_range(
 # JSON wire format
 # ---------------------------------------------------------------------------
 
+def _json(value, kind: type):
+    """``value`` as ``kind`` (int: a JSON integer, float: a JSON number), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
+    return kind(value)
+
+
 def network_from_json(obj: Mapping) -> EdgeNetwork:
     """Parse and validate ``{"servers": [...], "links": [...]}``."""
     try:
         servers = tuple(
-            Server(id=int(s["id"]), psi=float(s["psi"])) for s in obj["servers"]
+            Server(id=_json(s["id"], int), psi=_json(s["psi"], float))
+            for s in obj["servers"]
         )
         links = tuple(
             Link(
-                id=int(l["id"]),
-                u=int(l["u"]),
-                v=int(l["v"]),
-                throughput=float(l["b"]),
+                id=_json(l["id"], int),
+                u=_json(l["u"], int),
+                v=_json(l["v"], int),
+                throughput=_json(l["b"], float),
             )
             for l in obj["links"]
         )
@@ -436,14 +445,15 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
     """
     try:
         functions = tuple(
-            FunctionNode(id=int(f["id"]), flops=float(f["flops"]))
+            FunctionNode(id=_json(f["id"], int), flops=_json(f["flops"], float))
             for f in obj["functions"]
         )
         edges = tuple(
-            StreamEdge(src=int(e["src"]), dst=int(e["dst"]), size=float(e["bits"]))
+            StreamEdge(_json(e["src"], int), _json(e["dst"], int), _json(e["bits"], float))
             for e in obj["edges"]
         )
-        dst_out = {int(k): float(v) for k, v in obj["dst_out"].items()}
+        # JSON object keys are strings, so a destination id is parsed
+        dst_out = {int(k): _json(v, float) for k, v in obj["dst_out"].items()}
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed workload document: {exc}") from exc
     dag = WorkloadDag(functions=functions, edges=edges)

@@ -131,9 +131,9 @@ def worked_example():
     relay = SimplePath(nodes=(0, 3, 1), link_ids=(1, 2))
     hop = SimplePath(nodes=(1, 2), link_ids=(3,))
     mappings = {
-        (0, 1): EdgeMapping(same_server=False, paths=(direct, relay), allocations=(1.5, 3.5)),
-        (1, 2): EdgeMapping(same_server=False, paths=(hop,), allocations=(3.0,)),
-        (2, 3): EdgeMapping(same_server=True),
+        (0, 1): EdgeMapping(paths=(direct, relay), allocations=(1.5, 3.5)),
+        (1, 2): EdgeMapping(paths=(hop,), allocations=(3.0,)),
+        (2, 3): EdgeMapping(),
     }
     return aug, net, placements, mappings, 7.5
 

@@ -117,12 +117,20 @@ def test_spec_validation():
     for name, bad in counts:
         with pytest.raises(ValidationError, match=f"^{name}: .* is not an integer"):
             WorkloadSpec(**{name: bad})
+    reals = [
+        ("psi_range", ("1", "2")), ("flops_range", (1.0e9, "1e10")),
+        ("stream_range", (True, 2.0)), ("bandwidth_range", (None, 1.0)),
+        ("connectivity", True), ("connectivity", "0.5"),
+    ]
+    for name, bad in reals:
+        with pytest.raises(ValidationError, match=f"^{name}: .* is not a number"):
+            WorkloadSpec(**{name: bad})
 
 
 @pytest.mark.parametrize(
     "name", ["flops_range", "stream_range", "psi_range", "bandwidth_range"]
 )
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400])
 def test_spec_rejects_non_finite_range_ends(name, bad):
     lo, hi = getattr(WorkloadSpec(), name)
     for ends in ((lo, bad), (bad, hi), (bad, bad)):

@@ -271,7 +271,7 @@ def test_embed_rejects_unreadable_dag(tmp_path, capsys, kind):
     "ready",
     [
         {"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0], {"0": -1.0},
-        {"0": True},
+        {"0": True}, {"0": "1.5"},
     ],
 )
 def test_embed_rejects_malformed_ready_map(tmp_path, capsys, ready):
@@ -350,6 +350,41 @@ def _set_function_id(net, dag, ready, value):
     ],
 )
 def test_embed_rejects_overflowing_numbers(tmp_path, capsys, mutate, value):
+    assert_one_error(capsys, _embed_mutated(tmp_path, mutate, value))
+
+
+def _set_second_server_id(net, dag, ready, value):
+    net["servers"][1]["id"] = value
+
+
+def _set_link_u(net, dag, ready, value):
+    net["links"][0]["u"] = value
+
+
+def _set_link_v(net, dag, ready, value):
+    net["links"][0]["v"] = value
+
+
+def _set_dst(net, dag, ready, value):
+    dag["edges"][0]["dst"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value",
+    [
+        (_set_second_server_id, True),  # int(True) would read it as id 1
+        (_set_link_u, "0"),
+        (_set_link_v, 1.7),  # int(1.7) would read it as server 1
+        (_set_psi, "2e10"),
+        (_set_psi, True),
+        (_set_flops, True),
+        (_set_dst, 1.5),
+        (_set_bits, "8e6"),
+        (_set_dst_out, "1.0"),
+    ],
+)
+def test_embed_rejects_coerced_values(tmp_path, capsys, mutate, value):
+    # ids must be JSON integers and quantities JSON numbers, never bools
     assert_one_error(capsys, _embed_mutated(tmp_path, mutate, value))
 
 

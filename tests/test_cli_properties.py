@@ -4,7 +4,9 @@ Each example starts from valid documents, applies one or two mutations
 (a dropped key or element, or a value swapped for a wrong type, a
 non-finite or negative number, or an out-of-range id) and runs ``embed``
 in process. Whatever the input, the CLI must exit 0, 2 or 3, print exactly
-one ``error:`` line when it fails, and let no exception escape.
+one ``error:`` line when it fails, and let no exception escape. A value
+that stands where the valid documents hold an id or a quantity but is not
+a JSON integer or number (a bool, a string, or a float as an id) must exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ READY = {"0": 0.5, "1": 0.0, "2": 1.25}
 
 BAD_VALUES = [
     None, True, "x", "", [], {}, [1], {"0": 1},
-    math.nan, math.inf, -math.inf, -1, -1.5, 0, 0.0, 1e-300, 1e-310, 1e308,
+    math.nan, math.inf, -math.inf, -1, -1.5, 0, 0.0, 1.5, 1e-300, 1e-310, 1e308,
     3, 99, -99, 10**400, 2**63,
 ]
 
@@ -73,13 +75,36 @@ def mutated(draw, doc):
     return doc
 
 
+def _valid_docs():
+    return {"network": network_to_json(triangle_network()), "dag": DIAMOND, "ready": READY}
+
+
+def _misfit(value, valid) -> bool:
+    """Whether ``value`` stands where ``valid`` holds an id (a JSON integer)
+    or a quantity (a JSON number) without being one."""
+    if isinstance(valid, bool) or not isinstance(valid, (int, float)):
+        return False
+    kinds = (int,) if isinstance(valid, int) else (int, float)
+    return isinstance(value, bool) or not isinstance(value, kinds)
+
+
+def _holds_misfit(doc, valid) -> bool:
+    """Whether some value of ``doc`` misfits the value of ``valid`` at the
+    same place. Mutations only shrink lists whose items share one shape, so
+    a place that ``valid`` also has expects the same kind of value."""
+    for path, key in _locations(doc):
+        try:
+            expected = _container(valid, path)[key]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if _misfit(_container(doc, path)[key], expected):
+            return True
+    return False
+
+
 @st.composite
 def cli_inputs(draw):
-    valid = {
-        "network": network_to_json(triangle_network()),
-        "dag": DIAMOND,
-        "ready": READY,
-    }
+    valid = _valid_docs()
     target = draw(st.sampled_from(sorted(valid)))
     valid[target] = draw(mutated(valid[target]))
     algo = draw(st.sampled_from(["dpe", "brute", "placement-only", "heft"]))
@@ -104,6 +129,9 @@ def test_mutated_documents_exit_cleanly(inputs):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3)
+    valid = _valid_docs()
+    if any(_holds_misfit(docs[name], valid[name]) for name in docs):
+        assert code == 2
     if code == 0:
         assert err.getvalue() == ""
         assert math.isfinite(json.loads(out.getvalue())["makespan"])

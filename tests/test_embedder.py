@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,14 +301,14 @@ def _two_route_replay(mapping):
     )
     aug = chain_dag([1.0, 1.0], sizes=[16.0], dst_out=1.0)
     placements = {0: 0, 1: 1, aug.dummy_id: 1}
-    mappings = {(0, 1): mapping, (1, aug.dummy_id): EdgeMapping(same_server=True)}
+    mappings = {(0, 1): mapping, (1, aug.dummy_id): EdgeMapping()}
     return simulate_embedding(aug, net, placements, mappings)
 
 
 def test_replay_waits_for_the_slowest_branch():
     direct = SimplePath(nodes=(0, 1), link_ids=(0,))
     detour = SimplePath(nodes=(0, 2, 1), link_ids=(1, 2))
-    mapping = EdgeMapping(False, (direct, detour), (6.0, 10.0))
+    mapping = EdgeMapping((direct, detour), (6.0, 10.0))
     finish, makespan = _two_route_replay(mapping)
     assert finish[1] == 1.0 + 3.0 + 1.0  # max(0.5 * 6, 0.25 * 10) = 3 s in transit
     assert makespan == 5.0
@@ -315,7 +316,23 @@ def test_replay_waits_for_the_slowest_branch():
 
 def test_replay_rejects_a_routed_stream_without_paths():
     with pytest.raises(ValueError):
-        _two_route_replay(EdgeMapping(same_server=False))
+        _two_route_replay(EdgeMapping())
+
+
+def test_replay_frees_only_streams_between_one_server():
+    # stream 0 -> 1 runs from server 0 to server 1: a mapping without paths
+    # does not make it free (that would finish at 4.5 s, not 7.5 s)
+    aug, net, placements, mappings, _ = worked_example()
+    mappings[(0, 1)] = EdgeMapping()
+    with pytest.raises(ValueError):
+        simulate_embedding(aug, net, placements, mappings)
+
+
+def test_a_mapping_is_its_paths():
+    assert [f.name for f in dataclasses.fields(EdgeMapping)] == ["paths", "allocations"]
+    hop = SimplePath(nodes=(0, 1), link_ids=(0,))
+    assert EdgeMapping().same_server
+    assert not EdgeMapping((hop,), (1.0,)).same_server
 
 
 def test_split_strictly_beats_single_path_embedding():
@@ -453,11 +470,11 @@ READY_READERS = {
     "ready",
     [
         {0: -1.0}, {0: math.nan}, {0: math.inf}, {99: 1.0}, {"0": 1.0}, {0.0: 1.0},
-        {True: 1.0}, {0: True},
+        {True: 1.0}, {0: True}, {0: "1.5"}, {0: 10**400},
     ],
     ids=[
         "negative", "nan", "inf", "unknown-server", "string-key", "float-key",
-        "bool-key", "bool-value",
+        "bool-key", "bool-value", "string-value", "past-the-floats",
     ],
 )
 def test_every_reader_rejects_a_malformed_ready_map(reader, ready):

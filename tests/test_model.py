@@ -105,6 +105,51 @@ def test_validate_network_rejects_sparse_ids():
         validate_network(net)
 
 
+def _functions(*ids):
+    return tuple(FunctionNode(i, 1.0) for i in ids)
+
+
+@pytest.mark.parametrize(
+    "validate, subject, message",
+    [
+        (validate_network, make_network([], []), "^network has no servers$"),
+        (
+            validate_network,
+            make_network([Server(0, 1.0), Server(1, 1.0)], [Link(1, 0, 1, 1.0)]),
+            r"^link ids must be dense and ordered; position 0 holds id 1$",
+        ),
+        (
+            validate_network,
+            make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 5, 1.0)]),
+            r"^link 0 references unknown server \(0, 5\)$",
+        ),
+        (validate_dag, WorkloadDag((), ()), "^workload has no functions$"),
+        (
+            validate_dag,
+            WorkloadDag(_functions(0, 2), (StreamEdge(0, 2, 1.0),)),
+            r"^function ids must be dense 0-based integers, got \[0, 2\]$",
+        ),
+        (
+            validate_dag,
+            WorkloadDag(_functions(0, 1), (StreamEdge(0, 5, 1.0),)),
+            "^edge 0->5 references an unknown function$",
+        ),
+        (
+            validate_dag,
+            WorkloadDag(_functions(0, 1, 2), (StreamEdge(0, 1, 1.0), StreamEdge(1, 1, 1.0))),
+            "^workload edges form a cycle: 1 -> 1$",
+        ),
+    ],
+    ids=[
+        "no-servers", "sparse-link-ids", "link-to-missing-server", "no-functions",
+        "sparse-function-ids", "edge-to-unknown-function", "self-loop",
+    ],
+)
+def test_structural_validator_messages(validate, subject, message):
+    with pytest.raises(ValidationError, match=message):
+        validate(subject)
+
+
 # ---------------------------------------------------------------------------
 # workload validation
 # ---------------------------------------------------------------------------
