@@ -76,13 +76,17 @@ class WorkloadSpec:
     stream_range: tuple[float, float] = (5.0e6, 1.5e7)  # bits
 
     def __post_init__(self):
+        reals = ("psi_range", "bandwidth_range", "flops_range", "stream_range")
+        for name in ("dag_size_range",) + reals:
+            pair = getattr(self, name)
+            if not (isinstance(pair, Sequence) and len(pair) == 2):
+                raise ValidationError(f"{name}: {pair!r} is not a (lo, hi) pair")
         counts = [("seed", self.seed), ("n_servers", self.n_servers), ("n_dags", self.n_dags)]
         for name, x in counts + [("dag_size_range", x) for x in self.dag_size_range]:
             if isinstance(x, bool) or not isinstance(x, Integral):
                 raise ValidationError(f"{name}: {x!r} is not an integer")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-        reals = ("psi_range", "bandwidth_range", "flops_range", "stream_range")
         for name, x in [("connectivity", self.connectivity)] + [
             (name, x) for name in reals for x in getattr(self, name)
         ]:

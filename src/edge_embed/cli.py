@@ -26,7 +26,7 @@ from .bench import (
 )
 from .embedder import brute_force_embed, embedding_to_json
 from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
-from .model import augment_dummy_tail, dag_from_json, validate_time_range
+from .model import _json_key, augment_dummy_tail, dag_from_json, validate_time_range
 from .pathfind import build_catalog, enumerate_simple_paths, path_coefficient
 from .splitter import SplitProblem, bisection_oracle, optimal_split
 
@@ -39,8 +39,8 @@ def _load_ready(raw) -> dict:
     if not isinstance(raw, dict):
         raise SchemaError("ready file must map server ids to seconds")
     try:
-        return {int(key): value for key, value in raw.items()}
-    except ValueError as exc:  # a key that is not an integer
+        return {_json_key(key): value for key, value in raw.items()}
+    except SchemaError as exc:
         raise SchemaError(f"ready file: {exc}") from exc
 
 

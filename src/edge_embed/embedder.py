@@ -11,15 +11,18 @@ placement and stream split that deliver it soonest:
 
 Transit uses the bottleneck-equalizing split over every simple path of the
 (m, n) pair, or zero when m == n. The recurrence reads transit as one dense
-server-by-server matrix per stream, priced from the catalog's n x n pair
-tables: ``bits / catalog.inv_coeff_sum`` (infinite diagonal) for the split,
-and ``bits * catalog.cheapest_coefficient`` (zero diagonal) for the
-placement-only baseline, which runs the same program. A predecessor that
-feeds several functions cannot be re-placed per consumer: the first
-consumer processed commits its placement and later consumers reuse it. The
-first consumer's row reads the input's arrival from the committed server's
-row of its min-plus block, equal to a recompute, so every finish time is
-one embedding's.
+server-by-server block per stream, all of a DAG's blocks priced by one
+array call from the catalog's n x n pair tables: ``bits /
+catalog.inv_coeff_sum`` (infinite diagonal) for the split, and ``bits *
+catalog.cheapest_coefficient`` (zero diagonal) for the placement-only
+baseline, which runs the same program. proc(f_j, n) is added once per row,
+after the max, which rounds to the same floats as adding it per source. A
+predecessor that feeds several functions cannot be re-placed per consumer:
+the first consumer processed commits its placement and later consumers
+reuse it. The first consumer's row reads the input's arrival from the
+committed server's row of its min-plus block, equal to a recompute, so
+every finish time is one embedding's. Every other source pick is resolved
+only where it is read, in the backward walk from the collector.
 
 The program returns the finished embedding: one loop maps each stream
 between servers over the caller's route, the pair's split (``dpe``,
@@ -123,82 +126,101 @@ def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
     return np.array([f.flops for f in dag.functions])[:, None] / psi
 
 
+def _source(sums: np.ndarray, n: int, proc: np.ndarray) -> int:
+    """The source server of a stream whose consumer runs on server n: the
+    smallest m minimizing fl(sums[m, n] + proc[n]), the per-source sum its
+    arrival rounds to. Rounding is monotone, so when m = 0 already minimizes
+    sums[m, n] (or is nan) it wins after the add too, which is then skipped."""
+    column = sums[:, n]
+    m = int(column.argmin())
+    return m and int((column + proc[n]).argmin())
+
+
 def _dynamic_embed(
     dag: AugmentedDag,
     net: EdgeNetwork,
-    transit: Callable[[float], np.ndarray],
+    transit: Callable[[np.ndarray], np.ndarray],
     route: Route,
     ready,
 ) -> EmbeddingResult:
-    """Shared DP driver; ``transit(bits)`` is the n x n matrix of seconds
-    a stream of ``bits`` takes from server m (row) to server n (column).
+    """Shared DP driver; ``transit(bits)`` maps an E x 1 x 1 array of stream
+    sizes to the E n x n blocks of seconds those streams take from server m
+    (row) to server n (column).
 
     Visits every function in stored topological order. An entry's row is
     its processing time plus the server's ready time; any other row is the
     slowest over its inputs of one min-plus step per uncommitted
-    predecessor (the smallest source server id wins ties). The commit-once
-    rule pins a predecessor feeding more than one function to the source
-    it used at the committing row's best destination c; its arrival is then
-    row c of its min-plus block, equal to a recompute under that commitment.
-    Pointers are walked backward from the best collector placement. Returns
-    the embedding, whose cross-server streams ``route`` maps; ``transit``
-    must price the streams as ``route`` sends them.
+    predecessor, plus its processing time. One ``transit`` call prices
+    every stream, in the loop's order (stored function order, then sorted
+    predecessors). Processing is added once per row, not per source: under
+    round-to-nearest x -> fl(x + p) is monotone, so min_m fl(x_m + p) =
+    fl(min_m x_m + p), the same holds for max, and a nan propagates on both
+    sides; every finish time is the float the per-source sums give. The
+    commit-once rule pins a predecessor feeding more than one function to
+    the source it used at the committing row's best destination c; its
+    arrival is then row c of its min-plus block, equal to a recompute under
+    that commitment. Other picks are resolved in the pointer walk backward
+    from the best collector placement. Both compare the per-source sums, so
+    the smallest source server id wins ties, also those that rounding
+    creates when processing is added (``_source``). Returns the embedding,
+    whose cross-server streams ``route`` maps; ``transit`` must price the
+    streams as ``route`` sends them.
     """
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
-    servers = np.arange(net.n_servers)
+    predecessors, successors = dag.predecessors, dag.successors
+    stream_size = dag.stream_size
+    sizes = [stream_size[(fi, f.id)] for f in dag.functions for fi in predecessors[f.id]]
+    blocks = iter(transit(np.array(sizes)[:, None, None]))
     finish: dict[int, np.ndarray] = {}
     columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
-    # sources[fj][fi]: fi's server per server of fj, or one int if committed.
-    sources: dict[int, dict[int, np.ndarray | int]] = {}
+    # sources[fj] = (fj's processing row, {fi: fi's server if committed,
+    # else the n x n block finish[fi][m] + transit(m, n) it is picked from})
+    sources: dict[int, tuple[np.ndarray, dict[int, np.ndarray | int]]] = {}
     committed: dict[int, int] = {}
 
     for node, proc in zip(dag.functions, procs):
         fj = node.id
-        preds = dag.predecessors[fj]
+        preds = predecessors[fj]
         if not preds:
             row = proc + ready_row
             finish[fj], columns[fj] = row, row[:, None]
             continue
-        arrivals: dict[int, np.ndarray] = {}
+        arrivals: list[np.ndarray] = []
         picks: dict[int, np.ndarray | int] = {}
-        blocks: dict[int, np.ndarray] = {}  # fan-out inputs this row commits
+        fanout: list[tuple[int, int]] = []  # (arrival index, fi) to commit
         for fi in preds:
-            cost = transit(dag.stream_size[(fi, fj)])
+            block = next(blocks)
             c = committed.get(fi)
             if c is None:
-                phi = columns[fi] + cost
-                phi += proc
-                pick = picks[fi] = phi.argmin(axis=0)
-                arrivals[fi] = phi[pick, servers]  # the minimum argmin picked
-                if len(dag.successors[fi]) >= 2:
-                    blocks[fi] = phi
+                sums = picks[fi] = columns[fi] + block
+                if len(successors[fi]) >= 2:
+                    fanout.append((len(arrivals), fi))
+                arrivals.append(np.minimum.reduce(sums))  # over axis 0
             else:
                 picks[fi] = c
-                arrivals[fi] = (finish[fi][c] + cost[c]) + proc
-        row = functools.reduce(np.maximum, arrivals.values())
-        if blocks:
+                arrivals.append(finish[fi][c] + block[c])
+        row = functools.reduce(np.maximum, arrivals) + proc
+        if fanout:
             n_hat = int(row.argmin())
-            for fi, phi in blocks.items():
-                c = int(picks[fi][n_hat])
-                committed[fi] = picks[fi] = c
-                arrivals[fi] = phi[c]
-            row = functools.reduce(np.maximum, arrivals.values())
+            for k, fi in fanout:
+                sums = picks[fi]
+                c = committed[fi] = picks[fi] = _source(sums, n_hat, proc)
+                arrivals[k] = sums[c]
+            row = functools.reduce(np.maximum, arrivals) + proc
         finish[fj], columns[fj] = row, row[:, None]
-        sources[fj] = picks
+        sources[fj] = (proc, picks)
 
     dummy = dag.dummy_id
-    # Reverse topological order guarantees a function's own placement is
-    # known before its in-edges are resolved.
+    # Reverse topological order places a function before its in-edges are
+    # resolved. A fan-out input holds its committed server at every
+    # consumer and any other input has one consumer, so no placement is
+    # ever assigned twice with different servers.
     placements: dict[int, int] = {dummy: int(finish[dummy].argmin())}
-    for fj, inputs in reversed(sources.items()):
-        for fi, pick in inputs.items():
-            src = pick if isinstance(pick, int) else int(pick[placements[fj]])
-            prior = placements.setdefault(fi, src)
-            if prior != src:
-                raise AssertionError(
-                    f"inconsistent placement for function {fi}: {prior} vs {src}"
-                )
+    for fj, (proc, picks) in reversed(sources.items()):
+        n = placements[fj]
+        for fi, pick in picks.items():
+            placements[fi] = pick if isinstance(pick, int) else _source(pick, n, proc)
     finish_times = {f: float(row[placements[f]]) for f, row in finish.items()}
     return EmbeddingResult(
         placements=placements,

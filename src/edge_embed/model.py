@@ -350,12 +350,20 @@ def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[floa
     reader of a ready map. Raises ValidationError for a bool key or time, a
     key that is not a server id of ``net`` and a time not a real in [0, max float]."""
     row = [0.0] * net.n_servers
+    n, top = len(row), sys.float_info.max
     for server, seconds in (ready or {}).items():
+        # exact types first: the ABC checks below cost several times more
+        if (
+            type(server) is int and type(seconds) is float
+            and 0 <= server < n and 0.0 <= seconds <= top
+        ):
+            row[server] = seconds
+            continue
         if isinstance(server, bool) or isinstance(seconds, bool):
             raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
-        if not (isinstance(server, Integral) and 0 <= server < len(row)):
+        if not (isinstance(server, Integral) and 0 <= server < n):
             raise ValidationError(f"ready map names unknown server {server!r}")
-        if not (isinstance(seconds, Real) and 0.0 <= seconds <= sys.float_info.max):
+        if not (isinstance(seconds, Real) and 0.0 <= seconds <= top):
             raise ValidationError(
                 f"ready time of server {server} must be finite and >= 0, got {seconds!r}"
             )
@@ -402,6 +410,18 @@ def _json(value, kind: type):
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise TypeError(f"{value!r} is not a JSON {'integer' if kind is int else 'number'}")
     return kind(value)
+
+
+def _json_key(key) -> int:
+    """An integer id spelled as a JSON object key: exactly ``str(id)``, else
+    SchemaError (``int`` alone also reads "0_1", " +1 " and non-ASCII digits)."""
+    try:
+        value = int(key)
+        if str(value) == key:
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise SchemaError(f"key {key!r} is not an integer id")
 
 
 def network_from_json(obj: Mapping) -> EdgeNetwork:
@@ -452,8 +472,7 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
             StreamEdge(_json(e["src"], int), _json(e["dst"], int), _json(e["bits"], float))
             for e in obj["edges"]
         )
-        # JSON object keys are strings, so a destination id is parsed
-        dst_out = {int(k): _json(v, float) for k, v in obj["dst_out"].items()}
+        dst_out = {_json_key(k): _json(v, float) for k, v in obj["dst_out"].items()}
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise SchemaError(f"malformed workload document: {exc}") from exc
     dag = WorkloadDag(functions=functions, edges=edges)

@@ -125,6 +125,14 @@ def test_spec_validation():
     for name, bad in reals:
         with pytest.raises(ValidationError, match=f"^{name}: .* is not a number"):
             WorkloadSpec(**{name: bad})
+    pairs = [
+        ("psi_range", (1.0,)), ("dag_size_range", (2, 4, 6)), ("flops_range", ()),
+        ("stream_range", 5.0e6), ("bandwidth_range", None), ("dag_size_range", 3),
+        ("psi_range", {1.0, 2.0}),
+    ]
+    for name, bad in pairs:
+        with pytest.raises(ValidationError, match=rf"^{name}: .* is not a \(lo, hi\) pair"):
+            WorkloadSpec(**{name: bad})
 
 
 @pytest.mark.parametrize(

@@ -283,6 +283,37 @@ def test_embed_rejects_malformed_ready_map(tmp_path, capsys, ready):
     assert_one_error(capsys, code)
 
 
+def _spell_ready_key(dag, ready, spell):
+    ready[spell(1)] = 2.5
+
+
+def _spell_dst_out_key(dag, ready, spell):
+    dag["dst_out"] = {spell(3): dag["dst_out"]["3"]}
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [
+        "0_{}".format, " +{} ".format, "+{}".format, "0{}".format, "{}.0".format,
+        "{}\n".format, lambda d: chr(0x660 + d),  # an ARABIC-INDIC DIGIT
+    ],
+    ids=["underscore", "padded-sign", "sign", "leading-zero", "decimal", "newline",
+         "arabic-indic"],
+)
+@pytest.mark.parametrize("respell", [_spell_ready_key, _spell_dst_out_key])
+def test_embed_rejects_a_key_int_would_coerce(tmp_path, capsys, respell, spell):
+    # int() reads each spelling as the id; a key must be the id's own digits
+    net = write_triangle(tmp_path)
+    dag_doc = json.loads(json.dumps(DIAMOND))
+    ready_doc = {"0": 0.0}
+    respell(dag_doc, ready_doc, spell)
+    dag = write_diamond(tmp_path, dag_doc)
+    ready = tmp_path / "ready.json"
+    ready.write_text(json.dumps(ready_doc), encoding="utf-8")
+    code = main(["embed", "--network", net, "--dag", dag, "--ready", str(ready)])
+    assert_one_error(capsys, code)
+
+
 def _set_psi(net, dag, ready, value):
     net["servers"][0]["psi"] = value
 

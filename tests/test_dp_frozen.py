@@ -4,7 +4,8 @@ Each embedding's makespan (as ``float.hex()``) and placement tuple, in
 stored function order, are literals, so a later change to the DP that
 alters a single bit of any result fails here. Rows hold, per DAG, ``dpe``
 on idle servers, ``dpe`` with ``READY``, and ``placement-only``. One digest
-pins every stream mapping of ``dpe`` with ``READY`` the same way. The list
+pins every finish time of those three rows, and one every stream mapping of
+``dpe`` with ``READY``. The list
 scheduler's makespans and placements are literals too, with one digest over
 its finish times and stream mappings, and one digest pins the replayed
 finish times of every embedding above.
@@ -29,6 +30,10 @@ from edge_embed import (
 )
 
 READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
+
+# sha256 over the float.hex finish times of every function of dpe (idle and
+# with READY) and placement-only on the 20 DAGs
+FINISH_SHA256 = "3548d1e03225ab981522c263eed04cb7de9a5733cea33097e12d759d1eb22332"
 
 # sha256 over the path nodes and float.hex allocations of every stream of
 # dpe with READY on the 20 DAGs, 74 of which cross servers
@@ -190,6 +195,20 @@ def test_dp_output_is_frozen(desk, k):
         for r in results
     )
     assert got == FROZEN[k]
+
+
+def test_dp_finish_times_are_frozen(desk):
+    net, catalog, dags = desk
+    digest = hashlib.sha256()
+    for aug in dags:
+        for result in (
+            dpe_embed(aug, net, catalog),
+            dpe_embed(aug, net, catalog, READY),
+            placement_only_embed(aug, net, catalog),
+        ):
+            finish = [(f, t.hex()) for f, t in sorted(result.finish_times.items())]
+            digest.update(repr(finish).encode())
+    assert digest.hexdigest() == FINISH_SHA256
 
 
 def test_dp_stream_mappings_are_frozen(desk):

@@ -145,6 +145,28 @@ def test_ties_go_to_the_smallest_server():
     assert result.makespan == 4.0
 
 
+def test_a_tie_made_by_rounding_goes_to_the_smallest_server():
+    # Server 2 (4 flop/s) is the hub of links to servers 0 and 1 (1 flop/s),
+    # and f1's 12 flops take 3 s on it. f0 (0.5 flops) ends at 0.5 + 2^-52
+    # s on server 0 and 0.5 s on server 1, so its 0.5 bits reach server 2
+    # at 1 + 2^-52 and 1 s: strictly apart, server 1 first. Adding the 3 s
+    # of processing rounds both to 4.0, and the per-source sums tie, so the
+    # smaller source id, 0, must win.
+    net = make_network(
+        [Server(0, 1.0), Server(1, 1.0), Server(2, 4.0)],
+        [Link(0, 0, 2, 1.0), Link(1, 1, 2, 1.0)],
+    )
+    validate_network(net)
+    aug = chain_dag([0.5, 12.0], sizes=[0.5])
+    ready = {0: 2.0**-52, 2: 10.0}
+    assert (1.0 + 2.0**-52) + 3.0 == 1.0 + 3.0 == 4.0
+    catalog = build_catalog(net)
+    for embed in (dpe_embed, placement_only_embed):
+        result = embed(aug, net, catalog, ready=ready)
+        assert result.placements == {0: 0, 1: 2, 2: 2}
+        assert result.finish_times == {0: 0.5 + 2.0**-52, 1: 4.0, 2: 4.0}
+
+
 def test_same_server_stream_has_no_paths():
     aug = chain_dag([1.0, 1.0], sizes=[2.0])
     for result in both_algorithms(aug, two_server_line()):
