@@ -126,14 +126,12 @@ def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
     return np.array([f.flops for f in dag.functions])[:, None] / psi
 
 
-def _source(sums: np.ndarray, n: int, proc: np.ndarray) -> int:
-    """The source server of a stream whose consumer runs on server n: the
-    smallest m minimizing fl(sums[m, n] + proc[n]), the per-source sum its
-    arrival rounds to. Rounding is monotone, so when m = 0 already minimizes
-    sums[m, n] (or is nan) it wins after the add too, which is then skipped."""
-    column = sums[:, n]
-    m = int(column.argmin())
-    return m and int((column + proc[n]).argmin())
+def _source(column: np.ndarray, proc: float) -> int:
+    """The source server of a stream whose consumer runs on server n, given
+    column[m] = finish[fi][m] + transit(m, n) and proc = proc(f_j, n): the
+    smallest m minimizing fl(column[m] + proc), the per-source sum the
+    consumer's finish rounds to."""
+    return int((column + proc).argmin())
 
 
 def _dynamic_embed(
@@ -162,7 +160,10 @@ def _dynamic_embed(
     that commitment. Other picks are resolved in the pointer walk backward
     from the best collector placement. Both compare the per-source sums, so
     the smallest source server id wins ties, also those that rounding
-    creates when processing is added (``_source``). Returns the embedding,
+    creates when processing is added (``_source``). An uncommitted input's
+    sums overwrite its block, so ``transit`` must return a fresh array, and
+    the priced array's E x n x n floats are the only ones kept for the walk.
+    Returns the embedding,
     whose cross-server streams ``route`` maps; ``transit`` must price the
     streams as ``route`` sends them.
     """
@@ -175,7 +176,8 @@ def _dynamic_embed(
     finish: dict[int, np.ndarray] = {}
     columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
     # sources[fj] = (fj's processing row, {fi: fi's server if committed,
-    # else the n x n block finish[fi][m] + transit(m, n) it is picked from})
+    # else the n x n block finish[fi][m] + transit(m, n) it is picked from,
+    # summed in place into the stream's block of the priced array})
     sources: dict[int, tuple[np.ndarray, dict[int, np.ndarray | int]]] = {}
     committed: dict[int, int] = {}
 
@@ -193,7 +195,7 @@ def _dynamic_embed(
             block = next(blocks)
             c = committed.get(fi)
             if c is None:
-                sums = picks[fi] = columns[fi] + block
+                sums = picks[fi] = np.add(columns[fi], block, out=block)
                 if len(successors[fi]) >= 2:
                     fanout.append((len(arrivals), fi))
                 arrivals.append(np.minimum.reduce(sums))  # over axis 0
@@ -205,7 +207,7 @@ def _dynamic_embed(
             n_hat = int(row.argmin())
             for k, fi in fanout:
                 sums = picks[fi]
-                c = committed[fi] = picks[fi] = _source(sums, n_hat, proc)
+                c = committed[fi] = picks[fi] = _source(sums[:, n_hat], proc[n_hat])
                 arrivals[k] = sums[c]
             row = functools.reduce(np.maximum, arrivals) + proc
         finish[fj], columns[fj] = row, row[:, None]
@@ -220,7 +222,7 @@ def _dynamic_embed(
     for fj, (proc, picks) in reversed(sources.items()):
         n = placements[fj]
         for fi, pick in picks.items():
-            placements[fi] = pick if isinstance(pick, int) else _source(pick, n, proc)
+            placements[fi] = pick if isinstance(pick, int) else _source(pick[:, n], proc[n])
     finish_times = {f: float(row[placements[f]]) for f, row in finish.items()}
     return EmbeddingResult(
         placements=placements,

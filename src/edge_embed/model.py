@@ -350,20 +350,19 @@ def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[floa
     reader of a ready map. Raises ValidationError for a bool key or time, a
     key that is not a server id of ``net`` and a time not a real in [0, max float]."""
     row = [0.0] * net.n_servers
-    n, top = len(row), sys.float_info.max
     for server, seconds in (ready or {}).items():
-        # exact types first: the ABC checks below cost several times more
-        if (
-            type(server) is int and type(seconds) is float
-            and 0 <= server < n and 0.0 <= seconds <= top
-        ):
-            row[server] = seconds
-            continue
         if isinstance(server, bool) or isinstance(seconds, bool):
             raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
-        if not (isinstance(server, Integral) and 0 <= server < n):
+        # int and float first: an ABC check costs several times more
+        if not (
+            (isinstance(server, int) or isinstance(server, Integral))
+            and 0 <= server < len(row)
+        ):
             raise ValidationError(f"ready map names unknown server {server!r}")
-        if not (isinstance(seconds, Real) and 0.0 <= seconds <= top):
+        if not (
+            (isinstance(seconds, float) or isinstance(seconds, Real))
+            and 0.0 <= seconds <= sys.float_info.max
+        ):
             raise ValidationError(
                 f"ready time of server {server} must be finite and >= 0, got {seconds!r}"
             )
