@@ -62,23 +62,25 @@ def _whole_route(routes: PassiveRoute) -> Route:
 
 def _upward_rank(
     dag: AugmentedDag, procs: list[list[float]], coeff: list[list[float]]
-) -> dict[int, float]:
-    """Upward rank, the list scheduler's priority: a function's mean over
-    servers in the F x n time table ``procs`` (stored order) plus its largest
-    mean transfer (n x n passive-route cost ``coeff``) + successor rank."""
+) -> list[float]:
+    """Upward rank by function id, the list scheduler's priority: a
+    function's mean over servers in the F x n time table ``procs`` (stored
+    order) plus its largest mean transfer (n x n passive-route cost
+    ``coeff``) + consumer rank, pushed to each source in reverse stored
+    order: the same max over the same floats as a pull from the consumers."""
     n = len(coeff)
     # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
     mean_coeff = sum(chain.from_iterable(coeff)) / (n * n)
-    successors, stream_size = dag.successors, dag.stream_size
-    upward: dict[int, float] = {}
+    inputs = dag.stream_table[0]
+    best_tail = [0.0] * len(procs)
+    upward = [0.0] * len(procs)
     for node, proc in zip(reversed(dag.functions), reversed(procs)):
         fid = node.id
-        best_tail = 0.0
-        for dst in successors[fid]:
-            tail = stream_size[(fid, dst)] * mean_coeff + upward[dst]
-            if tail > best_tail:
-                best_tail = tail
-        upward[fid] = sum(proc) / n + best_tail
+        rank = upward[fid] = sum(proc) / n + best_tail[fid]
+        for src, bits in inputs[fid]:
+            tail = bits * mean_coeff + rank
+            if tail > best_tail[src]:
+                best_tail[src] = tail
     return upward
 
 
@@ -103,7 +105,7 @@ def heft_schedule(
     position = dag.position
     order = sorted(position, key=lambda fid: (-rank[fid], position[fid]))
 
-    predecessors, stream_size = dag.predecessors, dag.stream_size
+    inputs_of = dag.stream_table[0]
     servers = range(len(coeff))
     ready_row = _ready_row(net, ready)
     idle = [0.0] * len(coeff)
@@ -115,8 +117,7 @@ def heft_schedule(
     for fid in order:
         proc = procs[position[fid]]
         inputs = [
-            (finish_times[p], coeff[placements[p]], stream_size[(p, fid)])
-            for p in predecessors[fid]
+            (finish_times[p], coeff[placements[p]], bits) for p, bits in inputs_of[fid]
         ]
         best_finish = float("inf")
         best_server = -1

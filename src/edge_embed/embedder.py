@@ -22,7 +22,9 @@ the first consumer processed commits its placement and later consumers
 reuse it. The first consumer's row reads the input's arrival from the
 committed server's row of its min-plus block, equal to a recompute, so
 every finish time is one embedding's. Every other source pick is resolved
-only where it is read, in the backward walk from the collector.
+only where it is read, in the backward walk from the collector. The program
+reads each function's inputs from the DAG's ``stream_table`` and keeps its
+per-function state in lists indexed by function id, as the replay does.
 
 The program returns the finished embedding: one loop maps each stream
 between servers over the caller's route, the pair's split (``dpe``,
@@ -148,70 +150,70 @@ def _dynamic_embed(
     Visits every function in stored topological order. An entry's row is
     its processing time plus the server's ready time; any other row is the
     slowest over its inputs of one min-plus step per uncommitted
-    predecessor, plus its processing time. One ``transit`` call prices
-    every stream, in the loop's order (stored function order, then sorted
-    predecessors). Processing is added once per row, not per source: under
-    round-to-nearest x -> fl(x + p) is monotone, so min_m fl(x_m + p) =
-    fl(min_m x_m + p), the same holds for max, and a nan propagates on both
-    sides; every finish time is the float the per-source sums give. The
-    commit-once rule pins a predecessor feeding more than one function to
-    the source it used at the committing row's best destination c; its
-    arrival is then row c of its min-plus block, equal to a recompute under
-    that commitment. Other picks are resolved in the pointer walk backward
-    from the best collector placement. Both compare the per-source sums, so
-    the smallest source server id wins ties, also those that rounding
+    predecessor, plus its processing time. One ``transit`` call prices every
+    stream, in the loop's order (stored function order, then the ascending
+    source ids of ``dag.stream_table``). Processing is added once per row, not
+    per source: under round-to-nearest x -> fl(x + p) is monotone, so min_m
+    fl(x_m + p) = fl(min_m x_m + p), the same holds for max, and a nan
+    propagates on both sides; every finish time is the float the per-source
+    sums give. The commit-once rule pins a predecessor feeding more than one
+    function to the source it used at the committing row's best destination c;
+    its arrival is then row c of its min-plus block, equal to a recompute
+    under that commitment. Other picks are resolved in the pointer walk
+    backward from the best collector placement. Both compare the per-source
+    sums, so the smallest source server id wins ties, also those that rounding
     creates when processing is added (``_source``). An uncommitted input's
     sums overwrite its block, so ``transit`` must return a fresh array, and
     the priced array's E x n x n floats are the only ones kept for the walk.
-    Returns the embedding,
-    whose cross-server streams ``route`` maps; ``transit`` must price the
-    streams as ``route`` sends them.
+    Returns the embedding, whose cross-server streams ``route`` maps;
+    ``transit`` must price the streams as ``route`` sends them.
     """
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
-    predecessors, successors = dag.predecessors, dag.successors
-    stream_size = dag.stream_size
-    sizes = [stream_size[(fi, f.id)] for f in dag.functions for fi in predecessors[f.id]]
+    inputs, consumers = dag.stream_table
+    sizes = [bits for f in dag.functions for _, bits in inputs[f.id]]
     blocks = iter(transit(np.array(sizes)[:, None, None]))
-    finish: dict[int, np.ndarray] = {}
-    columns: dict[int, np.ndarray] = {}  # finish[f] as an n x 1 column
-    # sources[fj] = (fj's processing row, {fi: fi's server if committed,
-    # else the n x n block finish[fi][m] + transit(m, n) it is picked from,
-    # summed in place into the stream's block of the priced array})
-    sources: dict[int, tuple[np.ndarray, dict[int, np.ndarray | int]]] = {}
-    committed: dict[int, int] = {}
+    # per function id: its finish row, the row as an n x 1 column, and the
+    # server a fan-out function is committed to
+    finish, columns = [None] * len(procs), [None] * len(procs)
+    committed: list[int | None] = [None] * len(procs)
+    # (fj, fj's processing row, [(fi, fi's server if committed, else the
+    # n x n block finish[fi][m] + transit(m, n) it is picked from, summed in
+    # place into the stream's block of the priced array)] in input order)
+    sources: list[tuple[int, np.ndarray, list[tuple[int, np.ndarray | int]]]] = []
 
     for node, proc in zip(dag.functions, procs):
         fj = node.id
-        preds = predecessors[fj]
-        if not preds:
+        if not inputs[fj]:
             row = proc + ready_row
             finish[fj], columns[fj] = row, row[:, None]
             continue
         arrivals: list[np.ndarray] = []
-        picks: dict[int, np.ndarray | int] = {}
-        fanout: list[tuple[int, int]] = []  # (arrival index, fi) to commit
-        for fi in preds:
+        picks: list[tuple[int, np.ndarray | int]] = []
+        fanout: list[tuple[int, int]] = []  # (input index, fi) to commit
+        for fi, _ in inputs[fj]:
             block = next(blocks)
-            c = committed.get(fi)
+            c = committed[fi]
             if c is None:
-                sums = picks[fi] = np.add(columns[fi], block, out=block)
-                if len(successors[fi]) >= 2:
-                    fanout.append((len(arrivals), fi))
+                sums = np.add(columns[fi], block, out=block)
+                if consumers[fi] >= 2:
+                    fanout.append((len(picks), fi))
+                picks.append((fi, sums))
                 arrivals.append(np.minimum.reduce(sums))  # over axis 0
             else:
-                picks[fi] = c
+                picks.append((fi, c))
                 arrivals.append(finish[fi][c] + block[c])
         row = functools.reduce(np.maximum, arrivals) + proc
         if fanout:
             n_hat = int(row.argmin())
             for k, fi in fanout:
-                sums = picks[fi]
-                c = committed[fi] = picks[fi] = _source(sums[:, n_hat], proc[n_hat])
+                sums = picks[k][1]
+                c = committed[fi] = _source(sums[:, n_hat], proc[n_hat])
+                picks[k] = (fi, c)
                 arrivals[k] = sums[c]
             row = functools.reduce(np.maximum, arrivals) + proc
         finish[fj], columns[fj] = row, row[:, None]
-        sources[fj] = (proc, picks)
+        sources.append((fj, proc, picks))
 
     dummy = dag.dummy_id
     # Reverse topological order places a function before its in-edges are
@@ -219,11 +221,11 @@ def _dynamic_embed(
     # consumer and any other input has one consumer, so no placement is
     # ever assigned twice with different servers.
     placements: dict[int, int] = {dummy: int(finish[dummy].argmin())}
-    for fj, (proc, picks) in reversed(sources.items()):
+    for fj, proc, picks in reversed(sources):
         n = placements[fj]
-        for fi, pick in picks.items():
+        for fi, pick in picks:
             placements[fi] = pick if isinstance(pick, int) else _source(pick[:, n], proc[n])
-    finish_times = {f: float(row[placements[f]]) for f, row in finish.items()}
+    finish_times = {f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions}
     return EmbeddingResult(
         placements=placements,
         edge_mappings=_map_streams(dag, placements, route),
@@ -324,26 +326,25 @@ def simulate_embedding(
 
     Routing times are re-derived from the placements, the mapped paths and
     the raw link throughputs, independent of any catalog aggregates, so this
-    is the self-consistency oracle for every producer. A stream between two
-    servers waits for its slowest path (ValueError if it has none); a path's
-    coefficient sums per-call inverse link throughputs left to right, like
-    ``path_coefficient``.
+    is the self-consistency oracle for every producer; sources are read from
+    ``dag.stream_table``. A stream between two servers waits for its slowest
+    path (ValueError if it has none); a path's coefficient sums per-call
+    inverse link throughputs left to right, like ``path_coefficient``.
     """
     inverse = [1.0 / link.throughput for link in net.links]
     psi = [s.psi for s in net.servers]
     ready_row = _ready_row(net, ready)
-    predecessors = dag.predecessors
+    inputs = dag.stream_table[0]
     finish: dict[int, float] = {}
     for node in dag.functions:
         fid = node.id
         server = placements[fid]
         proc = node.flops / psi[server]  # processing_time's formula
-        preds = predecessors[fid]
-        if not preds:
+        if not inputs[fid]:
             finish[fid] = proc + ready_row[server]
             continue
         slowest_input = 0.0
-        for fi in preds:
+        for fi, _ in inputs[fid]:
             if placements[fi] == server:
                 transit = 0.0
             else:

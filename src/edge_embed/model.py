@@ -183,22 +183,19 @@ class WorkloadDag:
         return {f.id: f for f in self.functions}
 
     @cached_property
-    def stream_size(self) -> dict[tuple[int, int], float]:
-        return {(e.src, e.dst): e.size for e in self.edges}
-
-    @cached_property
-    def successors(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {f.id: [] for f in self.functions}
+    def stream_table(self) -> tuple[list[list[tuple[int, float]]], list[int]]:
+        """``(inputs, consumers)`` by function id, from one pass over
+        ``edges``: f's streams in as ``(source id, bits)``, ascending source
+        id, and the count of f's streams out. Indexed by id, so ids must be
+        dense and 0-based, as ``validate_dag`` requires. Shared: read only."""
+        inputs: list[list[tuple[int, float]]] = [[] for _ in self.functions]
+        consumers = [0] * len(self.functions)
         for e in self.edges:
-            out[e.src].append(e.dst)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
-    @cached_property
-    def predecessors(self) -> dict[int, tuple[int, ...]]:
-        inc: dict[int, list[int]] = {f.id: [] for f in self.functions}
-        for e in self.edges:
-            inc[e.dst].append(e.src)
-        return {k: tuple(sorted(v)) for k, v in inc.items()}
+            inputs[e.dst].append((e.src, e.size))
+            consumers[e.src] += 1
+        for row in inputs:
+            row.sort()  # sources are distinct, so bits never compare
+        return inputs, consumers
 
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:

@@ -170,12 +170,14 @@ def test_dag_batch_is_deterministic_and_in_range():
                 assert 1.0e9 <= f.flops <= 1.0e10
             for e in dag.edges:
                 assert 5.0e6 <= e.size <= 1.5e7
-            sinks = tuple(f for f, succ in dag.successors.items() if not succ)
+            inputs, consumers = dag.stream_table
+            assert sum(map(len, inputs)) == sum(consumers) == len(dag.edges)
+            sinks = tuple(f for f, count in enumerate(consumers) if not count)
             assert dag.destination_ids == sinks == tuple(record.dst_out)
             # layered shape: exactly one entry, at most 3 inputs per function
-            assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
-            for fid in dag.predecessors:
-                assert len(dag.predecessors[fid]) <= 3
+            assert [f for f, row in enumerate(inputs) if not row] == [0]
+            for row in inputs:
+                assert len(row) <= 3
 
 
 def test_generated_workloads_are_frozen():
@@ -488,7 +490,7 @@ def test_every_runner_honours_a_ready_map():
     catalog = build_catalog(net)
     aug = generate_dag_records(SMALL)[0].augmented()
     busy = {server: 100.0 for server in range(net.n_servers)}
-    entries = [f.id for f in aug.functions if not aug.predecessors[f.id]]
+    entries = [f.id for f in aug.functions if not aug.stream_table[0][f.id]]
     for runner in ALGORITHMS.values():
         idle = runner(aug, net, catalog)
         result = runner(aug, net, catalog, busy)

@@ -247,6 +247,36 @@ def test_embed_prints_the_library_embedding(tmp_path, capsys, algo, ready):
     assert capsys.readouterr().out == want + "\n"
 
 
+@pytest.mark.parametrize("algo", ["dpe", "heft", "placement-only", "brute"])
+def test_embed_reads_functions_listed_out_of_id_order(tmp_path, capsys, algo):
+    # DIAMOND with function f renamed 3 - f, listed (and so stored) in the
+    # same order: ids descend, and the embedding is DIAMOND's, renamed
+    reversed_ids = {
+        "functions": [{"id": 3 - f["id"], "flops": f["flops"]} for f in DIAMOND["functions"]],
+        "edges": [
+            {"src": 3 - e["src"], "dst": 3 - e["dst"], "bits": e["bits"]}
+            for e in DIAMOND["edges"]
+        ],
+        "dst_out": {"0": 1.0},
+    }
+    net = write_triangle(tmp_path)
+    docs = []
+    for doc in (DIAMOND, reversed_ids):
+        dag = write_diamond(tmp_path, doc)
+        assert main(["embed", "--network", net, "--dag", dag, "--algo", algo]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    want, got = docs
+    name = {"0": "3", "1": "2", "2": "1", "3": "0", "4": "4"}  # 4: the collector
+    assert got["placements"] == {name[f]: s for f, s in want["placements"].items()}
+    assert got["finish_times"] == {name[f]: t for f, t in want["finish_times"].items()}
+    assert got["makespan"] == want["makespan"]
+    renamed = [
+        {**e, "src": int(name[str(e["src"])]), "dst": int(name[str(e["dst"])])}
+        for e in want["edges"]
+    ]
+    assert got["edges"] == sorted(renamed, key=lambda e: (e["src"], e["dst"]))
+
+
 def test_embed_rejects_malformed_dag(tmp_path, capsys):
     net = write_triangle(tmp_path)
     bad = tmp_path / "bad.json"

@@ -8,7 +8,8 @@ pins every finish time of those three rows, and one every stream mapping of
 ``dpe`` with ``READY``. The list
 scheduler's makespans and placements are literals too, with one digest over
 its finish times and stream mappings, and one digest pins the replayed
-finish times of every embedding above.
+finish times of every embedding above. One more pins the list scheduler's
+upward ranks, which order its placements.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from edge_embed import (
     placement_only_embed,
     simulate_embedding,
 )
+from edge_embed.baselines import _upward_rank
+from edge_embed.embedder import _processing_table
 
 READY = {0: 1.5, 1: 0.0, 2: 2.25, 3: 0.75, 4: 3.0, 5: 0.5}
 
@@ -46,6 +49,10 @@ HEFT_SHA256 = "4d57798759ef6584a5c56df522adad9907c1bccf6a1685f662c7383c1ef6cc6b"
 # sha256 over the float.hex finish times that simulate_embedding replays
 # from dpe (idle and with READY), placement-only and heft on the 20 DAGs
 REPLAY_SHA256 = "d5432774a87397d843ec2104bc66fe6ce9ac47e96880b7e1ea324167e4b1b3f3"
+
+# sha256 over the float.hex upward ranks, in stored function order, that
+# heft orders the 20 DAGs by
+RANK_SHA256 = "df2607e5e30d5eddf74b8301b15e683c48a3e23c78256a2ff731044c5651334d"
 
 HEFT_FROZEN = [
     ('0x1.3736f3ab70bddp+0', (0, 0, 0, 0, 1, 0, 3, 1, 0, 3, 0, 1, 3, 1, 0)),
@@ -245,6 +252,16 @@ def test_heft_output_is_frozen(desk):
             digest.update(_mapping_key(edge, mapping).encode())
     assert got == HEFT_FROZEN
     assert digest.hexdigest() == HEFT_SHA256
+
+
+def test_heft_ranks_are_frozen(desk):
+    net, catalog, dags = desk
+    coeff = passive_routes(catalog).coefficient.tolist()
+    digest = hashlib.sha256()
+    for aug in dags:
+        rank = _upward_rank(aug, _processing_table(aug, net).tolist(), coeff)
+        digest.update(repr([(f.id, rank[f.id].hex()) for f in aug.functions]).encode())
+    assert digest.hexdigest() == RANK_SHA256
 
 
 def test_replayed_finish_times_are_frozen(desk):

@@ -441,6 +441,54 @@ def test_late_entries_embed_like_entries_first():
         assert result.makespan == pytest.approx(oracle.makespan, rel=REL)
 
 
+def _relabelled(record, perm):
+    """``record`` augmented, with function f renamed ``perm[f]`` and the
+    stored order, every weight and every stream kept."""
+    dag = WorkloadDag(
+        functions=tuple(FunctionNode(perm[f.id], f.flops) for f in record.dag.functions),
+        edges=tuple(StreamEdge(perm[e.src], perm[e.dst], e.size) for e in record.dag.edges),
+    )
+    return augment_dummy_tail(dag, {perm[d]: bits for d, bits in record.dst_out.items()})
+
+
+@pytest.mark.parametrize("algo", ["dpe", "heft", "placement-only"])
+def test_relabelled_ids_give_the_relabelled_embedding(algo):
+    # A generated DAG stores function f at position f. Permuted ids keep the
+    # stored order, so every embedding and its replay must come back with
+    # the ids renamed and every float unchanged, idle and on busy servers.
+    spec = WorkloadSpec(seed=7, n_dags=30)
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    embed = EMBEDDERS[algo]
+    rng = np.random.default_rng(19)
+    for record in generate_dag_records(spec):
+        q = len(record.dag.functions)
+        perm = [int(f) for f in rng.permutation(q)] + [q]  # the collector's id is q
+        aug, renamed = record.augmented(), _relabelled(record, perm)
+        busy = {s: float(t) for s, t in enumerate(rng.uniform(0.0, 3.0, net.n_servers))}
+
+        def hexes(times, name=range(q + 1)):
+            return {name[f]: t.hex() for f, t in times.items()}
+
+        for ready in (None, busy):
+            want = embed(aug, net, catalog, ready)
+            got = embed(renamed, net, catalog, ready)
+            assert got.placements == {perm[f]: s for f, s in want.placements.items()}
+            assert hexes(got.finish_times) == hexes(want.finish_times, perm)
+            assert got.makespan.hex() == want.makespan.hex()
+            assert got.edge_mappings == {
+                (perm[src], perm[dst]): m for (src, dst), m in want.edge_mappings.items()
+            }
+            want_replay, want_makespan = simulate_embedding(
+                aug, net, want.placements, want.edge_mappings, ready
+            )
+            got_replay, got_makespan = simulate_embedding(
+                renamed, net, got.placements, got.edge_mappings, ready
+            )
+            assert hexes(got_replay) == hexes(want_replay, perm)
+            assert got_makespan.hex() == want_makespan.hex()
+
+
 def test_splitting_beats_placement_only_on_a_busy_desk_suite():
     # The desk suite with each DAG's servers busy for U(0, 3) s, drawn on
     # substream 3 of the seed in (DAG, server) order. Busy servers spread

@@ -166,10 +166,11 @@ def test_validate_dag_accepts_diamond():
         ),
     )
     validate_dag(dag)
-    assert [f for f, preds in dag.predecessors.items() if not preds] == [0]
     assert dag.destination_ids == (3,)
-    assert dag.successors[0] == (1, 2)
-    assert dag.predecessors[3] == (1, 2)
+    assert dag.stream_table == (
+        [[], [(0, 1.0)], [(0, 1.0)], [(1, 1.0), (2, 1.0)]],
+        [2, 1, 1, 0],
+    )
 
 
 def test_validate_dag_rejects_cycle_with_witness():
@@ -260,8 +261,7 @@ def test_augment_single_destination():
     aug = chain_dag([1.0, 2.0], sizes=[3.0], dst_out=5.0)
     assert aug.dummy_id == 2
     assert aug.functions[-1] == FunctionNode(2, 0.0)
-    assert aug.stream_size[(1, 2)] == 5.0
-    assert aug.successors[1] == (2,)
+    assert aug.stream_table == ([[], [(0, 3.0)], [(1, 5.0)]], [1, 1, 0])
 
 
 def test_augment_two_destinations_adds_two_edges():
@@ -271,9 +271,10 @@ def test_augment_two_destinations_adds_two_edges():
     )
     aug = augment_dummy_tail(dag, {1: 2.0, 2: 4.0})
     assert aug.dummy_id == 3
-    assert aug.stream_size[(1, 3)] == 2.0
-    assert aug.stream_size[(2, 3)] == 4.0
-    assert aug.predecessors[3] == (1, 2)
+    assert aug.stream_table == (
+        [[], [(0, 1.0)], [(0, 1.0)], [(1, 2.0), (2, 4.0)]],
+        [2, 1, 1, 0],
+    )
 
 
 def test_augment_rejects_wrong_destination_set():
