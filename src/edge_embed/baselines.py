@@ -1,58 +1,28 @@
 """Reference schedulers the dynamic program is benchmarked against.
 
 Both baselines send every transfer whole over one fixed route per server
-pair, the cheapest simple path (the passive route), where ``dpe`` splits
-it over every path of the pair. The list scheduler additionally
-serializes functions that share a server, while the placement-only
-embedder runs the dynamic program with the passive route's costs and
-differs from ``dpe`` in nothing but the missing stream splits.
+pair, the path catalog's cheapest simple path, where ``dpe`` splits it
+over every path of the pair; both read the pair costs from the catalog,
+like every embedder. The list scheduler additionally serializes functions
+that share a server, while the placement-only embedder runs the dynamic
+program without splits and differs from ``dpe`` in nothing else.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from itertools import chain
 
-import numpy as np
-
-from .embedder import (
-    EmbeddingResult,
-    Route,
-    _dynamic_embed,
-    _map_streams,
-    _processing_table,
-)
+from .embedder import EmbeddingResult, _dynamic_embed, _map_streams, _processing_table
 from .model import AugmentedDag, EdgeNetwork, _ready_row
-from .pathfind import PathCatalog, SimplePath
+from .pathfind import PathCatalog
 
 
-@dataclass(frozen=True)
-class PassiveRoute:
-    """Cheapest single simple path per ordered server pair.
-
-    ``path[(u, v)]`` is the catalog's cheapest path and
-    ``coefficient[u, v]`` its seconds-per-bit cost: the catalog's n x n
-    ``cheapest_coefficient`` matrix, zero on the diagonal where no routing
-    happens.
-    """
-
-    path: dict[tuple[int, int], SimplePath] = field(repr=False)
-    coefficient: np.ndarray = field(repr=False)
-
-
-def passive_routes(catalog: PathCatalog) -> PassiveRoute:
-    """The catalog's cheapest path and cost matrix, built once per network.
-
-    Coefficient ties resolve to the path that comes first in canonical
-    order, which the catalog already guarantees.
-    """
-    return PassiveRoute(path=catalog.cheapest, coefficient=catalog.cheapest_coefficient)
-
-
-def _whole_route(routes: PassiveRoute) -> Route:
-    """A stream sent whole over its pair's passive route."""
-    return lambda m, n, bits: ((routes.path[(m, n)],), (bits,))
+def passive_routes(catalog: PathCatalog) -> PathCatalog:
+    """The catalog itself, which holds each pair's cheapest path and cost;
+    kept only for the benchmark's call shape until ROADMAP direction 1
+    moves ``benchmark/run.py`` onto ``bench.ALGORITHMS``."""
+    return catalog
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +35,7 @@ def _upward_rank(
 ) -> list[float]:
     """Upward rank by function id, the list scheduler's priority: a
     function's mean over servers in the F x n time table ``procs`` (stored
-    order) plus its largest mean transfer (n x n passive-route cost
+    order) plus its largest mean transfer (n x n cheapest-path cost
     ``coeff``) + consumer rank, pushed to each source in reverse stored
     order: the same max over the same floats as a pull from the consumers."""
     n = len(coeff)
@@ -85,22 +55,22 @@ def _upward_rank(
 
 
 def heft_schedule(
-    dag: AugmentedDag, net: EdgeNetwork, routes: PassiveRoute, ready=None
+    dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, ready=None
 ) -> EmbeddingResult:
     """Classic upward-rank list scheduling on the augmented workload.
 
-    Functions are taken in decreasing rank order; each is placed on the
-    server with the earliest insertion-based finish time, where input
-    transfers pay the passive route's full-stream cost. Servers run one
+    Functions are taken in decreasing rank order; each is placed on the server
+    with the earliest insertion-based finish time, where input transfers pay
+    the full-stream cost of the catalog's cheapest path. Servers run one
     function at a time. As in the recurrence, a server's ready time is the
     earliest start of an entry function on it; other functions start once
-    their inputs arrive. The collector ranks last and its finish time is
-    the makespan. Processing times come from the dynamic program's table,
-    so both price a function with the same floats.
+    their inputs arrive. The collector ranks last and its finish time is the
+    makespan. Processing times come from the dynamic program's table, so both
+    price a function with the same floats.
     """
     # Python floats keep finish times plain
     procs = _processing_table(dag, net).tolist()
-    coeff = routes.coefficient.tolist()
+    coeff = catalog.cheapest_coefficient.tolist()
     rank = _upward_rank(dag, procs, coeff)
     position = dag.position
     order = sorted(position, key=lambda fid: (-rank[fid], position[fid]))
@@ -145,7 +115,7 @@ def heft_schedule(
 
     return EmbeddingResult(
         placements=placements,
-        edge_mappings=_map_streams(dag, placements, _whole_route(routes)),
+        edge_mappings=_map_streams(dag, placements, catalog, False),
         finish_times=finish_times,
         makespan=finish_times[dag.dummy_id],
     )
@@ -160,17 +130,13 @@ def placement_only_embed(
     dag: AugmentedDag,
     net: EdgeNetwork,
     catalog: PathCatalog,
-    routes: PassiveRoute | None = None,
+    routes: PathCatalog | None = None,
     ready=None,
 ) -> EmbeddingResult:
-    """The dynamic program with every split replaced by the passive route.
-
-    Same recurrence, same commit-once rule, same tie-breaks; the only
-    difference from the full embedder is how a stream travels: whole over
-    the pair's single cheapest path, so s bits take s * A_min seconds.
+    """The dynamic program with every stream sent whole over its pair's
+    cheapest path (s bits take s * A_min seconds); recurrence, commit-once
+    rule and tie-breaks are ``dpe``'s. ``routes``, the catalog by default,
+    stays only for the benchmark's call shape until ROADMAP direction 1
+    moves ``benchmark/run.py`` onto ``bench.ALGORITHMS``.
     """
-    if routes is None:
-        routes = passive_routes(catalog)
-    return _dynamic_embed(
-        dag, net, lambda bits: bits * routes.coefficient, _whole_route(routes), ready
-    )
+    return _dynamic_embed(dag, net, catalog if routes is None else routes, False, ready)

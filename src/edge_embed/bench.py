@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import heft_schedule, passive_routes, placement_only_embed
+from .baselines import heft_schedule, placement_only_embed
 from .embedder import EmbeddingResult, dpe_embed
 from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
 from .model import (
@@ -323,10 +323,11 @@ def scale_network(
     net: EdgeNetwork, psi_factor: float = 1.0, throughput_factor: float = 1.0
 ) -> EdgeNetwork:
     """Same topology with uniformly scaled server and link capacities. Each
-    factor must be finite and > 0, and the result a valid network."""
+    factor must be a finite real number > 0 (not a bool), and the result a
+    valid network."""
     for name, factor in (("psi_factor", psi_factor), ("throughput_factor", throughput_factor)):
-        if not 0.0 < factor < math.inf:
-            raise ValidationError(f"{name} must be finite and > 0, got {factor!r}")
+        if isinstance(factor, bool) or not isinstance(factor, Real) or not 0.0 < factor < math.inf:
+            raise ValidationError(f"{name} must be a finite number > 0, got {factor!r}")
     servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
     links = [
         Link(id=l.id, u=l.u, v=l.v, throughput=l.throughput * throughput_factor)
@@ -354,6 +355,10 @@ def nested_networks(
     a count c with c(c-1) above ``resolve_path_cap()`` raises
     PathExplosionError before the first draw.
     """
+    if not server_counts or any(
+        isinstance(c, bool) or not isinstance(c, Integral) for c in server_counts
+    ):
+        raise ValidationError(f"server counts must be integers, got {list(server_counts)!r}")
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
         raise ValidationError("server counts must be distinct")
@@ -448,8 +453,7 @@ class ReportBundle:
 # name -> runner(aug, net, catalog, ready=None)
 ALGORITHMS: dict[str, Callable[..., EmbeddingResult]] = {
     "dpe": dpe_embed,
-    "heft": lambda aug, net, catalog, ready=None:
-        heft_schedule(aug, net, passive_routes(catalog), ready),
+    "heft": heft_schedule,
     "placement-only": lambda aug, net, catalog, ready=None:
         placement_only_embed(aug, net, catalog, ready=ready),
 }
@@ -461,15 +465,15 @@ def run_benchmark(
     spec: WorkloadSpec | None = None,
     network: EdgeNetwork | None = None,
     dag_records: Sequence[DagRecord] | None = None,
-    timing: str = "wall",
+    timing: str = "off",
 ) -> ReportBundle:
     """Embed every DAG with every requested algorithm and aggregate.
 
     The workload comes either from ``spec`` (regenerated from its seed) or
-    from an explicit ``network`` plus ``dag_records``. With ``timing`` set
-    to "off", per-trial runtimes are recorded as zero so the bundle (and
-    everything serialized from it) is fully deterministic; "wall" records
-    real elapsed seconds per embed call.
+    from an explicit ``network`` plus ``dag_records``. With ``timing`` "off"
+    (the default), per-trial runtimes are recorded as zero so the bundle
+    (and everything serialized from it) is fully deterministic; "wall"
+    records real elapsed seconds per embed call.
     """
     algos = list(algorithms)
     if not algos:

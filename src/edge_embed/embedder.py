@@ -10,28 +10,29 @@ placement and stream split that deliver it soonest:
                  T*(f_i, m) + transit(m, n, s_ij) + proc(f_j, n)
 
 Transit uses the bottleneck-equalizing split over every simple path of the
-(m, n) pair, or zero when m == n. The recurrence reads transit as one dense
-server-by-server block per stream, all of a DAG's blocks priced by one
-array call from the catalog's n x n pair tables: ``bits /
-catalog.inv_coeff_sum`` (infinite diagonal) for the split, and ``bits *
-catalog.cheapest_coefficient`` (zero diagonal) for the placement-only
-baseline, which runs the same program. proc(f_j, n) is added once per row,
-after the max, which rounds to the same floats as adding it per source. A
-predecessor that feeds several functions cannot be re-placed per consumer:
-the first consumer processed commits its placement and later consumers
-reuse it. The first consumer's row reads the input's arrival from the
-committed server's row of its min-plus block, equal to a recompute, so
-every finish time is one embedding's. Every other source pick is resolved
-only where it is read, in the backward walk from the collector. The program
-reads each function's inputs from the DAG's ``stream_table`` and keeps its
-per-function state in lists indexed by function id, as the replay does.
+(m, n) pair, or zero when m == n. The recurrence reads transit as one
+dense server-by-server block per stream, all of a DAG's blocks priced by
+one array call from the path catalog, the one pair-cost table of every
+embedder: ``bits / catalog.inv_coeff_sum`` (infinite diagonal) for the
+split, and ``bits * catalog.cheapest_coefficient`` (zero diagonal) for a
+stream sent whole, as the placement-only baseline runs the same program.
+proc(f_j, n) is added once per row, after the max, which rounds to the
+same floats as adding it per source. A predecessor that feeds several
+functions cannot be re-placed per consumer: the first consumer processed
+commits its placement and later consumers reuse it. The first consumer's
+row reads the input's arrival from the committed server's row of its
+min-plus block, equal to a recompute, so every finish time is one
+embedding's. Every other source pick is resolved only where it is read, in
+the backward walk from the collector. The program reads each function's
+inputs from the DAG's ``stream_table`` and keeps its per-function state in
+lists indexed by function id, as the replay does.
 
 The program returns the finished embedding: one loop maps each stream
-between servers over the caller's route, the pair's split (``dpe``,
-``brute``) or the whole-stream passive route (the baselines). The split
-route reads a pair's coefficients and split terms from the catalog, which
-prices each pair once, and same-server streams share one immutable
-mapping.
+between servers as the ``split`` flag says, over the pair's split
+(``dpe``, ``brute``) or whole over the catalog's cheapest path (the
+baselines). The split reads a pair's coefficients and split terms from the
+catalog, which prices each pair once, and same-server streams share one
+immutable mapping.
 
 An exhaustive search over all placement vectors doubles as the optimality
 oracle, and a forward replay of any returned embedding re-derives its
@@ -44,7 +45,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -78,29 +78,32 @@ class EmbeddingResult:
     makespan: float
 
 
-Route = Callable[[int, int, float], tuple[tuple[SimplePath, ...], tuple[float, ...]]]
-
-
 # shared by every same-server stream: the mapping is immutable
 _SAME_SERVER = EdgeMapping()
 
 
 def _map_streams(
-    dag: AugmentedDag, placements: dict[int, int], route: Route
+    dag: AugmentedDag, placements: dict[int, int], catalog: PathCatalog, split: bool
 ) -> dict[tuple[int, int], EdgeMapping]:
-    """Every stream of a placed DAG: free on one server, else sent over the
-    paths, with the bits per path, that ``route(m, n, bits)`` returns."""
+    """Every stream of a placed DAG: free on one server, else spread over
+    its pair's paths by the closed-form split (``split``) or sent whole over
+    the pair's cheapest path."""
+    route = _split_route(catalog)
     mappings: dict[tuple[int, int], EdgeMapping] = {}
     for e in dag.edges:
         m, n = placements[e.src], placements[e.dst]
-        mappings[(e.src, e.dst)] = (
-            _SAME_SERVER if m == n else EdgeMapping(*route(m, n, e.size))
-        )
+        if m == n:
+            mapping = _SAME_SERVER
+        elif split:
+            mapping = EdgeMapping(*route(m, n, e.size))
+        else:
+            mapping = EdgeMapping((catalog.cheapest[(m, n)],), (e.size,))
+        mappings[(e.src, e.dst)] = mapping
     return mappings
 
 
-def _split_route(catalog: PathCatalog) -> Route:
-    """A stream spread over all paths of its pair by the closed-form split.
+def _split_route(catalog: PathCatalog):
+    """``route(m, n, bits)``: a pair's paths and their bits by the closed-form split.
 
     Equal to ``optimal_split(SplitProblem(coefficients, bits))`` float for
     float and error for error, but the catalog prices a pair once:
@@ -137,42 +140,40 @@ def _source(column: np.ndarray, proc: float) -> int:
 
 
 def _dynamic_embed(
-    dag: AugmentedDag,
-    net: EdgeNetwork,
-    transit: Callable[[np.ndarray], np.ndarray],
-    route: Route,
-    ready,
+    dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, split: bool, ready
 ) -> EmbeddingResult:
-    """Shared DP driver; ``transit(bits)`` maps an E x 1 x 1 array of stream
-    sizes to the E n x n blocks of seconds those streams take from server m
-    (row) to server n (column).
+    """Shared DP driver. With ``split`` a stream of s bits from server m to
+    server n takes s / ``catalog.inv_coeff_sum[m, n]`` seconds, spread over
+    all paths of the pair; without it, s * ``cheapest_coefficient[m, n]``
+    seconds, sent whole over the pair's cheapest path.
 
-    Visits every function in stored topological order. An entry's row is
-    its processing time plus the server's ready time; any other row is the
-    slowest over its inputs of one min-plus step per uncommitted
-    predecessor, plus its processing time. One ``transit`` call prices every
-    stream, in the loop's order (stored function order, then the ascending
-    source ids of ``dag.stream_table``). Processing is added once per row, not
-    per source: under round-to-nearest x -> fl(x + p) is monotone, so min_m
-    fl(x_m + p) = fl(min_m x_m + p), the same holds for max, and a nan
-    propagates on both sides; every finish time is the float the per-source
-    sums give. The commit-once rule pins a predecessor feeding more than one
-    function to the source it used at the committing row's best destination c;
-    its arrival is then row c of its min-plus block, equal to a recompute
-    under that commitment. Other picks are resolved in the pointer walk
-    backward from the best collector placement. Both compare the per-source
-    sums, so the smallest source server id wins ties, also those that rounding
-    creates when processing is added (``_source``). An uncommitted input's
-    sums overwrite its block, so ``transit`` must return a fresh array, and
-    the priced array's E x n x n floats are the only ones kept for the walk.
-    Returns the embedding, whose cross-server streams ``route`` maps;
-    ``transit`` must price the streams as ``route`` sends them.
+    Visits every function in stored topological order. An entry's row is its
+    processing time plus the server's ready time; any other row is the slowest
+    over its inputs of one min-plus step per uncommitted predecessor, plus its
+    processing time. One array call prices every stream as an n x n block from
+    m (row) to n (column), in the loop's order (stored function order, then
+    the ascending source ids of ``dag.stream_table``). Processing is added
+    once per row, not per source: under round-to-nearest x -> fl(x + p) is
+    monotone, so min_m fl(x_m + p) = fl(min_m x_m + p), the same holds for
+    max, and a nan propagates on both sides; every finish time is the float
+    the per-source sums give. The commit-once rule pins a predecessor feeding
+    more than one function to the source it used at the committing row's best
+    destination c; its arrival is then row c of its min-plus block, equal to a
+    recompute under that commitment. Other picks are resolved in the pointer
+    walk backward from the best collector placement. Both compare the
+    per-source sums, so the smallest source server id wins ties, also those
+    that rounding creates when processing is added (``_source``). An
+    uncommitted input's sums overwrite its block, and the priced array's
+    E x n x n floats are the only ones kept for the walk. Returns the
+    embedding, its streams mapped by ``_map_streams`` under the same
+    ``split``.
     """
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
     inputs, consumers = dag.stream_table
     sizes = [bits for f in dag.functions for _, bits in inputs[f.id]]
-    blocks = iter(transit(np.array(sizes)[:, None, None]))
+    bits = np.array(sizes)[:, None, None]
+    blocks = iter(bits / catalog.inv_coeff_sum if split else bits * catalog.cheapest_coefficient)
     # per function id: its finish row, the row as an n x 1 column, and the
     # server a fan-out function is committed to
     finish, columns = [None] * len(procs), [None] * len(procs)
@@ -228,7 +229,7 @@ def _dynamic_embed(
     finish_times = {f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions}
     return EmbeddingResult(
         placements=placements,
-        edge_mappings=_map_streams(dag, placements, route),
+        edge_mappings=_map_streams(dag, placements, catalog, split),
         finish_times=finish_times,
         makespan=finish_times[dummy],
     )
@@ -245,9 +246,7 @@ def dpe_embed(
     A stream of s bits from m to n takes s / sum(1/A_k) over the pair's
     paths; the infinite diagonal makes same-server transit exactly 0.
     """
-    return _dynamic_embed(
-        dag, net, lambda bits: bits / catalog.inv_coeff_sum, _split_route(catalog), ready
-    )
+    return _dynamic_embed(dag, net, catalog, True, ready)
 
 
 def brute_force_embed(
@@ -305,7 +304,7 @@ def brute_force_embed(
 
     assert best_vector is not None
     placements = {f.id: best_vector[k] for k, f in enumerate(dag.functions)}
-    mappings = _map_streams(dag, placements, _split_route(catalog))
+    mappings = _map_streams(dag, placements, catalog, True)
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)
     return EmbeddingResult(
         placements=placements,

@@ -146,18 +146,20 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
 
 @dataclass
 class PathCatalog:
-    """Per ordered server pair: path count, pair costs, cheapest path.
+    """Per ordered server pair: path count, pair costs, cheapest path; the
+    one pair-cost table every embedder reads.
 
     ``recursion_calls[(u, v)]`` counts the walk steps that landed on v
-    from u, one per path of the pair. ``inv_coeff_sum[u, v]`` holds
-    ``sum(1 / A_k)`` over all paths of the pair, the denominator of the
-    bottleneck-equalizing split, and is infinite on the diagonal, so
-    ``bits / inv_coeff_sum`` is the split transit matrix with free
-    same-server streams. ``cheapest[(u, v)]`` is the canonical-first path
-    of least coefficient, which costs ``cheapest_coefficient[u, v]``
-    seconds per bit; that matrix is zero on the diagonal. Both matrices
-    are read-only n x n arrays. A pair's paths and their coefficients are
-    listed together on first use and memoized with the pair's split terms.
+    from u, one per path of the pair, and the ``total_paths`` property sums
+    them. ``inv_coeff_sum[u, v]`` holds ``sum(1 / A_k)`` over all paths of
+    the pair, the denominator of the bottleneck-equalizing split, and is
+    infinite on the diagonal, so ``bits / inv_coeff_sum`` is the split
+    transit matrix with free same-server streams. ``cheapest[(u, v)]`` is
+    the canonical-first path of least coefficient, which costs
+    ``cheapest_coefficient[u, v]`` seconds per bit; that matrix is zero on
+    the diagonal. Both matrices are read-only n x n arrays. A pair's paths
+    and their coefficients are listed together on first use and memoized
+    with the pair's split terms.
     """
 
     net: EdgeNetwork = field(repr=False)
@@ -165,10 +167,13 @@ class PathCatalog:
     inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
-    total_paths: int = 0
     _listed: dict[tuple[int, int], _SplitListing] = field(
         default_factory=dict, init=False, repr=False
     )
+
+    @property
+    def total_paths(self) -> int:
+        return sum(self.recursion_calls.values())
 
     def pair_split(self, u: int, v: int) -> _SplitListing:
         """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
@@ -196,11 +201,11 @@ class PathCatalog:
 
 
 def resolve_path_cap() -> int:
-    """Path cap: the env var (a non-negative integer), else the default."""
+    """Path cap: the env var (a non-negative integer, ASCII digits), else the default."""
     env = os.environ.get(PATH_CAP_ENV_VAR)
     if env is None:
         return DEFAULT_PATH_CAP
-    if not env.strip().isdecimal():
+    if not (env.isascii() and env.strip().isdecimal()):
         raise ValidationError(
             f"{PATH_CAP_ENV_VAR} must be a non-negative integer, got {env!r}"
         )
@@ -277,5 +282,4 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         inv_coeff_sum=inv_sum,
         cheapest=cheapest,
         cheapest_coefficient=cheapest_coeff,
-        total_paths=total_paths,
     )

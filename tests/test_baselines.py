@@ -10,10 +10,13 @@ from edge_embed import (
     Server,
     StreamEdge,
     WorkloadDag,
+    WorkloadSpec,
     augment_dummy_tail,
     brute_force_embed,
     build_catalog,
     dpe_embed,
+    generate_dag_records,
+    generate_network,
     heft_schedule,
     make_network,
     passive_routes,
@@ -23,6 +26,7 @@ from edge_embed import (
     validate_network,
 )
 from edge_embed.baselines import _upward_rank
+from edge_embed.bench import ALGORITHMS
 from edge_embed.embedder import _processing_table
 
 from conftest import (
@@ -45,9 +49,9 @@ def test_passive_route_prefers_cheapest_path():
     # triangle: direct 0-1 costs 1.0 s/bit, detour 0-2-1 costs 0.75 s/bit
     net = triangle_network()
     routes = passive_routes(build_catalog(net))
-    assert routes.path[(0, 1)].nodes == (0, 2, 1)
-    assert routes.coefficient[0, 1] == 0.75
-    assert routes.coefficient[1, 1] == 0.0
+    assert routes.cheapest[(0, 1)].nodes == (0, 2, 1)
+    assert routes.cheapest_coefficient[0, 1] == 0.75
+    assert routes.cheapest_coefficient[1, 1] == 0.0
 
 
 def test_passive_route_tie_goes_to_canonical_first():
@@ -58,8 +62,8 @@ def test_passive_route_tie_goes_to_canonical_first():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient[0, 1] == 1.0
-    assert routes.path[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
+    assert routes.cheapest_coefficient[0, 1] == 1.0
+    assert routes.cheapest[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
     # the same tie on 1-2, where the walk meets the detour 1-0-2 first
     net = make_network(
         [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
@@ -67,8 +71,8 @@ def test_passive_route_tie_goes_to_canonical_first():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient[1, 2] == 1.0
-    assert routes.path[(1, 2)].nodes == (1, 2)
+    assert routes.cheapest_coefficient[1, 2] == 1.0
+    assert routes.cheapest[(1, 2)].nodes == (1, 2)
 
 
 def test_passive_route_equal_length_tie_goes_to_node_order():
@@ -79,10 +83,10 @@ def test_passive_route_equal_length_tie_goes_to_node_order():
     )
     validate_network(net)
     routes = passive_routes(build_catalog(net))
-    assert routes.coefficient[0, 3] == 2.0
-    assert routes.path[(0, 3)].nodes == (0, 1, 3)  # lexicographically first
-    assert routes.path[(0, 3)].link_ids == (0, 2)
-    assert routes.path[(3, 0)].nodes == (3, 1, 0)
+    assert routes.cheapest_coefficient[0, 3] == 2.0
+    assert routes.cheapest[(0, 3)].nodes == (0, 1, 3)  # lexicographically first
+    assert routes.cheapest[(0, 3)].link_ids == (0, 2)
+    assert routes.cheapest[(3, 0)].nodes == (3, 1, 0)
 
 
 def test_passive_routes_cover_all_ordered_pairs():
@@ -91,9 +95,9 @@ def test_passive_routes_cover_all_ordered_pairs():
     for u in range(4):
         for v in range(4):
             if u != v:
-                assert routes.path[(u, v)].nodes[0] == u
-                assert routes.path[(u, v)].nodes[-1] == v
-                assert routes.coefficient[u, v] == 0.5  # direct link is cheapest
+                assert routes.cheapest[(u, v)].nodes[0] == u
+                assert routes.cheapest[(u, v)].nodes[-1] == v
+                assert routes.cheapest_coefficient[u, v] == 0.5  # direct link is cheapest
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def test_rank_table_hand_values():
     aug = chain_dag([3.0, 6.0], sizes=[4.0], dst_out=2.0)
     routes = passive_routes(build_catalog(net))
     procs = _processing_table(aug, net).tolist()
-    rank = _upward_rank(aug, procs, routes.coefficient.tolist())
+    rank = _upward_rank(aug, procs, routes.cheapest_coefficient.tolist())
     # mean exec time: mean of c/psi over both servers (2.0, 4.0, 0.0); mean
     # transfer: size * mean coefficient over all 4 ordered pairs
     mean_coeff = (0.5 + 0.5) / 4
@@ -126,7 +130,7 @@ def test_rank_decreases_along_every_edge(rng):
         aug = random_general_dag(rng)
         routes = passive_routes(build_catalog(net))
         procs = _processing_table(aug, net).tolist()
-        rank = _upward_rank(aug, procs, routes.coefficient.tolist())
+        rank = _upward_rank(aug, procs, routes.cheapest_coefficient.tolist())
         for e in aug.edges:
             assert rank[e.src] > rank[e.dst]
         # the collector always ranks last
@@ -244,7 +248,7 @@ def test_heft_respects_exclusivity_and_precedence(rng):
                 assert s2 >= e1 - 1e-9
         # every input has fully arrived before its consumer starts
         for e in aug.edges:
-            comm = e.size * routes.coefficient[
+            comm = e.size * routes.cheapest_coefficient[
                 result.placements[e.src], result.placements[e.dst]
             ]
             assert starts[e.dst] >= result.finish_times[e.src] + comm - 1e-9
@@ -315,5 +319,29 @@ def test_splitting_never_loses_to_passive_routing_per_transfer(rng):
                     continue
                 bits = 3.5
                 split = bits / catalog.inv_coeff_sum[u, v]
-                passive = bits * routes.coefficient[u, v]
+                passive = bits * routes.cheapest_coefficient[u, v]
                 assert split <= passive * (1 + REL)
+
+
+def test_benchmark_call_shapes_match_the_algorithm_table():
+    # benchmark/run.py still calls the baselines by position with the
+    # catalog's pass-through; it must measure what bench.ALGORITHMS runs
+    spec = WorkloadSpec(seed=0)
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    routes = passive_routes(catalog)
+    assert routes is catalog
+    assert catalog.total_paths == sum(catalog.recursion_calls.values())
+
+    def key(result):
+        finish = sorted((f, t.hex()) for f, t in result.finish_times.items())
+        return result.placements, finish, result.makespan.hex(), result.edge_mappings
+
+    for record in generate_dag_records(spec):
+        aug = record.augmented()
+        assert key(placement_only_embed(aug, net, catalog, routes)) == key(
+            ALGORITHMS["placement-only"](aug, net, catalog)
+        )
+        assert key(heft_schedule(aug, net, routes)) == key(
+            ALGORITHMS["heft"](aug, net, catalog)
+        )

@@ -384,11 +384,23 @@ def test_scale_network_scales_uniformly():
 
 @pytest.mark.parametrize(
     "factors",
-    [{"psi_factor": 0.0}, {"psi_factor": -1.0}, {"throughput_factor": 1e308}],
-    ids=["zero-psi", "negative-psi", "overflowing-throughput"],
+    [
+        {"psi_factor": 0.0},
+        {"psi_factor": -1.0},
+        {"throughput_factor": 1e308},
+        {"psi_factor": "2"},
+        {"throughput_factor": None},
+        {"psi_factor": True},
+    ],
+    ids=[
+        "zero-psi", "negative-psi", "overflowing-throughput",
+        "string-psi", "none-throughput", "bool-psi",
+    ],
 )
 def test_scale_network_rejects_factors_that_break_the_network(factors):
-    # these gave dpe a nan makespan, a negative one, and a ZeroDivisionError
+    # the first three gave dpe a nan makespan, a negative one, and a
+    # ZeroDivisionError; a string or None died in a bare TypeError, and
+    # True was taken as 1.0
     net = generate_network(WorkloadSpec(seed=0, n_servers=4))
     with pytest.raises(ValidationError):
         scale_network(net, **factors)
@@ -416,6 +428,16 @@ def test_nested_networks_grow_by_extension():
 def test_nested_networks_reject_duplicate_counts():
     with pytest.raises(ValueError):
         nested_networks(SMALL, [3, 3])
+
+
+@pytest.mark.parametrize(
+    "counts", [[], [3, "4"], [3, 4.5], [True, 3]], ids=["empty", "string", "float", "bool"]
+)
+def test_nested_networks_reject_malformed_counts(counts):
+    # the first three died in an IndexError and a TypeError or gave a silent
+    # 5-server network; a bool now fails before the first draw
+    with pytest.raises(ValidationError):
+        nested_networks(SMALL, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +534,8 @@ def test_timing_off_zeroes_runtimes_and_wall_records_them():
     off = bundle_for(SMALL, timing="off")
     assert all(t.runtime_s == 0.0 for t in off.trials)
     assert all(v == 0.0 for v in off.runtime_totals.values())
+    # "off" is the default: wall time stays out unless asked for
+    assert run_benchmark(ALGOS, spec=SMALL) == off
     wall = bundle_for(SMALL, timing="wall")
     assert all(t.runtime_s >= 0.0 for t in wall.trials)
     assert all(v > 0.0 for v in wall.runtime_totals.values())

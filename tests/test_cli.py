@@ -84,7 +84,7 @@ def test_paths_honors_cap_from_environment(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "", "\u0663", "\uff11\uff10"])
 def test_paths_rejects_malformed_cap_from_environment(
     tmp_path, capsys, monkeypatch, value
 ):

@@ -256,7 +256,7 @@ def test_heft_output_is_frozen(desk):
 
 def test_heft_ranks_are_frozen(desk):
     net, catalog, dags = desk
-    coeff = passive_routes(catalog).coefficient.tolist()
+    coeff = passive_routes(catalog).cheapest_coefficient.tolist()
     digest = hashlib.sha256()
     for aug in dags:
         rank = _upward_rank(aug, _processing_table(aug, net).tolist(), coeff)

@@ -389,6 +389,14 @@ def test_resolve_path_cap_precedence(monkeypatch):
     assert resolve_path_cap() == 250
 
 
+@pytest.mark.parametrize("value", ["\u0663", "\uff11\uff10"], ids=["arabic-3", "fullwidth-10"])
+def test_resolve_path_cap_reads_ascii_digits_only(monkeypatch, value):
+    # int() reads both as 3 and 10; the ids of JSON documents reject them too
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, value)
+    with pytest.raises(ValidationError, match="must be a non-negative integer"):
+        resolve_path_cap()
+
+
 def test_catalog_is_deterministic():
     net = complete_network(5, throughput=2.0)
     a = build_catalog(net)
