@@ -55,7 +55,6 @@ from .model import (
     make_network,
     network_from_json,
     network_to_json,
-    processing_time,
     validate_dag,
     validate_network,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "passive_routes",
     "path_coefficient",
     "placement_only_embed",
-    "processing_time",
     "resolve_path_cap",
     "run_benchmark",
     "scale_network",

@@ -326,7 +326,9 @@ def scale_network(
     factor must be a finite real number > 0 (not a bool), and the result a
     valid network."""
     for name, factor in (("psi_factor", psi_factor), ("throughput_factor", throughput_factor)):
-        if isinstance(factor, bool) or not isinstance(factor, Real) or not 0.0 < factor < math.inf:
+        if isinstance(factor, bool) or not (
+            isinstance(factor, Real) and 0 < factor <= sys.float_info.max
+        ):
             raise ValidationError(f"{name} must be a finite number > 0, got {factor!r}")
     servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
     links = [
@@ -355,10 +357,10 @@ def nested_networks(
     a count c with c(c-1) above ``resolve_path_cap()`` raises
     PathExplosionError before the first draw.
     """
-    if not server_counts or any(
+    if not (isinstance(server_counts, Sequence) and server_counts) or any(
         isinstance(c, bool) or not isinstance(c, Integral) for c in server_counts
     ):
-        raise ValidationError(f"server counts must be integers, got {list(server_counts)!r}")
+        raise ValidationError(f"server counts must be integers, got {server_counts!r}")
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
         raise ValidationError("server counts must be distinct")
@@ -513,13 +515,9 @@ def run_benchmark(
         validate_time_range(aug, network)
         for algo in algos:
             runner = ALGORITHMS[algo]
-            if timing == "wall":
-                t0 = time.perf_counter()
-                result = runner(aug, network, catalog)
-                elapsed = time.perf_counter() - t0
-            else:
-                result = runner(aug, network, catalog)
-                elapsed = 0.0
+            t0 = time.perf_counter()
+            result = runner(aug, network, catalog)
+            elapsed = time.perf_counter() - t0 if timing == "wall" else 0.0
             runtime_totals[algo] += elapsed
             trials.append(
                 TrialRecord(
@@ -563,6 +561,13 @@ def run_benchmark(
     )
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """A CSV table: the ``header`` row, then ``rows``, each ended by a newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    return buffer.getvalue()
+
+
 def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     """Write summary.json, trials.csv, and one CDF file per algorithm.
 
@@ -578,22 +583,16 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
         "runtime_total_s": bundle.runtime_totals,
         "reductions": bundle.reductions,
     }
-    texts = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n"}
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["dag_id", "algo", "makespan_s", "runtime_s", "dag_size"])
-    for t in bundle.trials:
-        writer.writerow(
-            [t.dag_id, t.algo, repr(t.makespan_s), repr(t.runtime_s), t.dag_size]
-        )
-    texts["trials.csv"] = buffer.getvalue()
-
+    texts = {
+        "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        "trials.csv": _csv_text(
+            ["dag_id", "algo", "makespan_s", "runtime_s", "dag_size"],
+            ([t.dag_id, t.algo, repr(t.makespan_s), repr(t.runtime_s), t.dag_size]
+             for t in bundle.trials),
+        ),
+    }
     for algo in bundle.algorithms:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["makespan_s", "fraction"])
-        for span, fraction in bundle.cdf[algo]:
-            writer.writerow([repr(span), repr(fraction)])
-        texts[f"cdf_{algo}.csv"] = buffer.getvalue()
+        texts[f"cdf_{algo}.csv"] = _csv_text(
+            ["makespan_s", "fraction"], ([repr(s), repr(f)] for s, f in bundle.cdf[algo])
+        )
     return _write_texts(out_dir, texts)

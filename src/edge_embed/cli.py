@@ -54,12 +54,19 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _cmd_split(args) -> int:
+def _number(text: str) -> float:
+    """A number spelled in ASCII without "_", else SchemaError (``float``
+    alone also reads "1_0" and non-ASCII digits)."""
     try:
-        coefficients = tuple(float(c) for c in args.coeffs.split(","))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    problem = SplitProblem(coefficients=coefficients, stream_size=args.size)
+        if text.isascii() and "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise SchemaError(f"{text!r} is not a number")
+
+
+def _cmd_split(args) -> int:
+    problem = SplitProblem(tuple(map(_number, args.coeffs.split(","))), _number(args.size))
     solution = optimal_split(problem)
     payload = {
         "bottleneck_time_s": solution.bottleneck_time,
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_split = sub.add_parser("split", help="optimally divide a stream")
     p_split.add_argument("--coeffs", required=True,
                          help="comma-separated path coefficients in s/bit")
-    p_split.add_argument("--size", type=float, required=True,
+    p_split.add_argument("--size", required=True,
                          help="stream size in bits")
     p_split.add_argument("--verify", action="store_true",
                          help="cross-check against the bisection oracle")

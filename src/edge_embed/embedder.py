@@ -10,48 +10,34 @@ placement and stream split that deliver it soonest:
                  T*(f_i, m) + transit(m, n, s_ij) + proc(f_j, n)
 
 Transit uses the bottleneck-equalizing split over every simple path of the
-(m, n) pair, or zero when m == n. The recurrence reads transit as one
-dense server-by-server block per stream, all of a DAG's blocks priced by
-one array call from the path catalog, the one pair-cost table of every
-embedder: ``bits / catalog.inv_coeff_sum`` (infinite diagonal) for the
-split, and ``bits * catalog.cheapest_coefficient`` (zero diagonal) for a
-stream sent whole, as the placement-only baseline runs the same program.
-proc(f_j, n) is added once per row, after the max, which rounds to the
-same floats as adding it per source. A predecessor that feeds several
-functions cannot be re-placed per consumer: the first consumer processed
-commits its placement and later consumers reuse it. The first consumer's
-row reads the input's arrival from the committed server's row of its
-min-plus block, equal to a recompute, so every finish time is one
-embedding's. Every other source pick is resolved only where it is read, in
-the backward walk from the collector. The program reads each function's
-inputs from the DAG's ``stream_table`` and keeps its per-function state in
-lists indexed by function id, as the replay does.
+(m, n) pair, or zero when m == n; the placement-only baseline runs the same
+program with each stream sent whole over the pair's cheapest path. A
+predecessor that feeds several functions cannot be re-placed per consumer:
+the first consumer processed commits its placement and later consumers
+reuse it, so every finish time is one embedding's (``_dynamic_embed``).
 
-The program returns the finished embedding: one loop maps each stream
-between servers as the ``split`` flag says, over the pair's split
-(``dpe``, ``brute``) or whole over the catalog's cheapest path (the
-baselines). The split reads a pair's coefficients and split terms from the
-catalog, which prices each pair once, and same-server streams share one
-immutable mapping.
-
-An exhaustive search over all placement vectors doubles as the optimality
-oracle, and a forward replay of any returned embedding re-derives its
-finish times from nothing but the recurrence.
+Every embedder reads the same shared tables: the path catalog for pair
+costs and splits (a split stream is mapped by ``optimal_split``'s closed
+form on the catalog's terms), ``_processing_table`` for processing times
+and the DAG's ``stream_table`` for each function's inputs. An exhaustive
+search over all placement vectors is the optimality oracle, and a forward
+replay of any returned embedding is the independent check: it re-derives
+every finish time from the placements, the mapped paths, the flops and the
+raw link throughputs alone.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EdgeEmbedError
-from .model import AugmentedDag, EdgeNetwork, _ready_row, processing_time
+from .model import AugmentedDag, EdgeNetwork, _ready_row
 from .pathfind import PathCatalog, SimplePath
-from .splitter import SplitProblem, optimal_split
+from .splitter import _equalize
 
 EXHAUSTIVE_LIMIT = 10**6
 
@@ -85,48 +71,26 @@ _SAME_SERVER = EdgeMapping()
 def _map_streams(
     dag: AugmentedDag, placements: dict[int, int], catalog: PathCatalog, split: bool
 ) -> dict[tuple[int, int], EdgeMapping]:
-    """Every stream of a placed DAG: free on one server, else spread over
-    its pair's paths by the closed-form split (``split``) or sent whole over
-    the pair's cheapest path."""
-    route = _split_route(catalog)
+    """Every stream of a placed DAG: free on one server, else spread over its
+    pair's paths by ``_equalize`` on ``catalog.pair_split``'s terms (``split``)
+    or sent whole over the pair's cheapest path."""
     mappings: dict[tuple[int, int], EdgeMapping] = {}
     for e in dag.edges:
         m, n = placements[e.src], placements[e.dst]
         if m == n:
             mapping = _SAME_SERVER
         elif split:
-            mapping = EdgeMapping(*route(m, n, e.size))
+            paths, coefficients, *terms = catalog.pair_split(m, n)
+            mapping = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
         else:
             mapping = EdgeMapping((catalog.cheapest[(m, n)],), (e.size,))
         mappings[(e.src, e.dst)] = mapping
     return mappings
 
 
-def _split_route(catalog: PathCatalog):
-    """``route(m, n, bits)``: a pair's paths and their bits by the closed-form split.
-
-    Equal to ``optimal_split(SplitProblem(coefficients, bits))`` float for
-    float and error for error, but the catalog prices a pair once:
-    tau = bits / ``inv_coeff_sum[m, n]``, the sum ``optimal_split`` takes,
-    and since division is monotone every allocation lies between
-    tau / max(A) and tau / min(A), so those two and tau decide whether the
-    split stays in the float range. A pair no split accepts is priced nan.
-    Any stream that fails raises through ``optimal_split``.
-    """
-
-    def route(m: int, n: int, bits: float):
-        paths, coefficients, inv_sum, a_max, a_min = catalog.pair_split(m, n)
-        tau = bits / inv_sum
-        if not (0.0 < tau < math.inf and 0.0 < tau / a_max and tau / a_min < math.inf):
-            optimal_split(SplitProblem(coefficients, stream_size=bits))  # raises
-        return paths, tuple(tau / a for a in coefficients)
-
-    return route
-
-
 def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
     """F x n seconds: row k is function k (stored order) on each server,
-    ``flops / psi`` as ``processing_time`` divides it (the collector's 0)."""
+    ``flops / psi`` (the collector's 0), the table every embedder reads."""
     psi = np.array([s.psi for s in net.servers])
     return np.array([f.flops for f in dag.functions])[:, None] / psi
 
@@ -262,24 +226,20 @@ def brute_force_embed(
     in stored function order. Guarded by ``EXHAUSTIVE_LIMIT`` on the
     number of placement vectors.
     """
-    n = net.n_servers
-    q = len(dag.functions)
-    combos = n**q
-    if combos > EXHAUSTIVE_LIMIT:
+    n, q = net.n_servers, len(dag.functions)
+    if n**q > EXHAUSTIVE_LIMIT:
         raise EdgeEmbedError(
-            f"{combos} placement vectors exceed the exhaustive-search "
-            f"limit of {EXHAUSTIVE_LIMIT}"
+            f"{n**q} placement vectors exceed the exhaustive-search limit of {EXHAUSTIVE_LIMIT}"
         )
 
-    proc = [[processing_time(f, server) for server in net.servers] for f in dag.functions]
+    proc = _processing_table(dag, net).tolist()
     # transit_factor[m][n]: seconds per bit between servers m and n (1/inf
     # is 0.0 on the diagonal).
     transit_factor = (1.0 / catalog.inv_coeff_sum).tolist()
     ready_row = _ready_row(net, ready)
-    # Per function: list of (pred index, stream bits) for the recurrence.
-    pred_rows: list[list[tuple[int, float]]] = [[] for _ in range(q)]
-    for e in dag.edges:
-        pred_rows[dag.position[e.dst]].append((dag.position[e.src], e.size))
+    # per stored position: its inputs as (source position, stream bits)
+    streams_in, position = dag.stream_table[0], dag.position
+    pred_rows = [[(position[fi], bits) for fi, bits in streams_in[f.id]] for f in dag.functions]
 
     best_value = float("inf")
     best_vector: tuple[int, ...] | None = None
@@ -306,12 +266,7 @@ def brute_force_embed(
     placements = {f.id: best_vector[k] for k, f in enumerate(dag.functions)}
     mappings = _map_streams(dag, placements, catalog, True)
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)
-    return EmbeddingResult(
-        placements=placements,
-        edge_mappings=mappings,
-        finish_times=finish_times,
-        makespan=makespan,
-    )
+    return EmbeddingResult(placements, mappings, finish_times, makespan)
 
 
 def simulate_embedding(
@@ -338,7 +293,7 @@ def simulate_embedding(
     for node in dag.functions:
         fid = node.id
         server = placements[fid]
-        proc = node.flops / psi[server]  # processing_time's formula
+        proc = node.flops / psi[server]  # not the shared table: an independent check
         if not inputs[fid]:
             finish[fid] = proc + ready_row[server]
             continue

@@ -337,20 +337,18 @@ def augment_dummy_tail(
     )
 
 
-def processing_time(function: FunctionNode, server: Server) -> float:
-    """Seconds to run ``function`` on ``server``; the 0-flop collector costs 0."""
-    return function.flops / server.psi
-
-
 def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:
     """Ready seconds per server in id order, 0 for servers not named: the one
-    reader of a ready map. Raises ValidationError for a bool key or time, a
-    key that is not a server id of ``net`` and a time not a real in [0, max float]."""
+    reader of a ready map. Raises ValidationError for a map that is neither
+    None nor a Mapping, a bool key or time, a key that is not a server id of
+    ``net`` and a time not a real in [0, max float]."""
     row = [0.0] * net.n_servers
+    # dict, int and float first: an ABC check costs several times more
+    if not (ready is None or isinstance(ready, dict) or isinstance(ready, Mapping)):
+        raise ValidationError(f"a ready map must be a mapping, got {type(ready).__name__}")
     for server, seconds in (ready or {}).items():
         if isinstance(server, bool) or isinstance(seconds, bool):
             raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
-        # int and float first: an ABC check costs several times more
         if not (
             (isinstance(server, int) or isinstance(server, Integral))
             and 0 <= server < len(row)

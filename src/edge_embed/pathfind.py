@@ -177,13 +177,13 @@ class PathCatalog:
 
     def pair_split(self, u: int, v: int) -> _SplitListing:
         """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
-        listed once and memoized.
+        listed once and memoized: the terms ``splitter._equalize`` takes.
 
         ``inv_sum`` is ``inv_coeff_sum[u, v]``, the same float as
         ``sum(1 / A_k)`` over the listing in its order; ``a_max`` and
-        ``a_min`` are the largest and smallest coefficient. When the pair
-        has no path or a coefficient outside (0, inf), which no split
-        accepts, all three are nan.
+        ``a_min`` are the largest and smallest coefficient, as
+        ``optimal_split`` computes them. When the pair has no path or a
+        coefficient outside (0, inf), which no split accepts, all three are nan.
         """
         listing = self._listed.get((u, v))
         if listing is None:

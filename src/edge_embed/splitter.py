@@ -4,30 +4,41 @@ Sending z_k bits down a path with coefficient A_k (seconds per bit) takes
 A_k * z_k seconds, and a transfer is done when its slowest branch is done.
 The minimum of that bottleneck subject to sum(z) = s has a closed form:
 every branch finishes at the same instant tau = s / sum(1/A_k), giving
-z_k = tau / A_k. A bisection search over tau is kept alongside as an
-independent check of the closed form.
+z_k = tau / A_k. ``_equalize`` is its one copy: ``optimal_split`` and, on
+the path catalog's terms, the embedders' stream mapping both call it. A
+bisection search over tau is kept alongside as an independent check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
 class SplitProblem:
-    """Path coefficients (s/bit, all finite > 0) and a stream size in bits."""
+    """Path coefficients (s/bit, all finite > 0) and a stream size in bits, as floats."""
 
     coefficients: tuple[float, ...]
     stream_size: float
 
     def __post_init__(self):
+        if not isinstance(self.coefficients, (tuple, list)) or not all(
+            isinstance(x, Real) and not isinstance(x, bool)
+            for x in (*self.coefficients, self.stream_size)
+        ):
+            raise ValidationError("path coefficients and stream size must be real numbers")
         if not self.coefficients:
             raise ValidationError("a split needs at least one path")
-        if not all(map(math.isfinite, (*self.coefficients, self.stream_size))):
+        # compared exactly first: float() of an int past the float range overflows
+        if not all(abs(x) <= sys.float_info.max for x in (*self.coefficients, self.stream_size)):
             raise ValidationError("path coefficients and stream size must be finite")
+        object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
+        object.__setattr__(self, "stream_size", float(self.stream_size))
         if any(a <= 0 for a in self.coefficients):
             raise ValidationError("path coefficients must be > 0")
         if self.stream_size <= 0:
@@ -42,6 +53,23 @@ class SplitSolution:
     bottleneck_time: float
 
 
+def _equalize(
+    coefficients: tuple[float, ...], bits: float, inv_sum: float, a_max: float, a_min: float
+) -> tuple[float, tuple[float, ...]]:
+    """``(tau, allocations)`` from the split's terms: ``inv_sum`` = sum(1/A_k)
+    in order, and the largest and smallest A_k, which bound every allocation
+    since division is monotone. Input no split accepts, nan terms included,
+    raises SplitProblem's message; any other failure, the float-range one."""
+    tau = bits / inv_sum
+    if not (0.0 < tau < math.inf and 0.0 < tau / a_max and tau / a_min < math.inf):
+        SplitProblem(coefficients, bits)  # raises for input no split accepts
+        raise ValidationError(
+            f"the split leaves the float range: tau = {tau!r} s, "
+            f"smallest allocation {tau / a_max!r} bits"
+        )
+    return tau, tuple(tau / a for a in coefficients)
+
+
 def optimal_split(problem: SplitProblem) -> SplitSolution:
     """Closed-form bottleneck-equalizing split.
 
@@ -49,14 +77,8 @@ def optimal_split(problem: SplitProblem) -> SplitSolution:
     z_k = tau / A_k bits. Every allocation is strictly positive: a problem
     whose tau or some z_k over- or underflows raises ValidationError.
     """
-    inv_sum = sum(1.0 / a for a in problem.coefficients)
-    tau = problem.stream_size / inv_sum
-    allocations = tuple(tau / a for a in problem.coefficients)
-    if not all(0.0 < x < math.inf for x in (tau, *allocations)):
-        raise ValidationError(
-            f"the split leaves the float range: tau = {tau!r} s, "
-            f"smallest allocation {min(allocations)!r} bits"
-        )
+    a = problem.coefficients
+    tau, allocations = _equalize(a, problem.stream_size, sum(1.0 / x for x in a), max(a), min(a))
     return SplitSolution(allocations=allocations, bottleneck_time=tau)
 
 

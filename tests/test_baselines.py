@@ -21,7 +21,6 @@ from edge_embed import (
     make_network,
     passive_routes,
     placement_only_embed,
-    processing_time,
     simulate_embedding,
     validate_network,
 )
@@ -221,7 +220,7 @@ def test_heft_replays_no_later_than_its_schedule_on_busy_servers(rng):
             assert t <= result.finish_times[fid] * (1 + REL)
             if not aug.stream_table[0][fid]:
                 server = net.servers[result.placements[fid]]
-                proc = processing_time(aug.by_id[fid], server)
+                proc = aug.by_id[fid].flops / server.psi
                 assert result.finish_times[fid] >= ready[server.id] + proc
 
 
@@ -233,7 +232,7 @@ def test_heft_respects_exclusivity_and_precedence(rng):
         result = heft_schedule(aug, net, routes)
         starts = {
             fid: result.finish_times[fid]
-            - processing_time(aug.by_id[fid], net.servers[result.placements[fid]])
+            - aug.by_id[fid].flops / net.servers[result.placements[fid]].psi
             for fid in result.placements
         }
         # no two functions overlap on a shared server

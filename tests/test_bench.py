@@ -391,16 +391,17 @@ def test_scale_network_scales_uniformly():
         {"psi_factor": "2"},
         {"throughput_factor": None},
         {"psi_factor": True},
+        {"throughput_factor": 10**400},
     ],
     ids=[
         "zero-psi", "negative-psi", "overflowing-throughput",
-        "string-psi", "none-throughput", "bool-psi",
+        "string-psi", "none-throughput", "bool-psi", "int-past-the-floats",
     ],
 )
 def test_scale_network_rejects_factors_that_break_the_network(factors):
     # the first three gave dpe a nan makespan, a negative one, and a
-    # ZeroDivisionError; a string or None died in a bare TypeError, and
-    # True was taken as 1.0
+    # ZeroDivisionError; a string or None died in a bare TypeError, True
+    # was taken as 1.0, and 10**400 died in an OverflowError
     net = generate_network(WorkloadSpec(seed=0, n_servers=4))
     with pytest.raises(ValidationError):
         scale_network(net, **factors)
@@ -431,11 +432,14 @@ def test_nested_networks_reject_duplicate_counts():
 
 
 @pytest.mark.parametrize(
-    "counts", [[], [3, "4"], [3, 4.5], [True, 3]], ids=["empty", "string", "float", "bool"]
+    "counts",
+    [[], [3, "4"], [3, 4.5], [True, 3], None, 3, True],
+    ids=["empty", "string", "float", "bool", "none", "bare-int", "bare-bool"],
 )
 def test_nested_networks_reject_malformed_counts(counts):
     # the first three died in an IndexError and a TypeError or gave a silent
-    # 5-server network; a bool now fails before the first draw
+    # 5-server network; a bool now fails before the first draw; a bare value
+    # died in a TypeError
     with pytest.raises(ValidationError):
         nested_networks(SMALL, counts)
 

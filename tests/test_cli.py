@@ -134,6 +134,18 @@ def test_split_rejects_garbage_coefficients(capsys):
     assert main(["split", "--coeffs", "0.5", "--size", "inf"]) == 2
 
 
+@pytest.mark.parametrize(
+    "coeffs, size",
+    [("1_0,2", "6"), ("\uff11,2", "6"), ("0.5", "\u0666"), ("0.5", "6_0"), ("0.5", "abc"),
+     ("0.5,", "6"), ("0.5", "")],
+    ids=["underscore", "fullwidth-digit", "arabic-indic-size", "underscore-size",
+         "text-size", "empty-coefficient", "empty-size"],
+)
+def test_split_reads_only_ascii_numbers_without_underscores(capsys, coeffs, size):
+    # float() alone reads "1_0" as 10 and non-ASCII digits as digits
+    assert_one_error(capsys, main(["split", "--coeffs", coeffs, "--size", size]))
+
+
 @pytest.mark.parametrize("verify", [[], ["--verify"]])
 @pytest.mark.parametrize(
     "coeffs, size",

@@ -28,7 +28,6 @@ from edge_embed import (
     generate_network,
     make_network,
     placement_only_embed,
-    processing_time,
     simulate_embedding,
     validate_network,
 )
@@ -78,13 +77,13 @@ def test_entry_row_is_processing_time_per_server():
     assert pinned.finish_times[0] == 0.2
 
 
-def test_processing_table_divides_like_processing_time(rng):
-    # the dynamic program and heft read the table, the replay and brute
-    # force call processing_time: the floats must be the same
+def test_processing_table_divides_like_the_replay(rng):
+    # every embedder reads the table, the replay divides inline as its
+    # independent check: the floats must be the same
     for _ in range(20):
         net, aug = small_random_network(rng), random_general_dag(rng)
         assert _processing_table(aug, net).tolist() == [
-            [processing_time(f, s) for s in net.servers] for f in aug.functions
+            [f.flops / s.psi for s in net.servers] for f in aug.functions
         ]
 
 
@@ -540,11 +539,12 @@ READY_READERS = {
     "ready",
     [
         {0: -1.0}, {0: math.nan}, {0: math.inf}, {99: 1.0}, {"0": 1.0}, {0.0: 1.0},
-        {True: 1.0}, {0: True}, {0: "1.5"}, {0: 10**400},
+        {True: 1.0}, {0: True}, {0: "1.5"}, {0: 10**400}, [1.0, 2.0], [], 0, "0",
     ],
     ids=[
         "negative", "nan", "inf", "unknown-server", "string-key", "float-key",
-        "bool-key", "bool-value", "string-value", "past-the-floats",
+        "bool-key", "bool-value", "string-value", "past-the-floats", "list",
+        "empty-list", "zero", "string",
     ],
 )
 def test_every_reader_rejects_a_malformed_ready_map(reader, ready):

@@ -22,12 +22,12 @@ from edge_embed import (
     make_network,
     network_from_json,
     network_to_json,
-    processing_time,
     validate_dag,
     validate_network,
 )
 import edge_embed
 from edge_embed import model
+from edge_embed.embedder import _processing_table
 
 from conftest import chain_dag, complete_network, triangle_network
 
@@ -196,6 +196,18 @@ def test_validate_dag_order_violation_distinct_from_cycle():
         validate_dag(dag)
     assert str(exc.value) == "edge 1->0 runs against the stored function order"
     assert "cycle" not in str(exc.value)
+
+
+def test_validate_dag_walks_each_function_once_before_an_order_violation():
+    # the walk from 0 finishes 2 and then 1, so roots 1 and 2 are skipped;
+    # the DAG is acyclic, and 2->1 runs against the stored order
+    dag = WorkloadDag(
+        functions=tuple(FunctionNode(i, 1.0) for i in range(3)),
+        edges=(StreamEdge(0, 2, 1.0), StreamEdge(2, 1, 1.0)),
+    )
+    with pytest.raises(ValidationError) as exc:
+        validate_dag(dag)
+    assert str(exc.value) == "edge 2->1 runs against the stored function order"
 
 
 def test_validate_dag_reports_a_cycle_before_an_earlier_order_violation():
@@ -382,21 +394,23 @@ def test_weight_errors_keep_their_messages(weight, value, message, raising):
 # ---------------------------------------------------------------------------
 
 
+def _processing(flops: float, *speeds: float) -> list[float]:
+    """The processing table's one row: ``flops`` on servers of these speeds."""
+    dag = WorkloadDag(functions=(FunctionNode(0, flops),), edges=())
+    net = make_network([Server(i, psi) for i, psi in enumerate(speeds)], [])
+    return _processing_table(dag, net).tolist()[0]
+
+
 def test_processing_time_exact_division():
-    f = FunctionNode(0, 3.0e9)
-    s = Server(0, 1.5e10)
-    assert processing_time(f, s) == 0.2
+    assert _processing(3.0e9, 1.5e10) == [0.2]
 
 
 def test_processing_time_dummy_is_free():
-    f = FunctionNode(0, 0.0)
-    assert processing_time(f, Server(0, 1.0)) == 0.0
+    assert _processing(0.0, 1.0) == [0.0]
 
 
 def test_processing_time_scales_inversely_with_speed():
-    f = FunctionNode(0, 7.3e9)
-    slow = processing_time(f, Server(0, 2.0e10))
-    fast = processing_time(f, Server(0, 4.0e10))
+    slow, fast = _processing(7.3e9, 2.0e10, 4.0e10)
     assert fast == pytest.approx(slow / 2.0, rel=1e-12)
 
 

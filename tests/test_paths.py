@@ -16,6 +16,7 @@ from edge_embed import (
     PathCatalog,
     PathExplosionError,
     Server,
+    SimplePath,
     SplitProblem,
     ValidationError,
     WorkloadSpec,
@@ -29,8 +30,8 @@ from edge_embed import (
     validate_network,
 )
 from edge_embed import pathfind
-from edge_embed.embedder import _split_route
 from edge_embed.pathfind import DEFAULT_PATH_CAP, PATH_CAP_ENV_VAR
+from edge_embed.splitter import _equalize
 
 from conftest import complete_network, small_random_network, triangle_network
 
@@ -139,6 +140,13 @@ def test_same_pair_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+def test_simple_path_needs_one_more_server_than_links():
+    assert SimplePath((0, 1), (0,)).link_ids == (0,)
+    for nodes, link_ids in [((0, 1), ()), ((0,), (0,)), ((), ())]:
+        with pytest.raises(ValueError, match=r"^a path over k links visits k\+1 servers$"):
+            SimplePath(nodes, link_ids)
+
+
 def test_path_coefficient_sums_inverse_throughputs():
     net = make_network(
         [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
@@ -218,20 +226,21 @@ def test_catalog_aggregates_match_oracle(net):
     ids=["desk", "wide-busy", "K5"],
 )
 def test_split_route_prices_every_pair_like_optimal_split(net):
+    # the mapping loop routes a split stream by _equalize on the catalog's
+    # terms; optimal_split computes its own terms from the same listing
     catalog = build_catalog(net)
-    route = _split_route(catalog)
     for u in range(net.n_servers):
         for v in range(net.n_servers):
             if u == v:
                 continue
-            coeffs = catalog.pair_split(u, v)[1]
+            _, coeffs, *terms = catalog.pair_split(u, v)
             # the DP's pair cost and the split's denominator are one float
             assert float(catalog.inv_coeff_sum[u, v]) == sum(1 / a for a in coeffs)
+            assert terms[1:] == [max(coeffs), min(coeffs)]
             for bits in (1.0, 7.3e6, 2.9e7):
-                paths, allocations = route(u, v, bits)
-                assert paths is catalog.pair_split(u, v)[0]
+                tau, allocations = _equalize(coeffs, bits, *terms)
                 want = optimal_split(SplitProblem(coeffs, stream_size=bits))
-                assert allocations == want.allocations
+                assert (tau, allocations) == (want.bottleneck_time, want.allocations)
 
 
 def _two_servers(*throughputs):
@@ -261,10 +270,10 @@ def test_split_route_raises_what_optimal_split_raises(net, bits):
     catalog = build_catalog(net)
     with pytest.raises(ValidationError) as want:
         optimal_split(SplitProblem(catalog.pair_split(0, 1)[1], stream_size=bits))
-    route = _split_route(catalog)
     for _ in range(2):  # the pair's first stream and a later one
+        _, coeffs, *terms = catalog.pair_split(0, 1)
         with pytest.raises(ValidationError) as got:
-            route(0, 1, bits)
+            _equalize(coeffs, bits, *terms)
         assert str(got.value) == str(want.value)
 
 

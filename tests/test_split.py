@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +56,28 @@ def test_problem_validation():
         SplitProblem(coefficients=(0.5, -0.1), stream_size=1.0)
     with pytest.raises(ValueError):
         SplitProblem(coefficients=(0.5,), stream_size=0.0)
+    # bools, text, None, complex numbers and a bare number are not split
+    # terms; an int past the float range is not finite, and a real whose
+    # float is 0 is not > 0
+    for coefficients, size, message in [
+        ("12", 1.0, "real numbers"),
+        ((1.0,), "5", "real numbers"),
+        ((1.0,), None, "real numbers"),
+        ((1 + 0j,), 1.0, "real numbers"),
+        (3, 1.0, "real numbers"),
+        ((True,), 2.0, "real numbers"),
+        ((1.0,), True, "real numbers"),
+        ((1.0,), 10**400, "finite"),
+        ((Fraction(1, 10**400),), 1.0, "> 0"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            SplitProblem(coefficients, size)
+
+
+def test_problem_stores_its_terms_as_floats():
+    problem = SplitProblem([np.float64(0.5), 1, Fraction(1, 4)], 6)
+    assert problem == SplitProblem((0.5, 1.0, 0.25), 6.0)
+    assert all(type(x) is float for x in (*problem.coefficients, problem.stream_size))
 
 
 def test_split_outside_float_range_is_rejected():
