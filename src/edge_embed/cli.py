@@ -54,15 +54,25 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _number(text: str) -> float:
-    """A number spelled in ASCII without "_", else SchemaError (``float``
-    alone also reads "1_0" and non-ASCII digits)."""
-    try:
-        if text.isascii() and "_" not in text:
-            return float(text)
-    except ValueError:
-        pass
-    raise SchemaError(f"{text!r} is not a number")
+def _ascii(kind, what: str):
+    """The reader of ``kind`` (``int`` or ``float``) spelled in ASCII without
+    "_", else SchemaError: ``kind`` alone also reads "1_0" and non-ASCII
+    digits. It keeps ``kind``'s name for argparse's "invalid int value"."""
+
+    def read(text: str):
+        try:
+            if text.isascii() and "_" not in text:
+                return kind(text)
+        except ValueError:
+            pass
+        raise SchemaError(f"{text!r} is not {what}")
+
+    read.__name__ = kind.__name__
+    return read
+
+
+_number = _ascii(float, "a number")
+_integer = _ascii(int, "an integer")
 
 
 def _cmd_split(args) -> int:
@@ -128,8 +138,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as rejected input: ``main`` prints one
+    ``error:`` line and exits 2, without argparse's usage line. Subparsers
+    are made of the same class."""
+
+    def error(self, message: str):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edge-embed",
         description=(
             "Joint function placement and multipath stream mapping for DAG "
@@ -140,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_paths = sub.add_parser("paths", help="list simple paths between servers")
     p_paths.add_argument("--network", required=True)
-    p_paths.add_argument("--src", type=int, required=True)
-    p_paths.add_argument("--dst", type=int, required=True)
+    p_paths.add_argument("--src", type=_integer, required=True)
+    p_paths.add_argument("--dst", type=_integer, required=True)
     p_paths.set_defaults(func=_cmd_paths)
 
     p_split = sub.add_parser("split", help="optimally divide a stream")
@@ -163,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_embed.set_defaults(func=_cmd_embed)
 
     p_gen = sub.add_parser("gen", help="generate a seeded workload")
-    p_gen.add_argument("--seed", type=int, required=True)
-    p_gen.add_argument("--servers", type=int, default=WorkloadSpec.n_servers)
-    p_gen.add_argument("--connectivity", type=float, default=WorkloadSpec.connectivity)
-    p_gen.add_argument("--dags", type=int, default=WorkloadSpec.n_dags)
+    p_gen.add_argument("--seed", type=_integer, required=True)
+    p_gen.add_argument("--servers", type=_integer, default=WorkloadSpec.n_servers)
+    p_gen.add_argument("--connectivity", type=_number, default=WorkloadSpec.connectivity)
+    p_gen.add_argument("--dags", type=_integer, default=WorkloadSpec.n_dags)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -175,10 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dags")
     p_bench.add_argument("--algos", default=",".join(ALGORITHMS))
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--seed", type=int, default=WorkloadSpec.seed)
-    p_bench.add_argument("--servers", type=int, default=WorkloadSpec.n_servers)
-    p_bench.add_argument("--connectivity", type=float, default=WorkloadSpec.connectivity)
-    p_bench.add_argument("--n-dags", type=int, default=WorkloadSpec.n_dags)
+    p_bench.add_argument("--seed", type=_integer, default=WorkloadSpec.seed)
+    p_bench.add_argument("--servers", type=_integer, default=WorkloadSpec.n_servers)
+    p_bench.add_argument("--connectivity", type=_number, default=WorkloadSpec.connectivity)
+    p_bench.add_argument("--n-dags", type=_integer, default=WorkloadSpec.n_dags)
     # Wall-clock timing makes report bytes vary run to run; it is opt-in
     # here so two identical invocations produce identical files.
     p_bench.add_argument("--timing", choices=["wall", "off"], default="off")
@@ -187,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PathExplosionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,9 @@ use.
 
 The walk is depth-first: it pushes a server onto the current route, moves
 on to unvisited neighbours in ascending id, and pops on the way back. It
+reads one table, built once per catalog or listing, of each server's
+neighbours in ascending id with the link id and its inverse throughput,
+and flags the servers on the route in a list indexed by server id. It
 is exponential by nature; a cap on the number of enumerated paths
 (``EDGE_EMBED_PATH_CAP``) turns runaway growth into a clean error instead
 of a hopeless run.
@@ -24,7 +27,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -58,44 +61,55 @@ def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
     return total
 
 
+def _adjacency(net: EdgeNetwork) -> list[tuple[tuple[int, float, int], ...]]:
+    """The walk's table: per server id, ``(neighbour, 1 / throughput, link
+    id)`` in ascending neighbour id, the float a step adds to the coefficient."""
+    inverse = [1.0 / link.throughput for link in net.links]
+    return [
+        tuple((node, inverse[link_id], link_id) for node, link_id in net.adjacency[v])
+        for v in range(net.n_servers)
+    ]
+
+
 def _walk(
-    net: EdgeNetwork, src: int, dst: int | None = None
+    adjacency: list[tuple[tuple[int, float, int], ...]], src: int, dst: int | None = None
 ) -> Iterator[tuple[list[int], list[int], float]]:
-    """Depth-first walk over the simple paths that leave ``src``.
+    """Depth-first walk over the simple paths that leave ``src``, on the
+    ``_adjacency`` table; a list of n flags marks the servers on the route.
 
     Every step lands on one simple path and yields it as ``(nodes,
     link_ids, coefficient)``. The two lists belong to the walk and change
     after the yield: copy them to keep the path. The coefficient is summed
-    left to right like ``path_coefficient``, so the floats are the same.
-    Neighbours are visited in ascending id, so the paths ending at any one
-    server come in lexicographic node order. A path that reaches ``dst``
-    is not extended.
+    left to right from the table's floats like ``path_coefficient``, so the
+    floats are the same. Neighbours are visited in ascending id, so the
+    paths ending at any one server come in lexicographic node order. A path
+    that reaches ``dst`` is not extended.
     """
-    inverse = [1.0 / link.throughput for link in net.links]
+    on_route = [False] * len(adjacency)
+    on_route[src] = True
     nodes = [src]
     link_ids: list[int] = []
     coefficients = [0.0]
-    on_route = {src}
-    branches = [iter(net.adjacency[src])]
+    branches = [iter(adjacency[src])]
     while branches:
-        for node, link_id in branches[-1]:
-            if node in on_route:
+        for node, inverse, link_id in branches[-1]:
+            if on_route[node]:
                 continue
-            coefficient = coefficients[-1] + inverse[link_id]
+            coefficient = coefficients[-1] + inverse
             nodes.append(node)
             link_ids.append(link_id)
             coefficients.append(coefficient)
             yield nodes, link_ids, coefficient
             if node != dst:
-                on_route.add(node)
-                branches.append(iter(net.adjacency[node]))
+                on_route[node] = True
+                branches.append(iter(adjacency[node]))
                 break
             nodes.pop()
             link_ids.pop()
             coefficients.pop()
         else:
             branches.pop()
-            on_route.discard(nodes.pop())
+            on_route[nodes.pop()] = False
             if link_ids:
                 link_ids.pop()
                 coefficients.pop()
@@ -116,15 +130,27 @@ def _list_paths(net: EdgeNetwork, src: int, dst: int) -> _Listing:
     """
     cap = resolve_path_cap()
     found = []
-    for nodes, link_ids, coeff in _walk(net, src, dst):
+    for nodes, link_ids, coeff in _walk(_adjacency(net), src, dst):
         if nodes[-1] == dst:
             if len(found) == cap:
                 raise PathExplosionError(cap)
-            path = SimplePath(nodes=tuple(nodes), link_ids=tuple(link_ids))
-            found.append((path, coeff))
+            found.append((SimplePath(tuple(nodes), tuple(link_ids)), coeff))
     # the walk meets them in node order, so a stable sort by length suffices
     found.sort(key=lambda listed: len(listed[0].nodes))
     return tuple(path for path, _ in found), tuple(coeff for _, coeff in found)
+
+
+def _check_ends(net: EdgeNetwork, src, dst) -> None:
+    """Raise ValidationError unless both ends are integer server ids of
+    ``net`` (a bool is not), and EdgeEmbedError when they are one server."""
+    for end in (src, dst):
+        is_id = isinstance(end, Integral) and not isinstance(end, bool)
+        if not (is_id and 0 <= end < net.n_servers):
+            raise ValidationError(
+                f"server {end!r} is not in the network ({net.n_servers} servers)"
+            )
+    if src == dst:
+        raise EdgeEmbedError(f"no paths requested between server {src} and itself")
 
 
 def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimplePath]:
@@ -134,13 +160,7 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
     EdgeEmbedError when src == dst, and PathExplosionError when more than
     ``resolve_path_cap()`` paths exist.
     """
-    for end in (src, dst):
-        if not 0 <= end < net.n_servers:
-            raise ValidationError(
-                f"server {end} is not in the network ({net.n_servers} servers)"
-            )
-    if src == dst:
-        raise EdgeEmbedError(f"no paths requested between server {src} and itself")
+    _check_ends(net, src, dst)
     return list(_list_paths(net, src, dst)[0])
 
 
@@ -184,19 +204,20 @@ class PathCatalog:
         ``a_min`` are the largest and smallest coefficient, as
         ``optimal_split`` computes them. When the pair has no path or a
         coefficient outside (0, inf), which no split accepts, all three are nan.
+        Raises what ``enumerate_simple_paths`` raises for ends that are not
+        two servers of the network, checked only when the pair is first listed.
         """
-        listing = self._listed.get((u, v))
-        if listing is None:
-            if (u, v) not in self.recursion_calls:
-                raise KeyError((u, v))
-            paths, coefficients = _list_paths(self.net, u, v)
-            if coefficients and all(0.0 < a < math.inf for a in coefficients):
-                terms = (
-                    float(self.inv_coeff_sum[u, v]), max(coefficients), min(coefficients)
-                )
-            else:
-                terms = (math.nan, math.nan, math.nan)
-            listing = self._listed[(u, v)] = (paths, coefficients, *terms)
+        try:
+            return self._listed[(u, v)]
+        except (KeyError, TypeError):  # not listed yet, or an unhashable end
+            pass
+        _check_ends(self.net, u, v)
+        paths, coefficients = _list_paths(self.net, u, v)
+        if coefficients and all(0.0 < a < math.inf for a in coefficients):
+            terms = (float(self.inv_coeff_sum[u, v]), max(coefficients), min(coefficients))
+        else:
+            terms = (math.nan, math.nan, math.nan)
+        listing = self._listed[(u, v)] = (paths, coefficients, *terms)
         return listing
 
 
@@ -239,12 +260,12 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
     cap = resolve_path_cap()
     if _short_path_count(net) > cap:
         raise PathExplosionError(cap)
+    adjacency = _adjacency(net)
     total_paths = 0
     recursion_calls: dict[tuple[int, int], int] = {}
     cheapest: dict[tuple[int, int], SimplePath] = {}
     n = net.n_servers
-    inv_sum = np.full((n, n), np.inf)
-    cheapest_coeff = np.zeros((n, n))
+    inv_rows, cheapest_rows = [], []
     for u in range(n):
         # by_hops[v][h]: coefficients of the h-link paths u -> v in walk
         # order; read out in ascending h they are in canonical order
@@ -252,28 +273,40 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         best_coeff = [math.inf] * n
         best_hops = [n] * n
         best_route: list[tuple | None] = [None] * n
-        for nodes, link_ids, coeff in _walk(net, u):
+        for nodes, link_ids, coeff in _walk(adjacency, u):
             if total_paths == cap:
                 raise PathExplosionError(cap)
             total_paths += 1
             v = nodes[-1]
             hops = len(link_ids)
-            by_hops[v].setdefault(hops, []).append(coeff)
+            bucket = by_hops[v].get(hops)
+            if bucket is None:
+                by_hops[v][hops] = [coeff]
+            else:
+                bucket.append(coeff)
             # strict on (coefficient, hops): ties keep the path met first
-            if coeff < best_coeff[v] or (coeff == best_coeff[v] and hops < best_hops[v]):
+            best = best_coeff[v]
+            if coeff < best or (coeff == best and hops < best_hops[v]):
                 best_coeff[v] = coeff
                 best_hops[v] = hops
                 best_route[v] = (tuple(nodes), tuple(link_ids))
+        inv_row = [math.inf] * n
         for v in range(n):
             if v == u:
                 continue
-            buckets = [by_hops[v][hops] for hops in sorted(by_hops[v])]
-            recursion_calls[(u, v)] = sum(map(len, buckets))
-            inv_sum[u, v] = sum(1.0 / a for a in chain.from_iterable(buckets))
-            cheapest_coeff[u, v] = best_coeff[v]
-            if best_route[v] is not None:
-                route_nodes, route_links = best_route[v]
-                cheapest[(u, v)] = SimplePath(nodes=route_nodes, link_ids=route_links)
+            buckets = by_hops[v]
+            coeffs = [a for hops in sorted(buckets) for a in buckets[hops]]
+            recursion_calls[(u, v)] = len(coeffs)
+            inv_row[v] = sum(1.0 / a for a in coeffs)
+            route = best_route[v]
+            if route is not None:
+                cheapest[(u, v)] = SimplePath(*route)
+        best_coeff[u] = 0.0
+        inv_rows.append(inv_row)
+        cheapest_rows.append(best_coeff)
+    # reshaped so that a network without servers still gets 0 x 0 matrices
+    inv_sum = np.array(inv_rows).reshape(n, n)
+    cheapest_coeff = np.array(cheapest_rows).reshape(n, n)
     # shared by every embedding call, so no caller may write into them
     inv_sum.flags.writeable = cheapest_coeff.flags.writeable = False
     return PathCatalog(

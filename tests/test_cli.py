@@ -101,11 +101,36 @@ def test_paths_missing_network_file(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("ends", [("0", "9"), ("9", "0"), ("-1", "1")])
+@pytest.mark.parametrize(
+    "ends",
+    [
+        ("0", "9"), ("9", "0"), ("-1", "1"),
+        # int() alone reads "0_0" as 0 and non-ASCII digits as digits
+        ("abc", "1"), ("0", "1.0"), ("0_0", "1"), ("0", "\u0661"), ("\uff10", "1"), ("0", ""),
+    ],
+)
 def test_paths_rejects_unknown_server(tmp_path, capsys, ends):
     net = write_triangle(tmp_path)
     code = main(["paths", "--network", net, "--src", ends[0], "--dst", ends[1]])
     assert_one_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paths", "--network", "net.json"],  # a missing required option
+        ["paths", "--network", "net.json", "--src", "0", "--dst", "1", "--bogus"],
+        ["embed", "--network", "net.json", "--dag", "dag.json", "--algo", "nope"],
+        ["bench", "--out", "report", "--timing", "cpu"],
+        ["nope"],
+        [],
+    ],
+    ids=["missing-option", "unknown-option", "bad-choice", "bad-timing", "bad-command",
+         "no-command"],
+)
+def test_argparse_errors_print_one_error_line(capsys, argv):
+    # argparse alone prints its usage line first and exits through SystemExit
+    assert_one_error(capsys, main(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +560,30 @@ def test_gen_rejects_bad_spec(tmp_path, capsys):
         ["gen", "--seed", "1", "--connectivity", "0", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "1_0", "--servers", "3", "--dags", "2"],
+        ["gen", "--seed", "1", "--servers", "\u0663", "--dags", "2"],
+        ["gen", "--seed", "1", "--servers", "3", "--dags", "\uff12"],
+        ["gen", "--seed", "1", "--servers", "3", "--connectivity", "0.5_0"],
+        ["gen", "--seed", "1", "--servers", "3", "--connectivity", "\uff11"],
+        ["gen", "--seed", "2.0", "--servers", "3"],
+        ["bench", "--seed", "\u0667", "--servers", "3", "--n-dags", "2"],
+        ["bench", "--servers", "3", "--n-dags", "1_0"],
+        ["bench", "--servers", "3", "--n-dags", "2", "--connectivity", "0.2_5"],
+    ],
+    ids=["seed-underscore", "servers-arabic-indic", "dags-fullwidth",
+         "connectivity-underscore", "connectivity-fullwidth", "seed-float",
+         "bench-seed-arabic-indic", "n-dags-underscore", "bench-connectivity-underscore"],
+)
+def test_number_options_read_only_ascii_without_underscores(tmp_path, capsys, argv):
+    # int() and float() alone read "1_0" as 10 and non-ASCII digits as digits
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert_one_error(capsys, code)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

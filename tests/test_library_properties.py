@@ -5,10 +5,12 @@ Each example picks one entry point and calls it with values drawn around
 valid ones: a ``WorkloadSpec`` with one or two fields swapped, a ready map
 with bad keys, times or shape, ``scale_network`` factors,
 ``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
-variable, and mutated network and workload documents. Whatever the input,
-the call returns or raises ``EdgeEmbedError`` or a subclass, the set the
-CLI maps to exit 2 or 3. Workloads stay small (at most 6 servers, 3 DAGs
-and 8 functions) and nothing starts a process or thread.
+variable, the ends of a path listing (``enumerate_simple_paths`` and
+``PathCatalog.pair_split``), and mutated network and workload documents.
+Whatever the input, the call returns or raises ``EdgeEmbedError`` or a
+subclass, the set the CLI maps to exit 2 or 3. Workloads stay small (at
+most 6 servers, 3 DAGs and 8 functions) and nothing starts a process or
+thread.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from edge_embed import (
     bisection_oracle,
     build_catalog,
     dag_from_json,
+    enumerate_simple_paths,
     generate_dag_records,
     generate_network,
     nested_networks,
@@ -100,6 +103,9 @@ ENTRIES = {
     "nested": lambda counts: nested_networks(SPEC, counts),
     "split": _split,
     "cap": _cap,
+    "paths": lambda src, dst: enumerate_simple_paths(NET, src, dst),
+    # a fresh catalog, so that every pair is checked on its first listing
+    "pair-split": lambda u, v: build_catalog(NET).pair_split(u, v),
     "network-json": network_from_json,
     "dag-json": _dag_document,
 }
@@ -130,6 +136,8 @@ def calls(draw):
         args = (draw(sequences | bad), draw(values))
     elif entry == "cap":
         args = ()
+    elif entry in ("paths", "pair-split"):
+        args = (draw(values), draw(values))
     elif entry == "network-json":
         args = (draw(mutated(network_to_json(NET))),)
     else:

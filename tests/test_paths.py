@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -127,6 +128,19 @@ def test_path_reversal_bijection():
     assert fwd == bwd
 
 
+@pytest.mark.parametrize(
+    "ends", [(0.5, 1), (True, 2), (0, "1"), (None, 1), (0.0, 1), (0, [1]), (0, 6), (-1, 1)]
+)
+def test_path_ends_must_be_server_ids(ends):
+    # the walk indexes its table and route flags by server id, where a
+    # bool or an integral float would pass for an int
+    net = generate_network(WorkloadSpec(seed=0, n_servers=6))
+    with pytest.raises(ValidationError, match="is not in the network"):
+        enumerate_simple_paths(net, *ends)
+    with pytest.raises(ValidationError, match="is not in the network"):
+        build_catalog(net).pair_split(*ends)
+
+
 def test_same_pair_is_rejected():
     net = triangle_network()
     with pytest.raises(
@@ -181,7 +195,12 @@ def test_catalog_covers_all_ordered_pairs():
 def _oracle_networks():
     rng = np.random.default_rng(7)
     nets = [small_random_network(rng, max_servers=6) for _ in range(6)]
-    return nets + [complete_network(5, throughput=3.0), irregular_network(), triangle_network()]
+    return nets + [
+        complete_network(5, throughput=3.0),
+        irregular_network(),
+        triangle_network(),
+        generate_network(WorkloadSpec(seed=0, n_servers=6)),  # the desk network
+    ]
 
 
 @pytest.mark.parametrize("net", _oracle_networks())
@@ -214,6 +233,32 @@ def test_catalog_aggregates_match_oracle(net):
             assert catalog.inv_coeff_sum[(u, v)] == sum(1.0 / a for a in coeffs)
             assert catalog.cheapest_coefficient[u, v] == min(oracle_coeffs)
     assert catalog.total_paths == total
+
+
+# sha256 over the wide-busy catalog: both matrices and every pair's walk
+# count, cheapest path and, for three pairs, the listed paths, floats by
+# float.hex. Recorded once; a change to the walk or the catalog must keep it.
+WIDE_CATALOG_SHA256 = "1bc50b36de83e08e78976a87301dd981e4523af8b75cf536b25d9f6eefef9e9b"
+
+
+def test_wide_catalog_is_pinned():
+    # wide-busy's 10 servers hold 52,478 paths, past the permutation oracle
+    net = generate_network(WorkloadSpec(seed=0, n_servers=10))
+    catalog = build_catalog(net)
+    digest = hashlib.sha256()
+    for matrix in (catalog.inv_coeff_sum, catalog.cheapest_coefficient):
+        for value in matrix.ravel().tolist():
+            digest.update(value.hex().encode())
+    for (u, v), calls in sorted(catalog.recursion_calls.items()):
+        digest.update(f"{u},{v}:{calls};".encode())
+    for pair, path in sorted(catalog.cheapest.items()):
+        digest.update(f"{pair}:{path.nodes}{path.link_ids};".encode())
+    for u, v in ((0, 9), (4, 7), (9, 2)):
+        paths, coeffs = catalog.pair_split(u, v)[:2]
+        for path, coeff in zip(paths, coeffs):
+            digest.update(f"{path.nodes}:{coeff.hex()};".encode())
+    assert catalog.total_paths == 52478
+    assert digest.hexdigest() == WIDE_CATALOG_SHA256
 
 
 @pytest.mark.parametrize(
@@ -315,7 +360,8 @@ def test_pair_paths_are_listed_once_and_match_enumeration():
     paths, coeffs = first[:2]
     assert list(paths) == enumerate_simple_paths(net, 0, 4)
     assert coeffs == tuple(path_coefficient(p, net) for p in paths)
-    with pytest.raises(KeyError):
+    # a same-server pair has no paths, as for enumerate_simple_paths
+    with pytest.raises(EdgeEmbedError, match="between server 2 and itself"):
         catalog.pair_split(2, 2)
 
 
