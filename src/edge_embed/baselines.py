@@ -14,7 +14,7 @@ from bisect import insort
 from itertools import chain
 
 from .embedder import EmbeddingResult, _dynamic_embed, _map_streams, _processing_table
-from .model import AugmentedDag, EdgeNetwork, _ready_row
+from .model import AugmentedDag, EdgeNetwork, _ready_row, _sum_left
 from .pathfind import PathCatalog
 
 
@@ -40,13 +40,13 @@ def _upward_rank(
     order: the same max over the same floats as a pull from the consumers."""
     n = len(coeff)
     # Mean over all n^2 ordered pairs; the zero diagonal adds nothing.
-    mean_coeff = sum(chain.from_iterable(coeff)) / (n * n)
+    mean_coeff = _sum_left(chain.from_iterable(coeff)) / (n * n)
     inputs = dag.stream_table[0]
     best_tail = [0.0] * len(procs)
     upward = [0.0] * len(procs)
     for node, proc in zip(reversed(dag.functions), reversed(procs)):
         fid = node.id
-        rank = upward[fid] = sum(proc) / n + best_tail[fid]
+        rank = upward[fid] = _sum_left(proc) / n + best_tail[fid]
         for src, bits in inputs[fid]:
             tail = bits * mean_coeff + rank
             if tail > best_tail[src]:
@@ -73,7 +73,7 @@ def heft_schedule(
     coeff = catalog.cheapest_coefficient.tolist()
     rank = _upward_rank(dag, procs, coeff)
     position = dag.position
-    order = sorted(position, key=lambda fid: (-rank[fid], position[fid]))
+    order = sorted(position, key=rank.__getitem__, reverse=True)  # stable: ties keep stored order
 
     inputs_of = dag.stream_table[0]
     servers = range(len(coeff))

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -41,6 +40,7 @@ from .model import (
     StreamEdge,
     WorkloadDag,
     _reached_from_0,
+    _sum_left,
     augment_dummy_tail,
     canonical_json,
     dag_from_json,
@@ -425,7 +425,6 @@ class TrialRecord:
     dag_id: int
     algo: str
     makespan_s: float
-    runtime_s: float
     dag_size: int
 
     def __post_init__(self):
@@ -433,8 +432,6 @@ class TrialRecord:
             raise ValidationError(
                 f"dag {self.dag_id} / {self.algo}: non-positive makespan"
             )
-        if self.runtime_s < 0:
-            raise ValidationError("runtime cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -447,7 +444,6 @@ class ReportBundle:
     mean_makespan: dict[str, float]
     cdf: dict[str, list[tuple[float, float]]] = field(repr=False)
     reductions: dict[str, float]
-    runtime_totals: dict[str, float]
     network_fingerprint: str
     seed: int | None = None
 
@@ -467,15 +463,13 @@ def run_benchmark(
     spec: WorkloadSpec | None = None,
     network: EdgeNetwork | None = None,
     dag_records: Sequence[DagRecord] | None = None,
-    timing: str = "off",
 ) -> ReportBundle:
     """Embed every DAG with every requested algorithm and aggregate.
 
     The workload comes either from ``spec`` (regenerated from its seed) or
-    from an explicit ``network`` plus ``dag_records``. With ``timing`` "off"
-    (the default), per-trial runtimes are recorded as zero so the bundle
-    (and everything serialized from it) is fully deterministic; "wall"
-    records real elapsed seconds per embed call.
+    from an explicit ``network`` plus ``dag_records``. The bundle depends on
+    nothing else: it records no wall time, which ``benchmark/run.py``
+    measures instead.
     """
     algos = list(algorithms)
     if not algos:
@@ -487,8 +481,6 @@ def run_benchmark(
         )
     if len(set(algos)) != len(algos):
         raise ValidationError("duplicate algorithm names")
-    if timing not in ("wall", "off"):
-        raise ValidationError("timing must be 'wall' or 'off'")
 
     if spec is not None:
         if network is not None or dag_records is not None:
@@ -509,22 +501,16 @@ def run_benchmark(
     fingerprint = network_fingerprint(network)
 
     trials: list[TrialRecord] = []
-    runtime_totals = {a: 0.0 for a in algos}
     for dag_id, record in enumerate(dag_records):
         aug = record.augmented()
         validate_time_range(aug, network)
         for algo in algos:
-            runner = ALGORITHMS[algo]
-            t0 = time.perf_counter()
-            result = runner(aug, network, catalog)
-            elapsed = time.perf_counter() - t0 if timing == "wall" else 0.0
-            runtime_totals[algo] += elapsed
+            result = ALGORITHMS[algo](aug, network, catalog)
             trials.append(
                 TrialRecord(
                     dag_id=dag_id,
                     algo=algo,
                     makespan_s=result.makespan,
-                    runtime_s=elapsed,
                     dag_size=len(record.dag.functions),
                 )
             )
@@ -534,7 +520,7 @@ def run_benchmark(
     cdf = {}
     for algo in algos:
         spans = sorted(t.makespan_s for t in trials if t.algo == algo)
-        mean_makespan[algo] = sum(spans) / len(spans)
+        mean_makespan[algo] = _sum_left(spans) / len(spans)
         cdf[algo] = [
             (span, (k + 1) / len(spans)) for k, span in enumerate(spans)
         ]
@@ -555,7 +541,6 @@ def run_benchmark(
         mean_makespan=mean_makespan,
         cdf=cdf,
         reductions=reductions,
-        runtime_totals=runtime_totals,
         network_fingerprint=fingerprint,
         seed=seed,
     )
@@ -580,15 +565,13 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
         "network_fingerprint": bundle.network_fingerprint,
         "seed": bundle.seed,
         "mean_makespan_s": bundle.mean_makespan,
-        "runtime_total_s": bundle.runtime_totals,
         "reductions": bundle.reductions,
     }
     texts = {
         "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
         "trials.csv": _csv_text(
-            ["dag_id", "algo", "makespan_s", "runtime_s", "dag_size"],
-            ([t.dag_id, t.algo, repr(t.makespan_s), repr(t.runtime_s), t.dag_size]
-             for t in bundle.trials),
+            ["dag_id", "algo", "makespan_s", "dag_size"],
+            ([t.dag_id, t.algo, repr(t.makespan_s), t.dag_size] for t in bundle.trials),
         ),
     }
     for algo in bundle.algorithms:

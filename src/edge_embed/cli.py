@@ -125,14 +125,13 @@ def _cmd_bench(args) -> int:
             algos,
             network=load_network(args.network),
             dag_records=load_dag_records(args.dags),
-            timing=args.timing,
         )
     else:
         spec = WorkloadSpec(
             seed=args.seed, n_servers=args.servers, connectivity=args.connectivity,
             n_dags=args.n_dags,
         )
-        bundle = run_benchmark(algos, spec=spec, timing=args.timing)
+        bundle = run_benchmark(algos, spec=spec)
     for path in emit_report(bundle, args.out):
         print(f"wrote {path}")
     return 0
@@ -198,9 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--servers", type=_integer, default=WorkloadSpec.n_servers)
     p_bench.add_argument("--connectivity", type=_number, default=WorkloadSpec.connectivity)
     p_bench.add_argument("--n-dags", type=_integer, default=WorkloadSpec.n_dags)
-    # Wall-clock timing makes report bytes vary run to run; it is opt-in
-    # here so two identical invocations produce identical files.
-    p_bench.add_argument("--timing", choices=["wall", "off"], default="off")
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -106,6 +106,17 @@ def _require_rate(what: str, value: float) -> None:
         )
 
 
+def _sum_left(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, one rounding per term:
+    builtin ``sum`` on Python 3.10 and 3.11, bit for bit. From 3.12 ``sum``
+    compensates float error, so every float total an embedding or a report
+    reads is taken here, to give the same bits on every Python."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def _reached_from_0(n: int, pairs: Iterable[tuple[int, int]]) -> set[int]:
     """The servers of 0..n-1 that links ``pairs`` join to server 0."""
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -377,11 +388,11 @@ def validate_time_range(
     every time an embedder derives finite and every makespan > 0.
     """
     speeds = [s.psi for s in net.servers]
-    route = sum(1.0 / link.throughput for link in net.links)
+    route = _sum_left(1.0 / link.throughput for link in net.links)
     upper = (
         max(_ready_row(net, ready))
-        + sum(f.flops for f in dag.functions) / min(speeds)
-        + sum(e.size for e in dag.edges) * route
+        + _sum_left(f.flops for f in dag.functions) / min(speeds)
+        + _sum_left(e.size for e in dag.edges) * route
     )
     if not math.isfinite(upper):
         raise ValidationError(

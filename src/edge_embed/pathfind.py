@@ -32,7 +32,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import EdgeNetwork
+from .model import EdgeNetwork, _sum_left
 
 DEFAULT_PATH_CAP = 10**6
 PATH_CAP_ENV_VAR = "EDGE_EMBED_PATH_CAP"
@@ -199,8 +199,8 @@ class PathCatalog:
         """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
         listed once and memoized: the terms ``splitter._equalize`` takes.
 
-        ``inv_sum`` is ``inv_coeff_sum[u, v]``, the same float as
-        ``sum(1 / A_k)`` over the listing in its order; ``a_max`` and
+        ``inv_sum`` is ``inv_coeff_sum[u, v]``, the same float as the
+        listing's 1 / A_k added left to right; ``a_max`` and
         ``a_min`` are the largest and smallest coefficient, as
         ``optimal_split`` computes them. When the pair has no path or a
         coefficient outside (0, inf), which no split accepts, all three are nan.
@@ -297,7 +297,7 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
             buckets = by_hops[v]
             coeffs = [a for hops in sorted(buckets) for a in buckets[hops]]
             recursion_calls[(u, v)] = len(coeffs)
-            inv_row[v] = sum(1.0 / a for a in coeffs)
+            inv_row[v] = _sum_left(1.0 / a for a in coeffs)
             route = best_route[v]
             if route is not None:
                 cheapest[(u, v)] = SimplePath(*route)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .errors import ValidationError
+from .model import _sum_left
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ def optimal_split(problem: SplitProblem) -> SplitSolution:
     whose tau or some z_k over- or underflows raises ValidationError.
     """
     a = problem.coefficients
-    tau, allocations = _equalize(a, problem.stream_size, sum(1.0 / x for x in a), max(a), min(a))
+    inv_sum = _sum_left(1.0 / x for x in a)
+    tau, allocations = _equalize(a, problem.stream_size, inv_sum, max(a), min(a))
     return SplitSolution(allocations=allocations, bottleneck_time=tau)
 
 

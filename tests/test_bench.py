@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import math
@@ -16,8 +17,10 @@ from edge_embed import (
     FunctionNode,
     ReportBundle,
     SchemaError,
+    SplitProblem,
     ValidationError,
     WorkloadSpec,
+    brute_force_embed,
     build_catalog,
     emit_report,
     generate_network,
@@ -25,6 +28,7 @@ from edge_embed import (
     load_network,
     nested_networks,
     network_fingerprint,
+    optimal_split,
     run_benchmark,
     scale_network,
     validate_dag,
@@ -43,7 +47,7 @@ from edge_embed.bench import (
     _words32,
     generate_dag_records,
 )
-from edge_embed.model import canonical_json, dag_to_json
+from edge_embed.model import _sum_left, canonical_json, dag_to_json, validate_time_range
 
 # sha256 over the canonical JSON of every DAG record that WorkloadSpec(seed=s,
 # n_dags=50, dag_size_range=r) generates, s in 0..2, r in (2, 20), (20, 60),
@@ -451,8 +455,8 @@ def test_nested_networks_reject_malformed_counts(counts):
 ALGOS = ["dpe", "heft", "placement-only"]
 
 
-def bundle_for(spec: WorkloadSpec, timing: str = "off") -> ReportBundle:
-    return run_benchmark(ALGOS, spec=spec, timing=timing)
+def bundle_for(spec: WorkloadSpec) -> ReportBundle:
+    return run_benchmark(ALGOS, spec=spec)
 
 
 def test_run_benchmark_bundle_shape():
@@ -484,7 +488,7 @@ def test_run_benchmark_bundle_shape():
 def test_run_benchmark_accepts_explicit_workload():
     net = generate_network(SMALL)
     records = generate_dag_records(SMALL)
-    bundle = run_benchmark(["dpe"], network=net, dag_records=records, timing="off")
+    bundle = run_benchmark(["dpe"], network=net, dag_records=records)
     assert bundle.seed is None
     assert bundle.n_dags == len(records)
     assert bundle.network_fingerprint == network_fingerprint(net)
@@ -505,8 +509,6 @@ def test_run_benchmark_rejects_bad_requests():
         run_benchmark(["dpe"], spec=SMALL, network=net, dag_records=records)
     with pytest.raises(ValueError):
         run_benchmark(["dpe"])
-    with pytest.raises(ValueError):
-        run_benchmark(["dpe"], spec=SMALL, timing="sometimes")
 
 
 def test_every_runner_honours_a_ready_map():
@@ -524,27 +526,38 @@ def test_every_runner_honours_a_ready_map():
         assert all(result.finish_times[f] > 100.0 for f in entries)
 
 
+def test_float_totals_never_go_through_builtin_sum(monkeypatch):
+    # builtin sum compensates float error from Python 3.12 on, so a total
+    # taken with it would give catalogs, splits, ranks and reports other
+    # bits there than on 3.10 and 3.11
+    builtin_sum = builtins.sum
+
+    def no_float_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(x, float) for x in (start, *values)):
+            raise AssertionError(f"builtin sum over floats: {values[:3]}")
+        return builtin_sum(values, start)
+
+    monkeypatch.setattr(builtins, "sum", no_float_sum)
+    net = generate_network(SMALL)
+    catalog = build_catalog(net)
+    ready = {0: 0.5, 2: 1.25}
+    for record in generate_dag_records(SMALL):
+        aug = record.augmented()
+        validate_time_range(aug, net, ready)
+        for runner in (*ALGORITHMS.values(), brute_force_embed):
+            runner(aug, net, catalog, ready)
+    optimal_split(SplitProblem((0.1, 0.2, 0.3), stream_size=7.0))
+    run_benchmark(ALGOS, spec=SMALL)
+    assert _sum_left([1e16, 1.0, -1e16]) == 0.0  # 1.0 by sum from 3.12 on
+
+
 def test_trial_record_rejects_impossible_values():
     # run_benchmark never builds these (validate_time_range keeps makespans
-    # > 0, perf_counter is monotonic), so a direct caller gets exit 2's type
-    for makespan, runtime in ((0.0, 0.0), (-1.0, 0.0), (1.0, -1e-9)):
+    # > 0), so a direct caller gets exit 2's type
+    for makespan in (0.0, -1.0):
         with pytest.raises(ValidationError):
-            TrialRecord(
-                dag_id=0, algo="dpe", makespan_s=makespan, runtime_s=runtime, dag_size=2
-            )
-
-
-def test_timing_off_zeroes_runtimes_and_wall_records_them():
-    off = bundle_for(SMALL, timing="off")
-    assert all(t.runtime_s == 0.0 for t in off.trials)
-    assert all(v == 0.0 for v in off.runtime_totals.values())
-    # "off" is the default: wall time stays out unless asked for
-    assert run_benchmark(ALGOS, spec=SMALL) == off
-    wall = bundle_for(SMALL, timing="wall")
-    assert all(t.runtime_s >= 0.0 for t in wall.trials)
-    assert all(v > 0.0 for v in wall.runtime_totals.values())
-    # makespans are identical either way; timing never touches results
-    assert [t.makespan_s for t in off.trials] == [t.makespan_s for t in wall.trials]
+            TrialRecord(dag_id=0, algo="dpe", makespan_s=makespan, dag_size=2)
 
 
 def test_emit_report_files_and_headers(tmp_path):
@@ -559,21 +572,24 @@ def test_emit_report_files_and_headers(tmp_path):
         "trials.csv",
     ]
     trials = (tmp_path / "trials.csv").read_text(encoding="utf-8").splitlines()
-    assert trials[0] == "dag_id,algo,makespan_s,runtime_s,dag_size"
+    assert trials[0] == "dag_id,algo,makespan_s,dag_size"
     assert len(trials) == 1 + len(bundle.trials)
     cdf = (tmp_path / "cdf_dpe.csv").read_text(encoding="utf-8").splitlines()
     assert cdf[0] == "makespan_s,fraction"
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert sorted(summary) == [
+        "algorithms", "mean_makespan_s", "n_dags", "network_fingerprint", "reductions", "seed"
+    ]
     assert summary["algorithms"] == ALGOS
     assert summary["n_dags"] == SMALL.n_dags
     assert summary["seed"] == SMALL.seed
     assert set(summary["mean_makespan_s"]) == set(ALGOS)
 
 
-def test_reports_are_byte_identical_with_timing_off(tmp_path):
+def test_reports_are_byte_identical(tmp_path):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    emit_report(bundle_for(SMALL, timing="off"), first)
-    emit_report(bundle_for(SMALL, timing="off"), second)
+    emit_report(bundle_for(SMALL), first)
+    emit_report(bundle_for(SMALL), second)
     for name in ("summary.json", "trials.csv", "cdf_dpe.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()

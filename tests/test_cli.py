@@ -122,11 +122,14 @@ def test_paths_rejects_unknown_server(tmp_path, capsys, ends):
         ["paths", "--network", "net.json", "--src", "0", "--dst", "1", "--bogus"],
         ["embed", "--network", "net.json", "--dag", "dag.json", "--algo", "nope"],
         ["bench", "--out", "report", "--timing", "cpu"],
+        # reports hold no wall time, so bench has no timing option
+        ["bench", "--out", "report", "--timing", "wall"],
+        ["bench", "--out", "report", "--timing", "off"],
         ["nope"],
         [],
     ],
-    ids=["missing-option", "unknown-option", "bad-choice", "bad-timing", "bad-command",
-         "no-command"],
+    ids=["missing-option", "unknown-option", "bad-choice", "bad-timing", "timing-wall",
+         "timing-off", "bad-command", "no-command"],
 )
 def test_argparse_errors_print_one_error_line(capsys, argv):
     # argparse alone prints its usage line first and exits through SystemExit

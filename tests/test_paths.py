@@ -63,6 +63,15 @@ def oracle_complete_count(n: int) -> int:
     return sum(math.perm(n - 2, r) for r in range(n - 1))
 
 
+def sum_left(values) -> float:
+    """Floats added left to right, one rounding each: builtin sum compensates
+    from Python 3.12 on, so it is no oracle for the catalog's bits."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 # ---------------------------------------------------------------------------
 # enumeration correctness
 # ---------------------------------------------------------------------------
@@ -230,7 +239,7 @@ def test_catalog_aggregates_match_oracle(net):
                     total_inv += 1.0 / throughput[hop]
                 oracle_coeffs.append(total_inv)
             assert coeffs == tuple(oracle_coeffs)
-            assert catalog.inv_coeff_sum[(u, v)] == sum(1.0 / a for a in coeffs)
+            assert catalog.inv_coeff_sum[(u, v)] == sum_left(1.0 / a for a in coeffs)
             assert catalog.cheapest_coefficient[u, v] == min(oracle_coeffs)
     assert catalog.total_paths == total
 
@@ -280,7 +289,7 @@ def test_split_route_prices_every_pair_like_optimal_split(net):
                 continue
             _, coeffs, *terms = catalog.pair_split(u, v)
             # the DP's pair cost and the split's denominator are one float
-            assert float(catalog.inv_coeff_sum[u, v]) == sum(1 / a for a in coeffs)
+            assert float(catalog.inv_coeff_sum[u, v]) == sum_left(1 / a for a in coeffs)
             assert terms[1:] == [max(coeffs), min(coeffs)]
             for bits in (1.0, 7.3e6, 2.9e7):
                 tau, allocations = _equalize(coeffs, bits, *terms)
