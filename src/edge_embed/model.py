@@ -87,8 +87,9 @@ def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwor
 
 
 def _require_finite(what: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+    if not (isinstance(value, Real) and abs(value) <= sys.float_info.max):  # exact on ints
+        shown = "an int past the float range" if isinstance(value, Integral) else repr(value)
+        raise ValidationError(f"{what} must be finite, got {shown}")
 
 
 def _require_positive(what: str, value: float, unit: str = "") -> None:
@@ -223,11 +224,12 @@ def validate_dag(dag: WorkloadDag) -> None:
         raise ValidationError(
             f"function ids must be dense 0-based integers, got {sorted(ids)}"
         )
-    # each weight is tested once; a message is formatted only on failure
+    # a float weight is tested once; a message is formatted only on failure
     for f in dag.functions:
-        if not 0.0 <= f.flops < math.inf:
+        if not (type(f.flops) is float and 0.0 <= f.flops <= sys.float_info.max):
             _require_finite(f"function {f.id} flops", f.flops)
-            raise ValidationError(f"function {f.id} has negative flops")
+            if f.flops < 0:
+                raise ValidationError(f"function {f.id} has negative flops")
     position = dag.position
     seen_edges: set[tuple[int, int]] = set()
     against = None  # the first edge that runs against the stored order
@@ -236,7 +238,7 @@ def validate_dag(dag: WorkloadDag) -> None:
             raise ValidationError(
                 f"edge {e.src}->{e.dst} references an unknown function"
             )
-        if not 0.0 < e.size < math.inf:
+        if not (type(e.size) is float and 0.0 < e.size <= sys.float_info.max):
             _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
             _require_positive(f"stream {e.src}->{e.dst}", e.size, " bits")
         key = (e.src, e.dst)
@@ -335,9 +337,10 @@ def augment_dummy_tail(
     if parts:
         raise ValidationError("; ".join(parts))
     for d in destinations:
-        if not 0.0 < dst_out_sizes[d] < math.inf:
-            _require_finite(f"output of destination {d}", dst_out_sizes[d])
-            _require_positive(f"output of destination {d}", dst_out_sizes[d], " bits")
+        out = dst_out_sizes[d]
+        if not (type(out) is float and 0.0 < out <= sys.float_info.max):
+            _require_finite(f"output of destination {d}", out)
+            _require_positive(f"output of destination {d}", out, " bits")
     collector = FunctionNode(id=len(dag.functions), flops=0.0)
     collector_edges = tuple(
         StreamEdge(src=d, dst=collector.id, size=float(dst_out_sizes[d]))

@@ -3,20 +3,18 @@
 Streams may be split across every simple path joining two servers, but
 the embedders need much less than the paths themselves: each prices a
 server pair from one dense n x n matrix, and only the pairs an embedding
-actually uses need their path lists. The catalog therefore walks once from
-each source server and fills both matrices, diagonal included:
-``inv_coeff_sum`` (``sum(1 / A_k)``, infinite on the diagonal) for ``dpe``
-and ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal)
-for the single-path baselines. It also keeps per-pair path counts and the
-cheapest path, and lists a pair's paths and their coefficients on first
-use.
-
-The walk is depth-first: it pushes a server onto the current route, moves
-on to unvisited neighbours in ascending id, and pops on the way back. It
-reads one table, built once per catalog or listing, of each server's
-neighbours in ascending id with the link id and its inverse throughput,
-and flags the servers on the route in a list indexed by server id. It
-is exponential by nature; a cap on the number of enumerated paths
+actually uses need their path lists. The catalog therefore expands the
+simple paths that leave each source server level by level (one link, then
+two, ...) and fills both matrices, diagonal included: ``inv_coeff_sum``
+(``sum(1 / A_k)``, infinite on the diagonal) for ``dpe`` and
+``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal) for
+the single-path baselines. It keeps per-pair path counts, builds a pair's
+cheapest path when it is first read, and lists a pair's paths and their
+coefficients on first use, by a depth-first walk that pushes a server onto
+the route, moves on to unvisited neighbours in ascending id, and pops on
+the way back. All read one table of each server's neighbours in ascending
+id with the link id and its inverse throughput. Enumeration is exponential
+by nature; a cap on the number of enumerated paths
 (``EDGE_EMBED_PATH_CAP``) turns runaway growth into a clean error instead
 of a hopeless run.
 """
@@ -25,14 +23,14 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import EdgeNetwork, _sum_left
+from .model import EdgeNetwork
 
 DEFAULT_PATH_CAP = 10**6
 PATH_CAP_ENV_VAR = "EDGE_EMBED_PATH_CAP"
@@ -62,7 +60,7 @@ def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
 
 
 def _adjacency(net: EdgeNetwork) -> list[tuple[tuple[int, float, int], ...]]:
-    """The walk's table: per server id, ``(neighbour, 1 / throughput, link
+    """The enumeration table: per server id, ``(neighbour, 1 / throughput, link
     id)`` in ascending neighbour id, the float a step adds to the coefficient."""
     inverse = [1.0 / link.throughput for link in net.links]
     return [
@@ -164,18 +162,57 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
     return list(_list_paths(net, src, dst)[0])
 
 
+def _route(adjacency, rank: int, src: int, dst: int) -> SimplePath:
+    """Path ``rank`` (from 0) of src -> dst in canonical order, by a level-order search."""
+    level = [((src,), (), 1 << src)]
+    while level:
+        deeper = []
+        for nodes, link_ids, mask in level:
+            for node, _, link_id in adjacency[nodes[-1]]:
+                if mask >> node & 1:
+                    continue
+                if node != dst:
+                    deeper.append((nodes + (node,), link_ids + (link_id,), mask | 1 << node))
+                elif rank:
+                    rank -= 1
+                else:
+                    return SimplePath(nodes + (node,), link_ids + (link_id,))
+        level = deeper
+    raise LookupError(f"no path of that rank from server {src} to {dst}")
+
+
+class _CheapestRoutes(Mapping):
+    """Pairs, in ascending order, to their cheapest path: built on first read, then kept."""
+
+    def __init__(self, adjacency, ranks: dict[tuple[int, int], int]):
+        self._adjacency, self._ranks, self._built = adjacency, ranks, {}
+
+    def __getitem__(self, pair):
+        try:
+            return self._built[pair]
+        except KeyError:
+            path = self._built[pair] = _route(self._adjacency, self._ranks[pair], *pair)
+        return path
+
+    def __iter__(self):
+        return iter(self._ranks)
+
+    def __len__(self):
+        return len(self._ranks)
+
+
 @dataclass
 class PathCatalog:
     """Per ordered server pair: path count, pair costs, cheapest path; the
     one pair-cost table every embedder reads.
 
-    ``recursion_calls[(u, v)]`` counts the walk steps that landed on v
-    from u, one per path of the pair, and the ``total_paths`` property sums
-    them. ``inv_coeff_sum[u, v]`` holds ``sum(1 / A_k)`` over all paths of
-    the pair, the denominator of the bottleneck-equalizing split, and is
-    infinite on the diagonal, so ``bits / inv_coeff_sum`` is the split
-    transit matrix with free same-server streams. ``cheapest[(u, v)]`` is
-    the canonical-first path of least coefficient, which costs
+    ``recursion_calls[(u, v)]`` counts the paths from u to v, and the
+    ``total_paths`` property sums them. ``inv_coeff_sum[u, v]`` holds
+    ``sum(1 / A_k)`` over all paths of the pair, the denominator of the
+    bottleneck-equalizing split, and is infinite on the diagonal, so
+    ``bits / inv_coeff_sum`` is the split transit matrix with free
+    same-server streams. ``cheapest[(u, v)]``, a read-only mapping built on
+    first read, is the canonical-first path of least coefficient, which costs
     ``cheapest_coefficient[u, v]`` seconds per bit; that matrix is zero on
     the diagonal. Both matrices are read-only n x n arrays. A pair's paths
     and their coefficients are listed together on first use and memoized
@@ -185,7 +222,7 @@ class PathCatalog:
     net: EdgeNetwork = field(repr=False)
     recursion_calls: dict[tuple[int, int], int] = field(repr=False)
     inv_coeff_sum: np.ndarray = field(repr=False)
-    cheapest: dict[tuple[int, int], SimplePath] = field(repr=False)
+    cheapest: Mapping[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
     _listed: dict[tuple[int, int], _SplitListing] = field(
         default_factory=dict, init=False, repr=False
@@ -234,7 +271,7 @@ def resolve_path_cap() -> int:
 
 
 def _short_path_count(net: EdgeNetwork) -> int:
-    """A lower bound on the walk's steps: its paths of one or two links.
+    """A lower bound on the catalog's paths: those of one or two links.
 
     A server v with k distinct neighbours starts at least k one-link paths
     and is the middle of at least k(k - 1) two-link ones. On a valid
@@ -249,61 +286,61 @@ def _short_path_count(net: EdgeNetwork) -> int:
 
 
 def build_catalog(net: EdgeNetwork) -> PathCatalog:
-    """Walk from every server of ``net`` into a catalog of all ordered pairs.
-
-    Raises PathExplosionError as soon as the total number of enumerated
-    paths, summed across ordered pairs, passes ``resolve_path_cap()``, so
-    hopeless networks fail fast; the cap bounds the work of the walk. When
-    the paths of at most two links alone pass the cap, it raises before
-    the first step, since the walk would reach the same error.
+    """Expand the simple paths that leave each server of ``net`` level by
+    level into a catalog of all ordered pairs. A level holds its paths as
+    parallel lists (end server, coefficient, route bitmask) in node order,
+    so a pair's paths come in canonical order: its ``sum(1 / A_k)`` is
+    added left to right and a strict ``<`` keeps the rank of its
+    canonical-first cheapest path. Raises PathExplosionError on the first
+    path past ``resolve_path_cap()``, counted across all pairs, and before
+    the first level when the paths of at most two links alone pass it.
     """
     cap = resolve_path_cap()
     if _short_path_count(net) > cap:
         raise PathExplosionError(cap)
+    n = net.n_servers
     adjacency = _adjacency(net)
+    # the expansion's table: _adjacency's with each neighbour's route bit
+    steps = [tuple((w, inverse, 1 << w) for w, inverse, _ in row) for row in adjacency]
     total_paths = 0
     recursion_calls: dict[tuple[int, int], int] = {}
-    cheapest: dict[tuple[int, int], SimplePath] = {}
-    n = net.n_servers
+    ranks: dict[tuple[int, int], int] = {}
     inv_rows, cheapest_rows = [], []
     for u in range(n):
-        # by_hops[v][h]: coefficients of the h-link paths u -> v in walk
-        # order; read out in ascending h they are in canonical order
-        by_hops: list[dict[int, list[float]]] = [{} for _ in range(n)]
-        best_coeff = [math.inf] * n
-        best_hops = [n] * n
-        best_route: list[tuple | None] = [None] * n
-        for nodes, link_ids, coeff in _walk(adjacency, u):
-            if total_paths == cap:
-                raise PathExplosionError(cap)
-            total_paths += 1
-            v = nodes[-1]
-            hops = len(link_ids)
-            bucket = by_hops[v].get(hops)
-            if bucket is None:
-                by_hops[v][hops] = [coeff]
-            else:
-                bucket.append(coeff)
-            # strict on (coefficient, hops): ties keep the path met first
-            best = best_coeff[v]
-            if coeff < best or (coeff == best and hops < best_hops[v]):
-                best_coeff[v] = coeff
-                best_hops[v] = hops
-                best_route[v] = (tuple(nodes), tuple(link_ids))
-        inv_row = [math.inf] * n
+        inv_row = [0.0] * n
+        best = [math.inf] * n
+        count = [0] * n
+        rank = [0] * n
+        ends, coeffs, masks = [u], [0.0], [1 << u]
+        while ends:
+            next_ends, next_coeffs, next_masks = [], [], []
+            for end, coeff, mask in zip(ends, coeffs, masks):
+                for node, inverse, bit in steps[end]:
+                    if mask & bit:
+                        continue
+                    if total_paths == cap:
+                        raise PathExplosionError(cap)
+                    total_paths += 1
+                    coefficient = coeff + inverse
+                    inv_row[node] += 1.0 / coefficient
+                    if coefficient < best[node]:  # strict: the canonical-first wins
+                        best[node] = coefficient
+                        rank[node] = count[node]
+                    count[node] += 1
+                    next_ends.append(node)
+                    next_coeffs.append(coefficient)
+                    next_masks.append(mask | bit)
+            ends, coeffs, masks = next_ends, next_coeffs, next_masks
         for v in range(n):
-            if v == u:
-                continue
-            buckets = by_hops[v]
-            coeffs = [a for hops in sorted(buckets) for a in buckets[hops]]
-            recursion_calls[(u, v)] = len(coeffs)
-            inv_row[v] = _sum_left(1.0 / a for a in coeffs)
-            route = best_route[v]
-            if route is not None:
-                cheapest[(u, v)] = SimplePath(*route)
-        best_coeff[u] = 0.0
+            if v != u:
+                pair = (u, v)
+                recursion_calls[pair] = count[v]
+                if best[v] < math.inf:
+                    ranks[pair] = rank[v]
+        inv_row[u] = math.inf
+        best[u] = 0.0
         inv_rows.append(inv_row)
-        cheapest_rows.append(best_coeff)
+        cheapest_rows.append(best)
     # reshaped so that a network without servers still gets 0 x 0 matrices
     inv_sum = np.array(inv_rows).reshape(n, n)
     cheapest_coeff = np.array(cheapest_rows).reshape(n, n)
@@ -313,6 +350,6 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         net=net,
         recursion_calls=recursion_calls,
         inv_coeff_sum=inv_sum,
-        cheapest=cheapest,
+        cheapest=_CheapestRoutes(adjacency, ranks),
         cheapest_coefficient=cheapest_coeff,
     )

@@ -6,7 +6,9 @@ valid ones: a ``WorkloadSpec`` with one or two fields swapped, a ready map
 with bad keys, times or shape, ``scale_network`` factors,
 ``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
 variable, the ends of a path listing (``enumerate_simple_paths`` and
-``PathCatalog.pair_split``), and mutated network and workload documents.
+``PathCatalog.pair_split``), the weights of a workload built in code (ints
+past the float range among them), and mutated network and workload
+documents.
 Whatever the input, the call returns or raises ``EdgeEmbedError`` or a
 subclass, the set the CLI maps to exit 2 or 3. Workloads stay small (at
 most 6 servers, 3 DAGs and 8 functions) and nothing starts a process or
@@ -23,8 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edge_embed import (
+    DagRecord,
     EdgeEmbedError,
+    FunctionNode,
     SplitProblem,
+    StreamEdge,
+    WorkloadDag,
     WorkloadSpec,
     augment_dummy_tail,
     bisection_oracle,
@@ -92,6 +98,12 @@ def _cap():
     build_catalog(triangle_network())
 
 
+def _weights(flops, bits, out):
+    # built in code, so an int weight reaches the checks as an int
+    dag = WorkloadDag((FunctionNode(0, flops), FunctionNode(1, 1.0)), (StreamEdge(0, 1, bits),))
+    run_benchmark(["dpe", "heft"], network=NET, dag_records=[DagRecord(dag, {1: out})])
+
+
 def _dag_document(doc):
     augment_dummy_tail(*dag_from_json(doc))
 
@@ -106,6 +118,7 @@ ENTRIES = {
     "paths": lambda src, dst: enumerate_simple_paths(NET, src, dst),
     # a fresh catalog, so that every pair is checked on its first listing
     "pair-split": lambda u, v: build_catalog(NET).pair_split(u, v),
+    "weights": _weights,
     "network-json": network_from_json,
     "dag-json": _dag_document,
 }
@@ -138,6 +151,8 @@ def calls(draw):
         args = ()
     elif entry in ("paths", "pair-split"):
         args = (draw(values), draw(values))
+    elif entry == "weights":
+        args = tuple(draw(values | st.just(10**400)) for _ in range(3))
     elif entry == "network-json":
         args = (draw(mutated(network_to_json(NET))),)
     else:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 import types
 
 import pytest
@@ -387,6 +389,60 @@ def test_weight_errors_keep_their_messages(weight, value, message, raising):
         with pytest.raises(ValidationError) as info:
             route()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), 2**1024, 10**5000], ids=["1e400", "-1e400", "2^1024", "1e5000"]
+)
+@pytest.mark.parametrize("weight", ["flops0", "flops2", "bits", "out"])
+def test_int_weights_past_the_float_range_are_rejected(weight, value):
+    # compared exactly before any float conversion, which would overflow
+    w = {"flops0": 1, "flops2": 1, "bits": 1, "out": 1, weight: value}
+    dag = WorkloadDag(
+        functions=(FunctionNode(0, w["flops0"]), FunctionNode(1, 1), FunctionNode(2, w["flops2"])),
+        edges=(StreamEdge(0, 1, 1), StreamEdge(0, 2, w["bits"])),
+    )
+    what = {
+        "flops0": "function 0 flops",
+        "flops2": "function 2 flops",
+        "bits": "stream 0->2 bits",
+        "out": "output of destination 2",
+    }[weight]
+    if weight != "out":
+        with pytest.raises(ValidationError, match=f"^{what} must be finite, got an int past"):
+            validate_dag(dag)
+    with pytest.raises(ValidationError, match=f"^{what} must be finite, got an int past"):
+        augment_dummy_tail(dag, {1: 1, 2: w["out"]})
+
+
+@pytest.mark.parametrize("value", [None, "1.0", [1.0], 1j], ids=["none", "text", "list", "complex"])
+@pytest.mark.parametrize("weight", ["flops0", "bits", "out"])
+def test_weights_that_are_not_real_numbers_are_rejected(weight, value):
+    w = {"flops0": 1.0, "bits": 1.0, "out": 1.0, weight: value}
+    dag = WorkloadDag(
+        functions=(FunctionNode(0, w["flops0"]), FunctionNode(1, 1.0)),
+        edges=(StreamEdge(0, 1, w["bits"]),),
+    )
+    with pytest.raises(ValidationError, match=f"must be finite, got {re.escape(repr(value))}$"):
+        augment_dummy_tail(dag, {1: w["out"]})
+
+
+def test_int_weights_at_the_float_range_are_accepted():
+    top = int(sys.float_info.max)
+    dag = WorkloadDag(
+        functions=(FunctionNode(0, top), FunctionNode(1, 1)), edges=(StreamEdge(0, 1, top),)
+    )
+    aug = augment_dummy_tail(dag, {1: top})
+    assert aug.edges[-1].size == sys.float_info.max
+    for huge in (top + 1, 2**1024):
+        with pytest.raises(ValidationError, match="an int past the float range"):
+            augment_dummy_tail(dag, {1: huge})
+
+
+def test_rates_past_the_float_range_are_rejected():
+    net = make_network([Server(0, 10**400), Server(1, 1.0)], [Link(0, 0, 1, 1.0)])
+    with pytest.raises(ValidationError, match="server 0 psi must be finite, got an int past"):
+        validate_network(net)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ from edge_embed import (
     ValidationError,
     WorkloadSpec,
     build_catalog,
+    dpe_embed,
     enumerate_simple_paths,
+    generate_dag_records,
     generate_network,
+    heft_schedule,
     make_network,
     optimal_split,
     path_coefficient,
@@ -244,6 +247,61 @@ def test_catalog_aggregates_match_oracle(net):
     assert catalog.total_paths == total
 
 
+# the oracle networks (the desk network among them) and wide-busy's
+@pytest.mark.parametrize(
+    "net", _oracle_networks() + [generate_network(WorkloadSpec(seed=0, n_servers=10))]
+)
+def test_cheapest_is_the_first_cheapest_path_of_the_listing(net):
+    # the depth-first listing is independent of the catalog's level-order
+    # expansion and of the search that builds a cheapest path on first read
+    catalog = build_catalog(net)
+    routed = []
+    for u in range(net.n_servers):
+        for v in range(net.n_servers):
+            if u == v:
+                continue
+            paths, coeffs = catalog.pair_split(u, v)[:2]
+            if not paths or min(coeffs) == math.inf:
+                assert (u, v) not in catalog.cheapest
+                continue
+            routed.append((u, v))
+            first = coeffs.index(min(coeffs))
+            assert catalog.cheapest[(u, v)] == paths[first]
+            assert catalog.cheapest[(u, v)] is catalog.cheapest[(u, v)]  # kept
+            assert catalog.cheapest_coefficient[u, v] == coeffs[first]
+    assert list(catalog.cheapest) == routed  # ascending pair order
+    assert len(catalog.cheapest) == len(routed)
+
+
+def test_cheapest_paths_are_built_only_for_the_pairs_read(monkeypatch):
+    net = generate_network(WorkloadSpec(seed=0))  # the desk network
+    records = generate_dag_records(WorkloadSpec(seed=0, n_dags=40))
+    augs = [r.augmented() for r in records]
+    catalog = build_catalog(net)
+    built = []
+    route = pathfind._route
+
+    def spy(adjacency, rank, src, dst):
+        built.append((src, dst))
+        return route(adjacency, rank, src, dst)
+
+    monkeypatch.setattr(pathfind, "_route", spy)
+    for aug in augs:
+        dpe_embed(aug, net, catalog)
+        dpe_embed(aug, net, catalog, ready={0: 1.0, 2: 0.5})
+    assert built == []
+    routed = set()
+    for aug in augs:
+        result = heft_schedule(aug, net, catalog)
+        for (f, g), mapping in result.edge_mappings.items():
+            m, n = result.placements[f], result.placements[g]
+            if m != n:
+                routed.add((m, n))
+                assert mapping.paths == (catalog.cheapest[(m, n)],)
+    assert routed and len(routed) < len(catalog.cheapest)
+    assert sorted(built) == sorted(routed)  # each pair built once
+
+
 # sha256 over the wide-busy catalog: both matrices and every pair's walk
 # count, cheapest path and, for three pairs, the listed paths, floats by
 # float.hex. Recorded once; a change to the walk or the catalog must keep it.
@@ -409,13 +467,15 @@ def test_path_cap_aborts_early_on_large_network(monkeypatch):
 
 def test_catalog_past_cap_raises_before_walking(monkeypatch):
     # K_150 has 150 * 149^2 = 3,330,150 paths of at most two links, past
-    # the default cap, so the catalog fails without a single walk step
+    # the default cap, so the catalog fails before it builds its table,
+    # let alone a level of paths
     monkeypatch.delenv(PATH_CAP_ENV_VAR, raising=False)
 
     def no_walk(*args, **kwargs):
         raise AssertionError("the catalog walked")
 
     monkeypatch.setattr(pathfind, "_walk", no_walk)
+    monkeypatch.setattr(pathfind, "_adjacency", no_walk)
     with pytest.raises(PathExplosionError) as exc:
         build_catalog(complete_network(150))
     assert exc.value.cap == DEFAULT_PATH_CAP
