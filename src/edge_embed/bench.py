@@ -40,6 +40,7 @@ from .model import (
     StreamEdge,
     WorkloadDag,
     _reached_from_0,
+    _shown,
     _sum_left,
     augment_dummy_tail,
     canonical_json,
@@ -80,18 +81,18 @@ class WorkloadSpec:
         for name in ("dag_size_range",) + reals:
             pair = getattr(self, name)
             if not (isinstance(pair, Sequence) and len(pair) == 2):
-                raise ValidationError(f"{name}: {pair!r} is not a (lo, hi) pair")
+                raise ValidationError(f"{name}: {_shown(pair)} is not a (lo, hi) pair")
         counts = [("seed", self.seed), ("n_servers", self.n_servers), ("n_dags", self.n_dags)]
         for name, x in counts + [("dag_size_range", x) for x in self.dag_size_range]:
             if isinstance(x, bool) or not isinstance(x, Integral):
-                raise ValidationError(f"{name}: {x!r} is not an integer")
+                raise ValidationError(f"{name}: {_shown(x)} is not an integer")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         for name, x in [("connectivity", self.connectivity)] + [
             (name, x) for name in reals for x in getattr(self, name)
         ]:
             if isinstance(x, bool) or not isinstance(x, Real):
-                raise ValidationError(f"{name}: {x!r} is not a number")
+                raise ValidationError(f"{name}: {_shown(x)} is not a number")
         if self.n_servers < 1 or self.n_dags < 1:
             raise ValidationError("server and DAG counts must be >= 1")
         if not 0.0 < self.connectivity <= 1.0:
@@ -329,7 +330,7 @@ def scale_network(
         if isinstance(factor, bool) or not (
             isinstance(factor, Real) and 0 < factor <= sys.float_info.max
         ):
-            raise ValidationError(f"{name} must be a finite number > 0, got {factor!r}")
+            raise ValidationError(f"{name} must be a finite number > 0, got {_shown(factor)}")
     servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
     links = [
         Link(id=l.id, u=l.u, v=l.v, throughput=l.throughput * throughput_factor)
@@ -360,7 +361,7 @@ def nested_networks(
     if not (isinstance(server_counts, Sequence) and server_counts) or any(
         isinstance(c, bool) or not isinstance(c, Integral) for c in server_counts
     ):
-        raise ValidationError(f"server counts must be integers, got {server_counts!r}")
+        raise ValidationError(f"server counts must be integers, got {_shown(server_counts)}")
     counts = sorted(server_counts)
     if len(set(counts)) != len(counts):
         raise ValidationError("server counts must be distinct")

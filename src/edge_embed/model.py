@@ -86,10 +86,20 @@ def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwor
     return EdgeNetwork(servers=servers, links=links, adjacency=frozen)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, but an int past the float range
+    is named, not formatted: Python formats at most 4,300 digits of an int."""
+    if isinstance(value, Integral) and not abs(value) <= sys.float_info.max:
+        return "an int past the float range"
+    try:
+        return repr(value)
+    except ValueError:  # a container holding such an int
+        return f"a {type(value).__name__} holding an int past the float range"
+
+
 def _require_finite(what: str, value: float) -> None:
     if not (isinstance(value, Real) and abs(value) <= sys.float_info.max):  # exact on ints
-        shown = "an int past the float range" if isinstance(value, Integral) else repr(value)
-        raise ValidationError(f"{what} must be finite, got {shown}")
+        raise ValidationError(f"{what} must be finite, got {_shown(value)}")
 
 
 def _require_positive(what: str, value: float, unit: str = "") -> None:
@@ -310,6 +320,26 @@ class AugmentedDag(WorkloadDag):
         return self.functions[-1].id
 
 
+def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None:
+    """Raise ValidationError unless ``dst_out_sizes`` gives every destination
+    of ``dag``, and no other function, a finite positive bit count."""
+    destinations = dag.destination_ids
+    missing = sorted(set(destinations) - set(dst_out_sizes))
+    unexpected = sorted(set(dst_out_sizes) - set(destinations))
+    parts = []
+    if missing:
+        parts.append(f"missing sizes for destinations {missing}")
+    if unexpected:
+        parts.append(f"sizes given for non-destinations {_shown(unexpected)}")
+    if parts:
+        raise ValidationError("; ".join(parts))
+    for d in destinations:
+        out = dst_out_sizes[d]
+        if not (type(out) is float and 0.0 < out <= sys.float_info.max):
+            _require_finite(f"output of destination {d}", out)
+            _require_positive(f"output of destination {d}", out, " bits")
+
+
 def augment_dummy_tail(
     dag: WorkloadDag, dst_out_sizes: Mapping[int, float]
 ) -> AugmentedDag:
@@ -327,20 +357,7 @@ def augment_dummy_tail(
                 f"destination {d} has zero flops; workload appears to "
                 "carry a collector tail already"
             )
-    missing = sorted(set(destinations) - set(dst_out_sizes))
-    unexpected = sorted(set(dst_out_sizes) - set(destinations))
-    parts = []
-    if missing:
-        parts.append(f"missing sizes for destinations {missing}")
-    if unexpected:
-        parts.append(f"sizes given for non-destinations {unexpected}")
-    if parts:
-        raise ValidationError("; ".join(parts))
-    for d in destinations:
-        out = dst_out_sizes[d]
-        if not (type(out) is float and 0.0 < out <= sys.float_info.max):
-            _require_finite(f"output of destination {d}", out)
-            _require_positive(f"output of destination {d}", out, " bits")
+    _check_outputs(dag, dst_out_sizes)
     collector = FunctionNode(id=len(dag.functions), flops=0.0)
     collector_edges = tuple(
         StreamEdge(src=d, dst=collector.id, size=float(dst_out_sizes[d]))
@@ -362,18 +379,19 @@ def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[floa
         raise ValidationError(f"a ready map must be a mapping, got {type(ready).__name__}")
     for server, seconds in (ready or {}).items():
         if isinstance(server, bool) or isinstance(seconds, bool):
-            raise ValidationError(f"ready map entry {server!r}: {seconds!r} holds a bool")
+            shown = f"{_shown(server)}: {_shown(seconds)}"
+            raise ValidationError(f"ready map entry {shown} holds a bool")
         if not (
             (isinstance(server, int) or isinstance(server, Integral))
             and 0 <= server < len(row)
         ):
-            raise ValidationError(f"ready map names unknown server {server!r}")
+            raise ValidationError(f"ready map names unknown server {_shown(server)}")
         if not (
             (isinstance(seconds, float) or isinstance(seconds, Real))
             and 0.0 <= seconds <= sys.float_info.max
         ):
             raise ValidationError(
-                f"ready time of server {server} must be finite and >= 0, got {seconds!r}"
+                f"ready time of server {server} must be finite and >= 0, got {_shown(seconds)}"
             )
         row[server] = float(seconds)
     return row
@@ -489,6 +507,9 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
 
 
 def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
+    """One workload document; raises ValidationError for output sizes that
+    ``augment_dummy_tail`` would reject."""
+    _check_outputs(dag, dst_out)
     return {
         "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],
         "edges": [

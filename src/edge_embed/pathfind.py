@@ -8,15 +8,14 @@ simple paths that leave each source server level by level (one link, then
 two, ...) and fills both matrices, diagonal included: ``inv_coeff_sum``
 (``sum(1 / A_k)``, infinite on the diagonal) for ``dpe`` and
 ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal) for
-the single-path baselines. It keeps per-pair path counts, builds a pair's
-cheapest path when it is first read, and lists a pair's paths and their
-coefficients on first use, by a depth-first walk that pushes a server onto
-the route, moves on to unvisited neighbours in ascending id, and pops on
-the way back. All read one table of each server's neighbours in ascending
-id with the link id and its inverse throughput. Enumeration is exponential
-by nature; a cap on the number of enumerated paths
-(``EDGE_EMBED_PATH_CAP``) turns runaway growth into a clean error instead
-of a hopeless run.
+the single-path baselines. It keeps per-pair path counts. A pair's
+cheapest path, built when first read, and its listing of paths and
+coefficients, made on first use, come from one more level-order expansion
+from the pair's source that never extends its destination. All read one
+table of each server's neighbours in ascending id with the link id and its
+inverse throughput. Enumeration is exponential by nature; a cap on the
+number of expanded paths (``EDGE_EMBED_PATH_CAP``) turns runaway growth
+into a clean error instead of a hopeless run.
 """
 
 from __future__ import annotations
@@ -25,12 +24,13 @@ import math
 import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Integral
 
 import numpy as np
 
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import EdgeNetwork
+from .model import EdgeNetwork, _shown
 
 DEFAULT_PATH_CAP = 10**6
 PATH_CAP_ENV_VAR = "EDGE_EMBED_PATH_CAP"
@@ -69,73 +69,49 @@ def _adjacency(net: EdgeNetwork) -> list[tuple[tuple[int, float, int], ...]]:
     ]
 
 
-def _walk(
-    adjacency: list[tuple[tuple[int, float, int], ...]], src: int, dst: int | None = None
-) -> Iterator[tuple[list[int], list[int], float]]:
-    """Depth-first walk over the simple paths that leave ``src``, on the
-    ``_adjacency`` table; a list of n flags marks the servers on the route.
-
-    Every step lands on one simple path and yields it as ``(nodes,
-    link_ids, coefficient)``. The two lists belong to the walk and change
-    after the yield: copy them to keep the path. The coefficient is summed
-    left to right from the table's floats like ``path_coefficient``, so the
-    floats are the same. Neighbours are visited in ascending id, so the
-    paths ending at any one server come in lexicographic node order. A path
-    that reaches ``dst`` is not extended.
+def _paths_to(
+    adjacency: list[tuple[tuple[int, float, int], ...]], src: int, dst: int, cap: float
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float]]:
+    """Every simple path src -> dst as ``(nodes, link_ids, coefficient)`` in
+    canonical (hops, nodes) order: the paths that leave ``src``, expanded level
+    by level on the ``_adjacency`` table, neighbours in ascending id, without
+    extending ``dst``. Each coefficient is summed left to right from the
+    table's floats, as ``path_coefficient`` sums. Raises PathExplosionError
+    once more than ``cap`` paths have been expanded.
     """
-    on_route = [False] * len(adjacency)
-    on_route[src] = True
-    nodes = [src]
-    link_ids: list[int] = []
-    coefficients = [0.0]
-    branches = [iter(adjacency[src])]
-    while branches:
-        for node, inverse, link_id in branches[-1]:
-            if on_route[node]:
-                continue
-            coefficient = coefficients[-1] + inverse
-            nodes.append(node)
-            link_ids.append(link_id)
-            coefficients.append(coefficient)
-            yield nodes, link_ids, coefficient
-            if node != dst:
-                on_route[node] = True
-                branches.append(iter(adjacency[node]))
-                break
-            nodes.pop()
-            link_ids.pop()
-            coefficients.pop()
-        else:
-            branches.pop()
-            on_route[nodes.pop()] = False
-            if link_ids:
-                link_ids.pop()
-                coefficients.pop()
+    expanded = 0
+    level = [((src,), (), 0.0, 1 << src)]
+    while level:
+        deeper = []
+        for nodes, link_ids, coeff, mask in level:
+            for node, inverse, link_id in adjacency[nodes[-1]]:
+                if mask >> node & 1:
+                    continue
+                if expanded == cap:
+                    raise PathExplosionError(cap)
+                expanded += 1
+                if node == dst:
+                    yield nodes + (node,), link_ids + (link_id,), coeff + inverse
+                else:
+                    deeper.append(
+                        (nodes + (node,), link_ids + (link_id,), coeff + inverse, mask | 1 << node)
+                    )
+        level = deeper
 
 
-# a pair's paths in canonical order and, index for index, their coefficients
+# a pair's paths in canonical order and their coefficients; then its split terms
 _Listing = tuple[tuple[SimplePath, ...], tuple[float, ...]]
-# a listing followed by the pair's split terms (see PathCatalog.pair_split)
 _SplitListing = tuple[tuple[SimplePath, ...], tuple[float, ...], float, float, float]
 
 
-def _list_paths(net: EdgeNetwork, src: int, dst: int) -> _Listing:
-    """Every simple path src -> dst and its coefficient, in canonical order.
-
-    Canonical order is (path length, node sequence) ascending, so output
-    is stable across runs. Raises PathExplosionError when more than
-    ``resolve_path_cap()`` paths exist.
-    """
-    cap = resolve_path_cap()
-    found = []
-    for nodes, link_ids, coeff in _walk(_adjacency(net), src, dst):
-        if nodes[-1] == dst:
-            if len(found) == cap:
-                raise PathExplosionError(cap)
-            found.append((SimplePath(tuple(nodes), tuple(link_ids)), coeff))
-    # the walk meets them in node order, so a stable sort by length suffices
-    found.sort(key=lambda listed: len(listed[0].nodes))
-    return tuple(path for path, _ in found), tuple(coeff for _, coeff in found)
+def _list_paths(adjacency, src: int, dst: int) -> _Listing:
+    """Every simple path src -> dst and its coefficient, in canonical order,
+    expanding at most ``resolve_path_cap()`` paths."""
+    listed = [
+        (SimplePath(nodes, link_ids), coeff)
+        for nodes, link_ids, coeff in _paths_to(adjacency, src, dst, resolve_path_cap())
+    ]
+    return tuple(path for path, _ in listed), tuple(coeff for _, coeff in listed)
 
 
 def _check_ends(net: EdgeNetwork, src, dst) -> None:
@@ -145,7 +121,7 @@ def _check_ends(net: EdgeNetwork, src, dst) -> None:
         is_id = isinstance(end, Integral) and not isinstance(end, bool)
         if not (is_id and 0 <= end < net.n_servers):
             raise ValidationError(
-                f"server {end!r} is not in the network ({net.n_servers} servers)"
+                f"server {_shown(end)} is not in the network ({net.n_servers} servers)"
             )
     if src == dst:
         raise EdgeEmbedError(f"no paths requested between server {src} and itself")
@@ -155,30 +131,18 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
     """Every simple path from ``src`` to ``dst`` in canonical order.
 
     Raises ValidationError when an end is not a server of ``net``,
-    EdgeEmbedError when src == dst, and PathExplosionError when more than
-    ``resolve_path_cap()`` paths exist.
+    EdgeEmbedError when src == dst, and PathExplosionError when the listing
+    expands more than ``resolve_path_cap()`` paths from ``src``.
     """
     _check_ends(net, src, dst)
-    return list(_list_paths(net, src, dst)[0])
+    return list(_list_paths(_adjacency(net), src, dst)[0])
 
 
 def _route(adjacency, rank: int, src: int, dst: int) -> SimplePath:
-    """Path ``rank`` (from 0) of src -> dst in canonical order, by a level-order search."""
-    level = [((src,), (), 1 << src)]
-    while level:
-        deeper = []
-        for nodes, link_ids, mask in level:
-            for node, _, link_id in adjacency[nodes[-1]]:
-                if mask >> node & 1:
-                    continue
-                if node != dst:
-                    deeper.append((nodes + (node,), link_ids + (link_id,), mask | 1 << node))
-                elif rank:
-                    rank -= 1
-                else:
-                    return SimplePath(nodes + (node,), link_ids + (link_id,))
-        level = deeper
-    raise LookupError(f"no path of that rank from server {src} to {dst}")
+    """Path ``rank`` (from 0) of src -> dst in canonical order; uncapped, as
+    the catalog has counted every path the search expands."""
+    nodes, link_ids, _ = next(islice(_paths_to(adjacency, src, dst, math.inf), rank, None))
+    return SimplePath(nodes, link_ids)
 
 
 class _CheapestRoutes(Mapping):
@@ -224,6 +188,7 @@ class PathCatalog:
     inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest: Mapping[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
+    _adjacency: list[tuple[tuple[int, float, int], ...]] = field(repr=False)
     _listed: dict[tuple[int, int], _SplitListing] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -237,19 +202,18 @@ class PathCatalog:
         listed once and memoized: the terms ``splitter._equalize`` takes.
 
         ``inv_sum`` is ``inv_coeff_sum[u, v]``, the same float as the
-        listing's 1 / A_k added left to right; ``a_max`` and
-        ``a_min`` are the largest and smallest coefficient, as
-        ``optimal_split`` computes them. When the pair has no path or a
-        coefficient outside (0, inf), which no split accepts, all three are nan.
-        Raises what ``enumerate_simple_paths`` raises for ends that are not
-        two servers of the network, checked only when the pair is first listed.
+        listing's 1 / A_k added left to right; ``a_max`` and ``a_min`` are
+        the largest and smallest coefficient, as ``optimal_split`` computes
+        them. When the pair has no path or a coefficient outside (0, inf),
+        which no split accepts, all three are nan. Raises what
+        ``enumerate_simple_paths`` raises, checked when the pair is first listed.
         """
         try:
             return self._listed[(u, v)]
         except (KeyError, TypeError):  # not listed yet, or an unhashable end
             pass
         _check_ends(self.net, u, v)
-        paths, coefficients = _list_paths(self.net, u, v)
+        paths, coefficients = _list_paths(self._adjacency, u, v)
         if coefficients and all(0.0 < a < math.inf for a in coefficients):
             terms = (float(self.inv_coeff_sum[u, v]), max(coefficients), min(coefficients))
         else:
@@ -352,4 +316,5 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         inv_coeff_sum=inv_sum,
         cheapest=_CheapestRoutes(adjacency, ranks),
         cheapest_coefficient=cheapest_coeff,
+        _adjacency=adjacency,
     )

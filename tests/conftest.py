@@ -33,6 +33,17 @@ def complete_network(n: int, throughput: float = 1.0, psi: float = 1.0):
     return net
 
 
+def core_and_leaf_network(core: int):
+    """K_core plus a leaf, server ``core``, linked only to server 0: one path
+    joins 0 and the leaf, while every path of the core can leave server 0."""
+    k = complete_network(core)
+    net = make_network(
+        [*k.servers, Server(core, 1.0)], [*k.links, Link(len(k.links), 0, core, 1.0)]
+    )
+    validate_network(net)
+    return net
+
+
 def triangle_network():
     """3 servers: direct 0-1 link is slower than the 0-2-1 detour."""
     net = make_network(

@@ -63,7 +63,7 @@ def test_passive_route_tie_goes_to_canonical_first():
     routes = passive_routes(build_catalog(net))
     assert routes.cheapest_coefficient[0, 1] == 1.0
     assert routes.cheapest[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
-    # the same tie on 1-2, where the walk meets the detour 1-0-2 first
+    # the same tie on 1-2, where node order alone puts the detour 1-0-2 first
     net = make_network(
         [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
         [Link(0, 0, 1, 2.0), Link(1, 0, 2, 2.0), Link(2, 1, 2, 1.0)],

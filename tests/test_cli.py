@@ -19,7 +19,7 @@ from edge_embed import (
 from edge_embed.cli import main
 from edge_embed.model import dag_from_json, network_to_json
 
-from conftest import complete_network, triangle_network
+from conftest import complete_network, core_and_leaf_network, triangle_network
 
 DIAMOND = {
     "functions": [
@@ -82,6 +82,16 @@ def test_paths_honors_cap_from_environment(tmp_path, capsys, monkeypatch):
     code = main(["paths", "--network", str(path), "--src", "0", "--dst", "1"])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_paths_cap_bounds_the_listing_work(tmp_path, capsys, monkeypatch):
+    # one path joins server 0 and the leaf 9, but the listing also expands
+    # the paths of the K_9 core that leave 0, and the cap counts them too
+    path = tmp_path / "leaf.json"
+    path.write_text(json.dumps(network_to_json(core_and_leaf_network(9))), encoding="utf-8")
+    monkeypatch.setenv("EDGE_EMBED_PATH_CAP", "1000")
+    code = main(["paths", "--network", str(path), "--src", "0", "--dst", "9"])
+    assert_one_error(capsys, code, want=3)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5", "", "\u0663", "\uff11\uff10"])

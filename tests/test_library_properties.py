@@ -7,8 +7,10 @@ with bad keys, times or shape, ``scale_network`` factors,
 ``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
 variable, the ends of a path listing (``enumerate_simple_paths`` and
 ``PathCatalog.pair_split``), the weights of a workload built in code (ints
-past the float range among them), and mutated network and workload
-documents.
+past the float range among them), the output sizes ``dag_to_json`` writes,
+and mutated network and workload documents. Every drawn value may be an
+int too long for Python to format (``10**5000``), which an error message
+must name without formatting.
 Whatever the input, the call returns or raises ``EdgeEmbedError`` or a
 subclass, the set the CLI maps to exit 2 or 3. Workloads stay small (at
 most 6 servers, 3 DAGs and 8 functions) and nothing starts a process or
@@ -21,6 +23,7 @@ import dataclasses
 import os
 import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +33,14 @@ from edge_embed import (
     FunctionNode,
     SplitProblem,
     StreamEdge,
+    ValidationError,
     WorkloadDag,
     WorkloadSpec,
     augment_dummy_tail,
     bisection_oracle,
     build_catalog,
     dag_from_json,
+    dag_to_json,
     enumerate_simple_paths,
     generate_dag_records,
     generate_network,
@@ -59,6 +64,7 @@ SPEC = WorkloadSpec(seed=0, n_servers=4, n_dags=2, dag_size_range=(2, 5))
 NET = generate_network(SPEC)
 CATALOG = build_catalog(NET)
 AUG = generate_dag_records(SPEC)[0].augmented()
+PAIR = WorkloadDag((FunctionNode(0, 1.0), FunctionNode(1, 1.0)), (StreamEdge(0, 1, 1.0),))
 
 # None leaves the variable unset, drawn about as often as "30" and as all
 # the malformed caps together; every set value keeps the walk small
@@ -67,7 +73,9 @@ PATH_CAPS = [None, "30", "0", "", " 7 ", "-1", "abc", "1_0", "３", "1e3", "2.5"
 bad = st.sampled_from(BAD_VALUES)
 # numbers a valid call could hold, some at the ends of the float range
 numbers = st.sampled_from([0.5, 1.0, 2.0, 1, 2, 3, 4, 6, 1e-300, 1e308])
-values = bad | numbers
+# past Python's 4,300-digit limit for formatting an int, built when drawn so
+# that hypothesis never formats it in the strategy's repr
+values = bad | numbers | st.builds(pow, st.just(10), st.just(5000))
 hashable = values.filter(lambda x: not isinstance(x, (list, dict)))
 sequences = (
     st.tuples(numbers, numbers) | st.tuples(values, values) | st.lists(values, max_size=3)
@@ -119,6 +127,7 @@ ENTRIES = {
     # a fresh catalog, so that every pair is checked on its first listing
     "pair-split": lambda u, v: build_catalog(NET).pair_split(u, v),
     "weights": _weights,
+    "dag-to-json": lambda dst_out: dag_to_json(PAIR, dst_out),
     "network-json": network_from_json,
     "dag-json": _dag_document,
 }
@@ -153,6 +162,9 @@ def calls(draw):
         args = (draw(values), draw(values))
     elif entry == "weights":
         args = tuple(draw(values | st.just(10**400)) for _ in range(3))
+    elif entry == "dag-to-json":
+        sizes = values | st.just(10**400)
+        args = (draw(st.dictionaries(st.sampled_from(range(3)), sizes, max_size=2)),)
     elif entry == "network-json":
         args = (draw(mutated(network_to_json(NET))),)
     else:
@@ -175,3 +187,27 @@ def test_library_entry_points_raise_only_edge_embed_errors(call):
         os.environ.pop(PATH_CAP_ENV_VAR, None)
         if saved is not None:
             os.environ[PATH_CAP_ENV_VAR] = saved
+
+
+HUGE = 10**5000  # too many digits for Python to format
+PAST = "an int past the float range"
+# (call, what its ValidationError message says)
+NAMED_IN_ERRORS = {
+    "ready-time": (lambda: _ready("dpe", {0: HUGE}), PAST),
+    "ready-key": (lambda: _ready("dpe", {HUGE: 1.0}), PAST),
+    "scale": (lambda: scale_network(NET, HUGE), PAST),
+    "paths": (lambda: enumerate_simple_paths(NET, HUGE, 1), PAST),
+    "pair-split": (lambda: build_catalog(NET).pair_split(0, -HUGE), PAST),
+    "spec-pair": (lambda: dataclasses.replace(SPEC, psi_range=[1.0, 2.0, HUGE]), PAST),
+    "nested": (lambda: nested_networks(SPEC, [1.5, HUGE]), PAST),
+    "augment-key": (lambda: augment_dummy_tail(PAIR, {1: 1.0, HUGE: 1.0}), PAST),
+    "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
+    "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),
+    "dag-to-json-none": (lambda: dag_to_json(PAIR, {1: None}), "must be finite, got None"),
+}
+
+
+@pytest.mark.parametrize("call, says", NAMED_IN_ERRORS.values(), ids=NAMED_IN_ERRORS)
+def test_rejected_values_are_named_in_the_error(call, says):
+    with pytest.raises(ValidationError, match=says):
+        call()

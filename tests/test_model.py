@@ -326,6 +326,7 @@ def test_augment_rejects_nonpositive_output_size():
 
 ALL = ("validate", "augment", "json")
 AUGMENT = ("augment",)
+OUTPUT = ("augment", "json")  # dag_to_json checks the outputs as augment does
 INF, NAN = math.inf, math.nan
 ZERO_FLOP_TAIL = (
     "destination 2 has zero flops; workload appears to carry a collector tail already"
@@ -352,12 +353,12 @@ PINNED_WEIGHT_ERRORS = [
     ("bits", -1.0, "stream 0->2 must be > 0 bits, got -1.0", ALL),
     ("bits", -0.0, "stream 0->2 must be > 0 bits, got -0.0", ALL),
     ("bits", 0.0, "stream 0->2 must be > 0 bits, got 0.0", ALL),
-    ("out", NAN, "output of destination 2 must be finite, got nan", AUGMENT),
-    ("out", INF, "output of destination 2 must be finite, got inf", AUGMENT),
-    ("out", -INF, "output of destination 2 must be finite, got -inf", AUGMENT),
-    ("out", -1.0, "output of destination 2 must be > 0 bits, got -1.0", AUGMENT),
-    ("out", -0.0, "output of destination 2 must be > 0 bits, got -0.0", AUGMENT),
-    ("out", 0.0, "output of destination 2 must be > 0 bits, got 0.0", AUGMENT),
+    ("out", NAN, "output of destination 2 must be finite, got nan", OUTPUT),
+    ("out", INF, "output of destination 2 must be finite, got inf", OUTPUT),
+    ("out", -INF, "output of destination 2 must be finite, got -inf", OUTPUT),
+    ("out", -1.0, "output of destination 2 must be > 0 bits, got -1.0", OUTPUT),
+    ("out", -0.0, "output of destination 2 must be > 0 bits, got -0.0", OUTPUT),
+    ("out", 0.0, "output of destination 2 must be > 0 bits, got 0.0", OUTPUT),
 ]
 
 
@@ -376,11 +377,10 @@ def test_weight_errors_keep_their_messages(weight, value, message, raising):
         edges=(StreamEdge(0, 1, 1.0), StreamEdge(0, 2, w["bits"])),
     )
     dst_out = {1: 1.0, 2: w["out"]}
-    doc = dag_to_json(dag, dst_out)
     routes = {
         "validate": lambda: validate_dag(dag),
         "augment": lambda: augment_dummy_tail(dag, dst_out),
-        "json": lambda: dag_from_json(doc),
+        "json": lambda: dag_from_json(dag_to_json(dag, dst_out)),
     }
     for name, route in routes.items():
         if message is None or name not in raising:

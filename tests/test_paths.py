@@ -37,7 +37,12 @@ from edge_embed import pathfind
 from edge_embed.pathfind import DEFAULT_PATH_CAP, PATH_CAP_ENV_VAR
 from edge_embed.splitter import _equalize
 
-from conftest import complete_network, small_random_network, triangle_network
+from conftest import (
+    complete_network,
+    core_and_leaf_network,
+    small_random_network,
+    triangle_network,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,7 @@ def test_path_reversal_bijection():
     "ends", [(0.5, 1), (True, 2), (0, "1"), (None, 1), (0.0, 1), (0, [1]), (0, 6), (-1, 1)]
 )
 def test_path_ends_must_be_server_ids(ends):
-    # the walk indexes its table and route flags by server id, where a
+    # the listing indexes its table and route bitmask by server id, where a
     # bool or an integral float would pass for an int
     net = generate_network(WorkloadSpec(seed=0, n_servers=6))
     with pytest.raises(ValidationError, match="is not in the network"):
@@ -252,8 +257,8 @@ def test_catalog_aggregates_match_oracle(net):
     "net", _oracle_networks() + [generate_network(WorkloadSpec(seed=0, n_servers=10))]
 )
 def test_cheapest_is_the_first_cheapest_path_of_the_listing(net):
-    # the depth-first listing is independent of the catalog's level-order
-    # expansion and of the search that builds a cheapest path on first read
+    # the catalog ranks each pair's cheapest path as it aggregates; the pair
+    # listing expands the pair on its own, so its first minimum checks that rank
     catalog = build_catalog(net)
     routed = []
     for u in range(net.n_servers):
@@ -465,6 +470,19 @@ def test_path_cap_aborts_early_on_large_network(monkeypatch):
         build_catalog(net)
 
 
+def test_path_cap_bounds_the_listing_work(monkeypatch):
+    # K_9 plus a leaf on server 0: (0, 9) has one path, but a listing from 0
+    # expands it and the 109,600 paths inside the core, and the cap counts all
+    net = core_and_leaf_network(9)
+    for cap in ("1000", "109600"):
+        monkeypatch.setenv(PATH_CAP_ENV_VAR, cap)
+        with pytest.raises(PathExplosionError) as exc:
+            enumerate_simple_paths(net, 0, 9)
+        assert exc.value.cap == int(cap)
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, "109601")
+    assert [p.nodes for p in enumerate_simple_paths(net, 0, 9)] == [(0, 9)]
+
+
 def test_catalog_past_cap_raises_before_walking(monkeypatch):
     # K_150 has 150 * 149^2 = 3,330,150 paths of at most two links, past
     # the default cap, so the catalog fails before it builds its table,
@@ -474,7 +492,6 @@ def test_catalog_past_cap_raises_before_walking(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the catalog walked")
 
-    monkeypatch.setattr(pathfind, "_walk", no_walk)
     monkeypatch.setattr(pathfind, "_adjacency", no_walk)
     with pytest.raises(PathExplosionError) as exc:
         build_catalog(complete_network(150))
