@@ -39,7 +39,6 @@ from .embedder import (
 from .errors import (
     EdgeEmbedError,
     PathExplosionError,
-    SchemaError,
     ValidationError,
 )
 from .model import (
@@ -84,7 +83,6 @@ __all__ = [
     "PathCatalog",
     "PathExplosionError",
     "ReportBundle",
-    "SchemaError",
     "Server",
     "SimplePath",
     "SplitProblem",

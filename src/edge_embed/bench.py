@@ -20,9 +20,7 @@ import hashlib
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -30,8 +28,9 @@ import numpy as np
 
 from .baselines import heft_schedule, placement_only_embed
 from .embedder import EmbeddingResult, dpe_embed
-from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
+from .errors import EdgeEmbedError, PathExplosionError, ValidationError
 from .model import (
+    _FLOAT_MAX,
     AugmentedDag,
     EdgeNetwork,
     FunctionNode,
@@ -39,6 +38,8 @@ from .model import (
     Server,
     StreamEdge,
     WorkloadDag,
+    _is_integer,
+    _is_real,
     _reached_from_0,
     _shown,
     _sum_left,
@@ -84,14 +85,14 @@ class WorkloadSpec:
                 raise ValidationError(f"{name}: {_shown(pair)} is not a (lo, hi) pair")
         counts = [("seed", self.seed), ("n_servers", self.n_servers), ("n_dags", self.n_dags)]
         for name, x in counts + [("dag_size_range", x) for x in self.dag_size_range]:
-            if isinstance(x, bool) or not isinstance(x, Integral):
+            if not _is_integer(x):
                 raise ValidationError(f"{name}: {_shown(x)} is not an integer")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
         for name, x in [("connectivity", self.connectivity)] + [
             (name, x) for name in reals for x in getattr(self, name)
         ]:
-            if isinstance(x, bool) or not isinstance(x, Real):
+            if not _is_real(x):
                 raise ValidationError(f"{name}: {_shown(x)} is not a number")
         if self.n_servers < 1 or self.n_dags < 1:
             raise ValidationError("server and DAG counts must be >= 1")
@@ -101,7 +102,7 @@ class WorkloadSpec:
             raise ValidationError("DAG sizes must be >= 1")
         for name in ("dag_size_range",) + reals:
             lo, hi = getattr(self, name)
-            if not (abs(lo) <= sys.float_info.max and abs(hi) <= sys.float_info.max):
+            if not (abs(lo) <= _FLOAT_MAX and abs(hi) <= _FLOAT_MAX):
                 raise ValidationError(f"{name} must have finite ends")
             if lo <= 0 or lo > hi:
                 raise ValidationError(f"{name} must satisfy 0 < lo <= hi")
@@ -257,16 +258,16 @@ def _read_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or bad UTF-8
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_dag_records(path) -> list[DagRecord]:
     """Read an array of workload documents; failures name the record."""
     doc = _read_json(path)
     if not isinstance(doc, list):
-        raise SchemaError("top-level dags document must be an array")
+        raise ValidationError("top-level dags document must be an array")
     records: list[DagRecord] = []
     for index, obj in enumerate(doc):
         try:
@@ -274,7 +275,7 @@ def load_dag_records(path) -> list[DagRecord]:
             # Surface collector-size problems at load time, not mid-run.
             augment_dummy_tail(dag, dst_out)
         except ValidationError as exc:
-            raise SchemaError(str(exc), record_index=index) from exc
+            raise ValidationError(f"record {index}: {exc}") from exc
         records.append(DagRecord(dag=dag, dst_out=dst_out))
     return records
 
@@ -327,9 +328,7 @@ def scale_network(
     factor must be a finite real number > 0 (not a bool), and the result a
     valid network."""
     for name, factor in (("psi_factor", psi_factor), ("throughput_factor", throughput_factor)):
-        if isinstance(factor, bool) or not (
-            isinstance(factor, Real) and 0 < factor <= sys.float_info.max
-        ):
+        if not (_is_real(factor) and 0 < factor <= _FLOAT_MAX):
             raise ValidationError(f"{name} must be a finite number > 0, got {_shown(factor)}")
     servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
     links = [
@@ -358,8 +357,8 @@ def nested_networks(
     a count c with c(c-1) above ``resolve_path_cap()`` raises
     PathExplosionError before the first draw.
     """
-    if not (isinstance(server_counts, Sequence) and server_counts) or any(
-        isinstance(c, bool) or not isinstance(c, Integral) for c in server_counts
+    if not (isinstance(server_counts, Sequence) and server_counts) or not all(
+        map(_is_integer, server_counts)
     ):
         raise ValidationError(f"server counts must be integers, got {_shown(server_counts)}")
     counts = sorted(server_counts)

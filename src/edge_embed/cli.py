@@ -25,7 +25,7 @@ from .bench import (
     write_workload,
 )
 from .embedder import brute_force_embed, embedding_to_json
-from .errors import EdgeEmbedError, PathExplosionError, SchemaError, ValidationError
+from .errors import EdgeEmbedError, PathExplosionError, ValidationError
 from .model import _json_key, augment_dummy_tail, dag_from_json, validate_time_range
 from .pathfind import build_catalog, enumerate_simple_paths, path_coefficient
 from .splitter import SplitProblem, bisection_oracle, optimal_split
@@ -37,11 +37,11 @@ def _load_ready(raw) -> dict:
     """A ``{"<server id>": seconds}`` map keyed by integer server id. Only
     its shape and keys are read here: the library checks servers and times."""
     if not isinstance(raw, dict):
-        raise SchemaError("ready file must map server ids to seconds")
+        raise ValidationError("ready file must map server ids to seconds")
     try:
         return {_json_key(key): value for key, value in raw.items()}
-    except SchemaError as exc:
-        raise SchemaError(f"ready file: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"ready file: {exc}") from exc
 
 
 def _cmd_paths(args) -> int:
@@ -56,7 +56,7 @@ def _cmd_paths(args) -> int:
 
 def _ascii(kind, what: str):
     """The reader of ``kind`` (``int`` or ``float``) spelled in ASCII without
-    "_", else SchemaError: ``kind`` alone also reads "1_0" and non-ASCII
+    "_", else ValidationError: ``kind`` alone also reads "1_0" and non-ASCII
     digits. It keeps ``kind``'s name for argparse's "invalid int value"."""
 
     def read(text: str):
@@ -65,7 +65,7 @@ def _ascii(kind, what: str):
                 return kind(text)
         except ValueError:
             pass
-        raise SchemaError(f"{text!r} is not {what}")
+        raise ValidationError(f"{text!r} is not {what}")
 
     read.__name__ = kind.__name__
     return read
@@ -120,7 +120,7 @@ def _cmd_bench(args) -> int:
     algos = [a for a in args.algos.split(",") if a]
     if args.network or args.dags:
         if not (args.network and args.dags):
-            raise SchemaError("--network and --dags must be given together")
+            raise ValidationError("--network and --dags must be given together")
         bundle = run_benchmark(
             algos,
             network=load_network(args.network),
@@ -143,7 +143,7 @@ class _Parser(argparse.ArgumentParser):
     are made of the same class."""
 
     def error(self, message: str):
-        raise SchemaError(message)
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

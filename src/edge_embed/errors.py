@@ -1,9 +1,11 @@
 """Exception types raised across the package.
 
 The command line tells rejected input (exit 2) from the path cap (exit 3),
-so the package models exactly that distinction. The message names the
-offending entity (server, link, function, record); no error carries more
-payload than it needs to be reported.
+so the package models exactly that distinction: ``ValidationError`` for any
+rejected input, a malformed document or command line included, and
+``PathExplosionError`` for the cap. The message names the offending entity
+(server, link, function, record); no error carries more payload than it
+needs to be reported.
 """
 
 from __future__ import annotations
@@ -14,17 +16,7 @@ class EdgeEmbedError(Exception):
 
 
 class ValidationError(EdgeEmbedError, ValueError):
-    """An input violates one of the model's invariants."""
-
-
-class SchemaError(ValidationError):
-    """A JSON document does not match the expected shape."""
-
-    def __init__(self, reason: str, record_index: int | None = None):
-        self.record_index = record_index
-        if record_index is not None:
-            reason = f"record {record_index}: {reason}"
-        super().__init__(reason)
+    """An input violates one of the model's invariants or expected shape."""
 
 
 class PathExplosionError(EdgeEmbedError):

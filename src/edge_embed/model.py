@@ -18,7 +18,9 @@ from functools import cached_property
 from numbers import Integral, Real
 from typing import Iterable, Mapping
 
-from .errors import SchemaError, ValidationError
+from .errors import ValidationError
+
+_FLOAT_MAX = sys.float_info.max  # the largest finite float
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,24 @@ class EdgeNetwork:
         return len(self.servers)
 
 
+def _is_integer(value) -> bool:
+    """The package's one test of an integer, such as an id: a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The package's one test of a real number, such as a weight: a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwork:
-    """Build an EdgeNetwork and its adjacency table. Does not validate."""
+    """Build an EdgeNetwork and its adjacency table. Does not validate: only
+    a link whose id is an integer and whose ends are integer server ids is wired."""
     servers = tuple(servers)
     links = tuple(links)
-    adj: dict[int, list[tuple[int, int]]] = {s.id: [] for s in servers}
+    adj: dict[int, list[tuple[int, int]]] = {s.id: [] for s in servers if _is_integer(s.id)}
     for link in links:
-        if link.u in adj and link.v in adj:
+        if all(map(_is_integer, (link.id, link.u, link.v))) and link.u in adj and link.v in adj:
             adj[link.u].append((link.v, link.id))
             adj[link.v].append((link.u, link.id))
     frozen = {node: tuple(sorted(nbrs)) for node, nbrs in adj.items()}
@@ -89,7 +102,7 @@ def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwor
 def _shown(value) -> str:
     """``repr(value)`` for an error message, but an int past the float range
     is named, not formatted: Python formats at most 4,300 digits of an int."""
-    if isinstance(value, Integral) and not abs(value) <= sys.float_info.max:
+    if isinstance(value, Integral) and not abs(value) <= _FLOAT_MAX:
         return "an int past the float range"
     try:
         return repr(value)
@@ -98,7 +111,7 @@ def _shown(value) -> str:
 
 
 def _require_finite(what: str, value: float) -> None:
-    if not (isinstance(value, Real) and abs(value) <= sys.float_info.max):  # exact on ints
+    if not (_is_real(value) and abs(value) <= _FLOAT_MAX):  # exact on ints
         raise ValidationError(f"{what} must be finite, got {_shown(value)}")
 
 
@@ -154,24 +167,23 @@ def validate_network(net: EdgeNetwork) -> None:
     if not net.servers:
         raise ValidationError("network has no servers")
     for index, server in enumerate(net.servers):
-        if server.id != index:
+        if not (_is_integer(server.id) and server.id == index):
             raise ValidationError(
                 f"server ids must be dense and ordered; position {index} "
-                f"holds id {server.id}"
+                f"holds id {_shown(server.id)}"
             )
         _require_rate(f"server {server.id} psi", server.psi)
     n = len(net.servers)
     seen_pairs: set[tuple[int, int]] = set()
     for index, link in enumerate(net.links):
-        if link.id != index:
+        if not (_is_integer(link.id) and link.id == index):
             raise ValidationError(
                 f"link ids must be dense and ordered; position {index} "
-                f"holds id {link.id}"
+                f"holds id {_shown(link.id)}"
             )
-        if not (0 <= link.u < n and 0 <= link.v < n):
+        if not all(_is_integer(end) and 0 <= end < n for end in (link.u, link.v)):
             raise ValidationError(
-                f"link {link.id} references unknown server "
-                f"({link.u}, {link.v})"
+                f"link {link.id} references unknown server ({_shown(link.u)}, {_shown(link.v)})"
             )
         if link.u == link.v:
             raise ValidationError(f"link {link.id} is a self-loop on server {link.u}")
@@ -230,13 +242,14 @@ def validate_dag(dag: WorkloadDag) -> None:
     if not dag.functions:
         raise ValidationError("workload has no functions")
     ids = [f.id for f in dag.functions]
-    if sorted(ids) != list(range(len(ids))):
-        raise ValidationError(
-            f"function ids must be dense 0-based integers, got {sorted(ids)}"
-        )
-    # a float weight is tested once; a message is formatted only on failure
+    # an int id or a float weight is tested once; a message is formatted only on failure
+    odd = [i for i in ids if type(i) is not int and not _is_integer(i)]
+    dense = list(range(len(ids)))
+    if odd or ids != dense and sorted(ids) != dense:
+        got = _shown(odd[0] if odd else sorted(ids))
+        raise ValidationError(f"function ids must be dense 0-based integers, got {got}")
     for f in dag.functions:
-        if not (type(f.flops) is float and 0.0 <= f.flops <= sys.float_info.max):
+        if not (type(f.flops) is float and 0.0 <= f.flops <= _FLOAT_MAX):
             _require_finite(f"function {f.id} flops", f.flops)
             if f.flops < 0:
                 raise ValidationError(f"function {f.id} has negative flops")
@@ -244,18 +257,20 @@ def validate_dag(dag: WorkloadDag) -> None:
     seen_edges: set[tuple[int, int]] = set()
     against = None  # the first edge that runs against the stored order
     for e in dag.edges:
-        if e.src not in position or e.dst not in position:
+        src, dst = e.src, e.dst
+        ends = type(src) is type(dst) is int or _is_integer(src) and _is_integer(dst)
+        if not (ends and src in position and dst in position):
             raise ValidationError(
-                f"edge {e.src}->{e.dst} references an unknown function"
+                f"edge {_shown(src)}->{_shown(dst)} references an unknown function"
             )
-        if not (type(e.size) is float and 0.0 < e.size <= sys.float_info.max):
-            _require_finite(f"stream {e.src}->{e.dst} bits", e.size)
-            _require_positive(f"stream {e.src}->{e.dst}", e.size, " bits")
-        key = (e.src, e.dst)
+        if not (type(e.size) is float and 0.0 < e.size <= _FLOAT_MAX):
+            _require_finite(f"stream {src}->{dst} bits", e.size)
+            _require_positive(f"stream {src}->{dst}", e.size, " bits")
+        key = (src, dst)
         if key in seen_edges:
-            raise ValidationError(f"more than one stream edge from {e.src} to {e.dst}")
+            raise ValidationError(f"more than one stream edge from {src} to {dst}")
         seen_edges.add(key)
-        if against is None and position[e.src] >= position[e.dst]:
+        if against is None and position[src] >= position[dst]:
             against = e
     if against is not None:
         # every cycle has such an edge, and its witness is reported first
@@ -323,9 +338,11 @@ class AugmentedDag(WorkloadDag):
 def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None:
     """Raise ValidationError unless ``dst_out_sizes`` gives every destination
     of ``dag``, and no other function, a finite positive bit count."""
-    destinations = dag.destination_ids
-    missing = sorted(set(destinations) - set(dst_out_sizes))
-    unexpected = sorted(set(dst_out_sizes) - set(destinations))
+    destinations = set(dag.destination_ids)
+    missing = sorted(destinations.difference(dst_out_sizes))
+    # int keys ascending, then the others as given: keys of two types never compare
+    unexpected = [k for k in dst_out_sizes if k not in destinations]
+    unexpected.sort(key=lambda k: (0, k) if _is_integer(k) else (1, 0))
     parts = []
     if missing:
         parts.append(f"missing sizes for destinations {missing}")
@@ -333,9 +350,9 @@ def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None
         parts.append(f"sizes given for non-destinations {_shown(unexpected)}")
     if parts:
         raise ValidationError("; ".join(parts))
-    for d in destinations:
+    for d in dag.destination_ids:
         out = dst_out_sizes[d]
-        if not (type(out) is float and 0.0 < out <= sys.float_info.max):
+        if not (type(out) is float and 0.0 < out <= _FLOAT_MAX):
             _require_finite(f"output of destination {d}", out)
             _require_positive(f"output of destination {d}", out, " bits")
 
@@ -381,15 +398,9 @@ def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[floa
         if isinstance(server, bool) or isinstance(seconds, bool):
             shown = f"{_shown(server)}: {_shown(seconds)}"
             raise ValidationError(f"ready map entry {shown} holds a bool")
-        if not (
-            (isinstance(server, int) or isinstance(server, Integral))
-            and 0 <= server < len(row)
-        ):
+        if not ((type(server) is int or _is_integer(server)) and 0 <= server < len(row)):
             raise ValidationError(f"ready map names unknown server {_shown(server)}")
-        if not (
-            (isinstance(seconds, float) or isinstance(seconds, Real))
-            and 0.0 <= seconds <= sys.float_info.max
-        ):
+        if not ((type(seconds) is float or _is_real(seconds)) and 0.0 <= seconds <= _FLOAT_MAX):
             raise ValidationError(
                 f"ready time of server {server} must be finite and >= 0, got {_shown(seconds)}"
             )
@@ -440,14 +451,14 @@ def _json(value, kind: type):
 
 def _json_key(key) -> int:
     """An integer id spelled as a JSON object key: exactly ``str(id)``, else
-    SchemaError (``int`` alone also reads "0_1", " +1 " and non-ASCII digits)."""
+    ValidationError (``int`` alone also reads "0_1", " +1 " and non-ASCII digits)."""
     try:
         value = int(key)
         if str(value) == key:
             return value
     except (TypeError, ValueError):
         pass
-    raise SchemaError(f"key {key!r} is not an integer id")
+    raise ValidationError(f"key {key!r} is not an integer id")
 
 
 def network_from_json(obj: Mapping) -> EdgeNetwork:
@@ -467,7 +478,7 @@ def network_from_json(obj: Mapping) -> EdgeNetwork:
             for l in obj["links"]
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"malformed network document: {exc}") from exc
+        raise ValidationError(f"malformed network document: {exc}") from exc
     net = make_network(servers, links)
     validate_network(net)
     return net
@@ -500,7 +511,7 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
         )
         dst_out = {_json_key(k): _json(v, float) for k, v in obj["dst_out"].items()}
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise SchemaError(f"malformed workload document: {exc}") from exc
+        raise ValidationError(f"malformed workload document: {exc}") from exc
     dag = WorkloadDag(functions=functions, edges=edges)
     validate_dag(dag)
     return dag, dst_out

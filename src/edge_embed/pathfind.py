@@ -25,12 +25,11 @@ import os
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import islice
-from numbers import Integral
 
 import numpy as np
 
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import EdgeNetwork, _shown
+from .model import EdgeNetwork, _is_integer, _shown
 
 DEFAULT_PATH_CAP = 10**6
 PATH_CAP_ENV_VAR = "EDGE_EMBED_PATH_CAP"
@@ -118,8 +117,7 @@ def _check_ends(net: EdgeNetwork, src, dst) -> None:
     """Raise ValidationError unless both ends are integer server ids of
     ``net`` (a bool is not), and EdgeEmbedError when they are one server."""
     for end in (src, dst):
-        is_id = isinstance(end, Integral) and not isinstance(end, bool)
-        if not (is_id and 0 <= end < net.n_servers):
+        if not (_is_integer(end) and 0 <= end < net.n_servers):
             raise ValidationError(
                 f"server {_shown(end)} is not in the network ({net.n_servers} servers)"
             )

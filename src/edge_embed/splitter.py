@@ -12,12 +12,10 @@ bisection search over tau is kept alongside as an independent check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from numbers import Real
 
 from .errors import ValidationError
-from .model import _sum_left
+from .model import _FLOAT_MAX, _is_real, _sum_left
 
 
 @dataclass(frozen=True)
@@ -29,14 +27,13 @@ class SplitProblem:
 
     def __post_init__(self):
         if not isinstance(self.coefficients, (tuple, list)) or not all(
-            isinstance(x, Real) and not isinstance(x, bool)
-            for x in (*self.coefficients, self.stream_size)
+            map(_is_real, (*self.coefficients, self.stream_size))
         ):
             raise ValidationError("path coefficients and stream size must be real numbers")
         if not self.coefficients:
             raise ValidationError("a split needs at least one path")
         # compared exactly first: float() of an int past the float range overflows
-        if not all(abs(x) <= sys.float_info.max for x in (*self.coefficients, self.stream_size)):
+        if not all(abs(x) <= _FLOAT_MAX for x in (*self.coefficients, self.stream_size)):
             raise ValidationError("path coefficients and stream size must be finite")
         object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
         object.__setattr__(self, "stream_size", float(self.stream_size))

@@ -16,7 +16,6 @@ from edge_embed import (
     EdgeEmbedError,
     FunctionNode,
     ReportBundle,
-    SchemaError,
     SplitProblem,
     ValidationError,
     WorkloadSpec,
@@ -332,9 +331,8 @@ def test_import_dags_names_the_bad_record(tmp_path):
     }
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps([good, cyclic]), encoding="utf-8")
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(ValidationError, match=r"^record 1: "):
         load_dag_records(path)
-    assert exc.value.record_index == 1
 
 
 def test_import_dags_rejects_missing_field(tmp_path):
@@ -345,22 +343,21 @@ def test_import_dags_rejects_missing_field(tmp_path):
     }
     path = tmp_path / "broken.json"
     path.write_text(json.dumps([doc]), encoding="utf-8")
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(ValidationError, match=r"^record 0: malformed workload document"):
         load_dag_records(path)
-    assert exc.value.record_index == 0
 
 
 def test_import_dags_rejects_non_array(tmp_path):
     path = tmp_path / "object.json"
     path.write_text("{}", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_dag_records(path)
 
 
 def test_import_dags_rejects_invalid_json(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ValidationError):
         load_dag_records(path)
 
 

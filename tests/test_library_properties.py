@@ -7,10 +7,11 @@ with bad keys, times or shape, ``scale_network`` factors,
 ``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
 variable, the ends of a path listing (``enumerate_simple_paths`` and
 ``PathCatalog.pair_split``), the weights of a workload built in code (ints
-past the float range among them), the output sizes ``dag_to_json`` writes,
-and mutated network and workload documents. Every drawn value may be an
-int too long for Python to format (``10**5000``), which an error message
-must name without formatting.
+past the float range among them), the function ids and stream ends of one,
+the ids, ends and capacities of a network built in code, the output sizes
+``dag_to_json`` writes, and mutated network and workload documents. Every
+drawn value may be an int too long for Python to format (``10**5000``),
+which an error message must name without formatting.
 Whatever the input, the call returns or raises ``EdgeEmbedError`` or a
 subclass, the set the CLI maps to exit 2 or 3. Workloads stay small (at
 most 6 servers, 3 DAGs and 8 functions) and nothing starts a process or
@@ -31,6 +32,8 @@ from edge_embed import (
     DagRecord,
     EdgeEmbedError,
     FunctionNode,
+    Link,
+    Server,
     SplitProblem,
     StreamEdge,
     ValidationError,
@@ -44,6 +47,7 @@ from edge_embed import (
     enumerate_simple_paths,
     generate_dag_records,
     generate_network,
+    make_network,
     nested_networks,
     network_from_json,
     network_to_json,
@@ -52,6 +56,8 @@ from edge_embed import (
     run_benchmark,
     scale_network,
     simulate_embedding,
+    validate_dag,
+    validate_network,
 )
 from edge_embed.cli import EMBEDDERS
 from edge_embed.pathfind import PATH_CAP_ENV_VAR
@@ -112,6 +118,18 @@ def _weights(flops, bits, out):
     run_benchmark(["dpe", "heft"], network=NET, dag_records=[DagRecord(dag, {1: out})])
 
 
+def _dag_ids(ids, ends):
+    # built in code, so an id or a stream end reaches the checks as drawn
+    dag = WorkloadDag(tuple(FunctionNode(i, 1.0) for i in ids), (StreamEdge(*ends, 1.0),))
+    run_benchmark(["dpe", "heft"], network=NET, dag_records=[DagRecord(dag, {1: 1.0})])
+
+
+def _network(servers, links):
+    net = make_network([Server(*s) for s in servers], [Link(*l) for l in links])
+    validate_network(net)
+    run_benchmark(["dpe", "heft"], network=net, dag_records=[DagRecord(PAIR, {1: 1.0})])
+
+
 def _dag_document(doc):
     augment_dummy_tail(*dag_from_json(doc))
 
@@ -127,6 +145,8 @@ ENTRIES = {
     # a fresh catalog, so that every pair is checked on its first listing
     "pair-split": lambda u, v: build_catalog(NET).pair_split(u, v),
     "weights": _weights,
+    "dag-ids": _dag_ids,
+    "network": _network,
     "dag-to-json": lambda dst_out: dag_to_json(PAIR, dst_out),
     "network-json": network_from_json,
     "dag-json": _dag_document,
@@ -162,6 +182,18 @@ def calls(draw):
         args = (draw(values), draw(values))
     elif entry == "weights":
         args = tuple(draw(values | st.just(10**400)) for _ in range(3))
+    elif entry == "dag-ids":
+        args = tuple((draw(st.just(0) | values), draw(st.just(1) | values)) for _ in range(2))
+    elif entry == "network":
+        ids = st.sampled_from(range(3)) | values
+        servers = [
+            (draw(st.just(i) | values), draw(values)) for i in range(draw(st.integers(1, 3)))
+        ]
+        links = [
+            (draw(st.just(k) | values), draw(ids), draw(ids), draw(values))
+            for k in range(draw(st.integers(0, 3)))
+        ]
+        args = (servers, links)
     elif entry == "dag-to-json":
         sizes = values | st.just(10**400)
         args = (draw(st.dictionaries(st.sampled_from(range(3)), sizes, max_size=2)),)
@@ -201,6 +233,24 @@ NAMED_IN_ERRORS = {
     "spec-pair": (lambda: dataclasses.replace(SPEC, psi_range=[1.0, 2.0, HUGE]), PAST),
     "nested": (lambda: nested_networks(SPEC, [1.5, HUGE]), PAST),
     "augment-key": (lambda: augment_dummy_tail(PAIR, {1: 1.0, HUGE: 1.0}), PAST),
+    "augment-mixed-keys": (
+        lambda: augment_dummy_tail(PAIR, {1: 1.0, "a": 1.0, None: 2.0}),
+        r"non-destinations \['a', None\]$",
+    ),
+    "dag-id-text": (lambda: _dag_ids((0, "a"), (0, 1)), "integers, got 'a'$"),
+    "dag-id-huge": (lambda: _dag_ids((0, HUGE), (0, 1)), PAST),
+    "dag-id-float": (lambda: _dag_ids((0, 1.0), (0, 1)), r"integers, got 1\.0$"),
+    "dag-id-bool": (lambda: _dag_ids((0, True), (0, 1)), "integers, got True$"),
+    "stream-end-float": (lambda: _dag_ids((0, 1), (0, 1.0)), r"^edge 0->1\.0 references"),
+    "link-end-float": (
+        lambda: _network([(0, 1.0), (1, 1.0)], [(0, 0, 1.0, 1.0)]),
+        r"unknown server \(0, 1\.0\)$",
+    ),
+    "link-end-bool": (
+        lambda: _network([(0, 1.0), (1, 1.0)], [(0, True, 1, 1.0)]),
+        r"unknown server \(True, 1\)$",
+    ),
+    "server-id-huge": (lambda: _network([(0, 1.0), (HUGE, 1.0)], []), PAST),
     "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
     "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),
     "dag-to-json-none": (lambda: dag_to_json(PAIR, {1: None}), "must be finite, got None"),
@@ -210,4 +260,34 @@ NAMED_IN_ERRORS = {
 @pytest.mark.parametrize("call, says", NAMED_IN_ERRORS.values(), ids=NAMED_IN_ERRORS)
 def test_rejected_values_are_named_in_the_error(call, says):
     with pytest.raises(ValidationError, match=says):
+        call()
+
+
+def _pair_dag(flops=1.0, bits=1.0, second_id=1):
+    functions = (FunctionNode(0, flops), FunctionNode(second_id, 1.0))
+    return WorkloadDag(functions, (StreamEdge(0, 1, bits),))
+
+
+def _pair_network(psi=1.0, throughput=1.0, second_id=1, end=1):
+    return make_network(
+        [Server(0, psi), Server(second_id, 1.0)], [Link(0, 0, end, throughput)]
+    )
+
+
+# a bool is neither a number nor an id, whichever role it stands in
+TRUE_IN_EACH_ROLE = {
+    "flops": lambda: validate_dag(_pair_dag(flops=True)),
+    "bits": lambda: validate_dag(_pair_dag(bits=True)),
+    "output": lambda: augment_dummy_tail(PAIR, {1: True}),
+    "psi": lambda: validate_network(_pair_network(psi=True)),
+    "throughput": lambda: validate_network(_pair_network(throughput=True)),
+    "server-id": lambda: validate_network(_pair_network(second_id=True)),
+    "function-id": lambda: validate_dag(_pair_dag(second_id=True)),
+    "link-end": lambda: validate_network(_pair_network(end=True)),
+}
+
+
+@pytest.mark.parametrize("call", TRUE_IN_EACH_ROLE.values(), ids=TRUE_IN_EACH_ROLE)
+def test_true_is_rejected_in_every_role(call):
+    with pytest.raises(ValidationError, match="True"):
         call()
