@@ -243,10 +243,9 @@ def generate_dag_records(spec: WorkloadSpec) -> list[DagRecord]:
         flops = _uniform(units[at:at + q], *spec.flops_range)
         bits = _uniform(units[at + q:at + q + n_bits], *spec.stream_range)
         at += q + n_bits
-        functions = tuple(FunctionNode(id=i, flops=f) for i, f in enumerate(flops))
-        edges = tuple(
-            StreamEdge(src=s, dst=d, size=size) for (s, d), size in zip(edge_pairs, bits)
-        )
+        # positional: a frozen dataclass builds faster without keywords
+        functions = tuple(map(FunctionNode, range(q), flops))
+        edges = tuple(StreamEdge(s, d, size) for (s, d), size in zip(edge_pairs, bits))
         dag = WorkloadDag(functions=functions, edges=edges)
         dst_out = dict(zip(destinations, bits[len(edge_pairs):]))
         records.append(DagRecord(dag=dag, dst_out=dst_out))

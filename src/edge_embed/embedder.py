@@ -42,7 +42,7 @@ from .splitter import _equalize
 EXHAUSTIVE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeMapping:
     """A stream's bits per path; with no paths it stays on one server."""
 
@@ -73,9 +73,10 @@ def _map_streams(
 ) -> dict[tuple[int, int], EdgeMapping]:
     """Every stream of a placed DAG: free on one server, else spread over its
     pair's paths by ``_equalize`` on ``catalog.pair_split``'s terms (``split``)
-    or sent whole over the pair's cheapest path."""
+    or sent whole over the pair's cheapest path. Keyed by ``dag.stream_keys``,
+    so every embedding of ``dag`` shares one key object per stream."""
     mappings: dict[tuple[int, int], EdgeMapping] = {}
-    for e in dag.edges:
+    for key, e in zip(dag.stream_keys, dag.edges):
         m, n = placements[e.src], placements[e.dst]
         if m == n:
             mapping = _SAME_SERVER
@@ -84,7 +85,7 @@ def _map_streams(
             mapping = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
         else:
             mapping = EdgeMapping((catalog.cheapest[(m, n)],), (e.size,))
-        mappings[(e.src, e.dst)] = mapping
+        mappings[key] = mapping
     return mappings
 
 

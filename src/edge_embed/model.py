@@ -213,10 +213,6 @@ class WorkloadDag:
         return {f.id: i for i, f in enumerate(self.functions)}
 
     @cached_property
-    def by_id(self) -> dict[int, FunctionNode]:
-        return {f.id: f for f in self.functions}
-
-    @cached_property
     def stream_table(self) -> tuple[list[list[tuple[int, float]]], list[int]]:
         """``(inputs, consumers)`` by function id, from one pass over
         ``edges``: f's streams in as ``(source id, bits)``, ascending source
@@ -230,6 +226,13 @@ class WorkloadDag:
         for row in inputs:
             row.sort()  # sources are distinct, so bits never compare
         return inputs, consumers
+
+    @cached_property
+    def stream_keys(self) -> tuple[tuple[int, int], ...]:
+        """``(src, dst)`` of every stream, in ``edges`` order: the key of its
+        mapping in every embedding of this DAG, so all embeddings share one
+        key object per stream. Shared: read only."""
+        return tuple((e.src, e.dst) for e in self.edges)
 
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:
@@ -339,9 +342,11 @@ def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None
     """Raise ValidationError unless ``dst_out_sizes`` gives every destination
     of ``dag``, and no other function, a finite positive bit count."""
     destinations = set(dag.destination_ids)
-    missing = sorted(destinations.difference(dst_out_sizes))
+    # a key names a destination only as an integer: 1.0 and True equal 1, yet are no ids
+    ids = [k for k in dst_out_sizes if type(k) is int or _is_integer(k)]
+    missing = sorted(destinations.difference(ids))
     # int keys ascending, then the others as given: keys of two types never compare
-    unexpected = [k for k in dst_out_sizes if k not in destinations]
+    unexpected = [k for k in dst_out_sizes if k not in destinations or k not in ids]
     unexpected.sort(key=lambda k: (0, k) if _is_integer(k) else (1, 0))
     parts = []
     if missing:
@@ -369,7 +374,7 @@ def augment_dummy_tail(
     validate_dag(dag)
     destinations = dag.destination_ids
     for d in destinations:
-        if dag.by_id[d].flops == 0:
+        if dag.functions[dag.position[d]].flops == 0:
             raise ValidationError(
                 f"destination {d} has zero flops; workload appears to "
                 "carry a collector tail already"
@@ -518,8 +523,9 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
 
 
 def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
-    """One workload document; raises ValidationError for output sizes that
-    ``augment_dummy_tail`` would reject."""
+    """One workload document; raises ValidationError for an invalid DAG and
+    for output sizes that ``augment_dummy_tail`` would reject."""
+    validate_dag(dag)
     _check_outputs(dag, dst_out)
     return {
         "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],

@@ -220,7 +220,7 @@ def test_heft_replays_no_later_than_its_schedule_on_busy_servers(rng):
             assert t <= result.finish_times[fid] * (1 + REL)
             if not aug.stream_table[0][fid]:
                 server = net.servers[result.placements[fid]]
-                proc = aug.by_id[fid].flops / server.psi
+                proc = aug.functions[aug.position[fid]].flops / server.psi
                 assert result.finish_times[fid] >= ready[server.id] + proc
 
 
@@ -232,7 +232,7 @@ def test_heft_respects_exclusivity_and_precedence(rng):
         result = heft_schedule(aug, net, routes)
         starts = {
             fid: result.finish_times[fid]
-            - aug.by_id[fid].flops / net.servers[result.placements[fid]].psi
+            - aug.functions[aug.position[fid]].flops / net.servers[result.placements[fid]].psi
             for fid in result.placements
         }
         # no two functions overlap on a shared server

@@ -356,6 +356,22 @@ def test_a_mapping_is_its_paths():
     assert not EdgeMapping((hop,), (1.0,)).same_server
 
 
+def test_embeddings_of_a_dag_share_its_stream_keys():
+    spec = WorkloadSpec(seed=0, n_servers=4, n_dags=1, dag_size_range=(8, 8))
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    aug = generate_dag_records(spec)[0].augmented()
+    results = [EMBEDDERS[a](aug, net, catalog) for a in ("dpe", "placement-only", "heft")]
+    first = list(results[0].edge_mappings)
+    assert first == [(e.src, e.dst) for e in aug.edges]
+    for result in results[1:]:
+        keys = list(result.edge_mappings)
+        assert len(keys) == len(first) and all(k is f for k, f in zip(keys, first))
+    # heft spreads this DAG, so some mappings carry paths
+    routed = [m for r in results for m in r.edge_mappings.values() if not m.same_server]
+    assert routed and not any(hasattr(m, "__dict__") for m in routed + [EdgeMapping()])
+
+
 def test_split_strictly_beats_single_path_embedding():
     # Entry is pinned to server 0 by huge ready times elsewhere. The stream
     # to the worker on server 1 can ride two disjoint unit-rate routes:

@@ -8,10 +8,10 @@ with bad keys, times or shape, ``scale_network`` factors,
 variable, the ends of a path listing (``enumerate_simple_paths`` and
 ``PathCatalog.pair_split``), the weights of a workload built in code (ints
 past the float range among them), the function ids and stream ends of one,
-the ids, ends and capacities of a network built in code, the output sizes
-``dag_to_json`` writes, and mutated network and workload documents. Every
-drawn value may be an int too long for Python to format (``10**5000``),
-which an error message must name without formatting.
+the ids, ends and capacities of a network built in code, the stream ends
+and output sizes ``dag_to_json`` writes, and mutated network and workload
+documents. Every drawn value may be an int too long for Python to format
+(``10**5000``), which an error message must name without formatting.
 Whatever the input, the call returns or raises ``EdgeEmbedError`` or a
 subclass, the set the CLI maps to exit 2 or 3. Workloads stay small (at
 most 6 servers, 3 DAGs and 8 functions) and nothing starts a process or
@@ -130,6 +130,11 @@ def _network(servers, links):
     run_benchmark(["dpe", "heft"], network=net, dag_records=[DagRecord(PAIR, {1: 1.0})])
 
 
+def _dag_to_json(ends, dst_out):
+    # built in code, so a stream end reaches the checks as drawn
+    dag_to_json(WorkloadDag(PAIR.functions, (StreamEdge(*ends, 1.0),)), dst_out)
+
+
 def _dag_document(doc):
     augment_dummy_tail(*dag_from_json(doc))
 
@@ -147,7 +152,7 @@ ENTRIES = {
     "weights": _weights,
     "dag-ids": _dag_ids,
     "network": _network,
-    "dag-to-json": lambda dst_out: dag_to_json(PAIR, dst_out),
+    "dag-to-json": _dag_to_json,
     "network-json": network_from_json,
     "dag-json": _dag_document,
 }
@@ -195,8 +200,9 @@ def calls(draw):
         ]
         args = (servers, links)
     elif entry == "dag-to-json":
+        ends = (draw(st.just(0) | values), draw(st.just(1) | values))
         sizes = values | st.just(10**400)
-        args = (draw(st.dictionaries(st.sampled_from(range(3)), sizes, max_size=2)),)
+        args = (ends, draw(st.dictionaries(st.sampled_from(range(3)), sizes, max_size=2)))
     elif entry == "network-json":
         args = (draw(mutated(network_to_json(NET))),)
     else:
@@ -254,6 +260,15 @@ NAMED_IN_ERRORS = {
     "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
     "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),
     "dag-to-json-none": (lambda: dag_to_json(PAIR, {1: None}), "must be finite, got None"),
+    "dag-to-json-float-key": (
+        lambda: dag_to_json(PAIR, {1.0: 2.0}), r"non-destinations \[1\.0\]$"
+    ),
+    "dag-to-json-bool-key": (
+        lambda: dag_to_json(PAIR, {True: 2.0}), r"non-destinations \[True\]$"
+    ),
+    "dag-to-json-list-end": (
+        lambda: _dag_to_json(([0], 1), {1: 1.0}), r"^edge \[0\]->1 references"
+    ),
 }
 
 
@@ -279,6 +294,7 @@ TRUE_IN_EACH_ROLE = {
     "flops": lambda: validate_dag(_pair_dag(flops=True)),
     "bits": lambda: validate_dag(_pair_dag(bits=True)),
     "output": lambda: augment_dummy_tail(PAIR, {1: True}),
+    "output-key": lambda: augment_dummy_tail(PAIR, {True: 2.0}),
     "psi": lambda: validate_network(_pair_network(psi=True)),
     "throughput": lambda: validate_network(_pair_network(throughput=True)),
     "server-id": lambda: validate_network(_pair_network(second_id=True)),
