@@ -90,7 +90,7 @@ def heft_schedule(
             (finish_times[p], coeff[placements[p]], bits) for p, bits in inputs_of[fid]
         ]
         best_finish = float("inf")
-        best_server = -1
+        best_server = 0
         best_start = 0.0
         floor = idle if inputs else ready_row
         for server, duration, slots, start in zip(servers, proc, busy, floor):

@@ -466,9 +466,9 @@ def run_benchmark(
     """Embed every DAG with every requested algorithm and aggregate.
 
     The workload comes either from ``spec`` (regenerated from its seed) or
-    from an explicit ``network`` plus ``dag_records``. The bundle depends on
-    nothing else: it records no wall time, which ``benchmark/run.py``
-    measures instead.
+    from an explicit ``network``, validated first, plus ``dag_records``. The
+    bundle depends on nothing else: it records no wall time, which
+    ``benchmark/run.py`` measures instead.
     """
     algos = list(algorithms)
     if not algos:
@@ -492,6 +492,7 @@ def run_benchmark(
             raise ValidationError(
                 "without a spec, network and dag_records are required"
             )
+        validate_network(network)
         seed = None
     if not dag_records:
         raise ValidationError("the DAG set is empty")

@@ -84,7 +84,7 @@ def _map_streams(
             paths, coefficients, *terms = catalog.pair_split(m, n)
             mapping = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
         else:
-            mapping = EdgeMapping((catalog.cheapest[(m, n)],), (e.size,))
+            mapping = EdgeMapping((catalog.cheapest_path(m, n),), (e.size,))
         mappings[key] = mapping
     return mappings
 
@@ -243,7 +243,7 @@ def brute_force_embed(
     pred_rows = [[(position[fi], bits) for fi, bits in streams_in[f.id]] for f in dag.functions]
 
     best_value = float("inf")
-    best_vector: tuple[int, ...] | None = None
+    best_vector = (0,) * q
     finish = [0.0] * q
     for vector in itertools.product(range(n), repeat=q):
         for k in range(q):
@@ -263,7 +263,6 @@ def brute_force_embed(
             best_value = value
             best_vector = vector
 
-    assert best_vector is not None
     placements = {f.id: best_vector[k] for k, f in enumerate(dag.functions)}
     mappings = _map_streams(dag, placements, catalog, True)
     finish_times, makespan = simulate_embedding(dag, net, placements, mappings, ready)

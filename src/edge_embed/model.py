@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Iterable, Mapping
@@ -60,15 +60,10 @@ class StreamEdge:
 
 @dataclass(frozen=True)
 class EdgeNetwork:
-    """An immutable server graph with a precomputed adjacency table.
-
-    ``adjacency`` maps a server id to ``((neighbor, link_id), ...)`` sorted
-    by neighbor id, which fixes the traversal order everywhere.
-    """
+    """An immutable server graph: its servers and its links."""
 
     servers: tuple[Server, ...]
     links: tuple[Link, ...]
-    adjacency: dict[int, tuple[tuple[int, int], ...]] = field(repr=False)
 
     @property
     def n_servers(self) -> int:
@@ -86,17 +81,8 @@ def _is_real(value) -> bool:
 
 
 def make_network(servers: Iterable[Server], links: Iterable[Link]) -> EdgeNetwork:
-    """Build an EdgeNetwork and its adjacency table. Does not validate: only
-    a link whose id is an integer and whose ends are integer server ids is wired."""
-    servers = tuple(servers)
-    links = tuple(links)
-    adj: dict[int, list[tuple[int, int]]] = {s.id: [] for s in servers if _is_integer(s.id)}
-    for link in links:
-        if all(map(_is_integer, (link.id, link.u, link.v))) and link.u in adj and link.v in adj:
-            adj[link.u].append((link.v, link.id))
-            adj[link.v].append((link.u, link.id))
-    frozen = {node: tuple(sorted(nbrs)) for node, nbrs in adj.items()}
-    return EdgeNetwork(servers=servers, links=links, adjacency=frozen)
+    """Build an EdgeNetwork from its servers and links. Does not validate."""
+    return EdgeNetwork(servers=tuple(servers), links=tuple(links))
 
 
 def _shown(value) -> str:

@@ -9,22 +9,22 @@ two, ...) and fills both matrices, diagonal included: ``inv_coeff_sum``
 (``sum(1 / A_k)``, infinite on the diagonal) for ``dpe`` and
 ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal) for
 the single-path baselines. It keeps per-pair path counts. A pair's
-cheapest path, built when first read, and its listing of paths and
-coefficients, made on first use, come from one more level-order expansion
-from the pair's source that never extends its destination. All read one
-table of each server's neighbours in ascending id with the link id and its
-inverse throughput. Enumeration is exponential by nature; a cap on the
-number of expanded paths (``EDGE_EMBED_PATH_CAP``) turns runaway growth
-into a clean error instead of a hopeless run.
+cheapest path and its listing of paths and coefficients, each made on
+first use, come from one more level-order expansion from the pair's source
+that never extends its destination. Every expansion reads one table built
+from the links: each server's neighbours in ascending id, with the inverse
+throughput, route bit and id of the link. Enumeration is exponential by
+nature; a cap on the number of expanded paths (``EDGE_EMBED_PATH_CAP``)
+turns runaway growth into a clean error instead of a hopeless run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,33 +58,39 @@ def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
     return total
 
 
-def _adjacency(net: EdgeNetwork) -> list[tuple[tuple[int, float, int], ...]]:
-    """The enumeration table: per server id, ``(neighbour, 1 / throughput, link
-    id)`` in ascending neighbour id, the float a step adds to the coefficient."""
-    inverse = [1.0 / link.throughput for link in net.links]
-    return [
-        tuple((node, inverse[link_id], link_id) for node, link_id in net.adjacency[v])
-        for v in range(net.n_servers)
-    ]
+# per server id: (neighbour, 1 / throughput, route bit, link id) per link
+_Table = list[tuple[tuple[int, float, int, int], ...]]
+
+
+def _adjacency(net: EdgeNetwork) -> _Table:
+    """The one traversal table, built from ``net.links``: per server id one
+    entry per link, sorted by (neighbour, link id), with the float it adds to
+    a coefficient and the bit it sets in a route's visited mask."""
+    rows: list[list[tuple[int, float, int, int]]] = [[] for _ in net.servers]
+    for link in net.links:
+        inverse = 1.0 / link.throughput
+        rows[link.u].append((link.v, inverse, 1 << link.v, link.id))
+        rows[link.v].append((link.u, inverse, 1 << link.u, link.id))
+    return [tuple(sorted(row, key=itemgetter(0, 3))) for row in rows]
 
 
 def _paths_to(
-    adjacency: list[tuple[tuple[int, float, int], ...]], src: int, dst: int, cap: float
+    adjacency: _Table, src: int, dst: int, cap: float
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], float]]:
     """Every simple path src -> dst as ``(nodes, link_ids, coefficient)`` in
     canonical (hops, nodes) order: the paths that leave ``src``, expanded level
-    by level on the ``_adjacency`` table, neighbours in ascending id, without
-    extending ``dst``. Each coefficient is summed left to right from the
-    table's floats, as ``path_coefficient`` sums. Raises PathExplosionError
-    once more than ``cap`` paths have been expanded.
+    by level on the ``_adjacency`` table without extending ``dst``. Each
+    coefficient is summed left to right from the table's floats, as
+    ``path_coefficient`` sums. Raises PathExplosionError once more than
+    ``cap`` paths have been expanded.
     """
     expanded = 0
     level = [((src,), (), 0.0, 1 << src)]
     while level:
         deeper = []
         for nodes, link_ids, coeff, mask in level:
-            for node, inverse, link_id in adjacency[nodes[-1]]:
-                if mask >> node & 1:
+            for node, inverse, bit, link_id in adjacency[nodes[-1]]:
+                if mask & bit:
                     continue
                 if expanded == cap:
                     raise PathExplosionError(cap)
@@ -93,7 +99,7 @@ def _paths_to(
                     yield nodes + (node,), link_ids + (link_id,), coeff + inverse
                 else:
                     deeper.append(
-                        (nodes + (node,), link_ids + (link_id,), coeff + inverse, mask | 1 << node)
+                        (nodes + (node,), link_ids + (link_id,), coeff + inverse, mask | bit)
                     )
         level = deeper
 
@@ -126,7 +132,8 @@ def _check_ends(net: EdgeNetwork, src, dst) -> None:
 
 
 def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimplePath]:
-    """Every simple path from ``src`` to ``dst`` in canonical order.
+    """Every simple path from ``src`` to ``dst`` of a valid network, in
+    canonical order.
 
     Raises ValidationError when an end is not a server of ``net``,
     EdgeEmbedError when src == dst, and PathExplosionError when the listing
@@ -134,33 +141,6 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
     """
     _check_ends(net, src, dst)
     return list(_list_paths(_adjacency(net), src, dst)[0])
-
-
-def _route(adjacency, rank: int, src: int, dst: int) -> SimplePath:
-    """Path ``rank`` (from 0) of src -> dst in canonical order; uncapped, as
-    the catalog has counted every path the search expands."""
-    nodes, link_ids, _ = next(islice(_paths_to(adjacency, src, dst, math.inf), rank, None))
-    return SimplePath(nodes, link_ids)
-
-
-class _CheapestRoutes(Mapping):
-    """Pairs, in ascending order, to their cheapest path: built on first read, then kept."""
-
-    def __init__(self, adjacency, ranks: dict[tuple[int, int], int]):
-        self._adjacency, self._ranks, self._built = adjacency, ranks, {}
-
-    def __getitem__(self, pair):
-        try:
-            return self._built[pair]
-        except KeyError:
-            path = self._built[pair] = _route(self._adjacency, self._ranks[pair], *pair)
-        return path
-
-    def __iter__(self):
-        return iter(self._ranks)
-
-    def __len__(self):
-        return len(self._ranks)
 
 
 @dataclass
@@ -173,21 +153,22 @@ class PathCatalog:
     ``sum(1 / A_k)`` over all paths of the pair, the denominator of the
     bottleneck-equalizing split, and is infinite on the diagonal, so
     ``bits / inv_coeff_sum`` is the split transit matrix with free
-    same-server streams. ``cheapest[(u, v)]``, a read-only mapping built on
-    first read, is the canonical-first path of least coefficient, which costs
-    ``cheapest_coefficient[u, v]`` seconds per bit; that matrix is zero on
-    the diagonal. Both matrices are read-only n x n arrays. A pair's paths
-    and their coefficients are listed together on first use and memoized
-    with the pair's split terms.
+    same-server streams. ``cheapest_coefficient[u, v]`` is the seconds per
+    bit of the pair's cheapest path, which ``cheapest_path(u, v)`` builds on
+    first use; that matrix is zero on the diagonal. Both matrices are
+    read-only n x n arrays. A pair's paths and their coefficients are listed
+    together on first use and memoized with the pair's split terms.
     """
 
     net: EdgeNetwork = field(repr=False)
     recursion_calls: dict[tuple[int, int], int] = field(repr=False)
     inv_coeff_sum: np.ndarray = field(repr=False)
-    cheapest: Mapping[tuple[int, int], SimplePath] = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
-    _adjacency: list[tuple[tuple[int, float, int], ...]] = field(repr=False)
+    _adjacency: _Table = field(repr=False)
     _listed: dict[tuple[int, int], _SplitListing] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    _cheapest: dict[tuple[int, int], SimplePath] = field(
         default_factory=dict, init=False, repr=False
     )
 
@@ -219,6 +200,24 @@ class PathCatalog:
         listing = self._listed[(u, v)] = (paths, coefficients, *terms)
         return listing
 
+    def cheapest_path(self, u: int, v: int) -> SimplePath:
+        """The pair's canonical-first path of least coefficient, memoized: the
+        first path ``_paths_to`` yields, uncapped, whose coefficient equals
+        ``cheapest_coefficient[u, v]`` (both add the same floats in the same
+        order), so the first path when all cost inf. Raises what ``pair_split``
+        raises for the ends, and ValidationError on an invalid network."""
+        try:
+            return self._cheapest[(u, v)]
+        except (KeyError, TypeError):  # not built yet, or an unhashable end
+            pass
+        _check_ends(self.net, u, v)
+        least = float(self.cheapest_coefficient[u, v])
+        for nodes, link_ids, coefficient in _paths_to(self._adjacency, u, v, math.inf):
+            if coefficient == least:
+                path = self._cheapest[(u, v)] = SimplePath(nodes, link_ids)
+                return path
+        raise ValidationError(f"no path of servers {u} -> {v} costs {least!r}: invalid network")
+
 
 def resolve_path_cap() -> int:
     """Path cap: the env var (a non-negative integer, ASCII digits), else the default."""
@@ -233,51 +232,48 @@ def resolve_path_cap() -> int:
 
 
 def _short_path_count(net: EdgeNetwork) -> int:
-    """A lower bound on the catalog's paths: those of one or two links.
+    """A lower bound on the catalog's paths, counted from ``net.links``:
+    those of one or two links.
 
-    A server v with k distinct neighbours starts at least k one-link paths
-    and is the middle of at least k(k - 1) two-link ones. On a valid
-    network (no parallel links, no self-loops) k is v's degree and the
-    count, 2|links| + sum k(k - 1), is exact.
+    A server v with k distinct neighbours other than itself starts at least
+    k one-link paths and is the middle of at least k(k - 1) two-link ones.
+    On a valid network (no parallel links, no self-loops) k is v's degree
+    and the count, 2|links| + sum k(k - 1), is exact.
     """
-    total = 0
-    for v, entries in net.adjacency.items():
-        k = len({w for w, _ in entries if w != v})
-        total += k * k
-    return total
+    neighbours: list[set[int]] = [set() for _ in net.servers]
+    for link in net.links:
+        neighbours[link.u].add(link.v)
+        neighbours[link.v].add(link.u)
+    return sum(len(ends - {v}) ** 2 for v, ends in enumerate(neighbours))
 
 
 def build_catalog(net: EdgeNetwork) -> PathCatalog:
-    """Expand the simple paths that leave each server of ``net`` level by
-    level into a catalog of all ordered pairs. A level holds its paths as
-    parallel lists (end server, coefficient, route bitmask) in node order,
-    so a pair's paths come in canonical order: its ``sum(1 / A_k)`` is
-    added left to right and a strict ``<`` keeps the rank of its
-    canonical-first cheapest path. Raises PathExplosionError on the first
-    path past ``resolve_path_cap()``, counted across all pairs, and before
-    the first level when the paths of at most two links alone pass it.
+    """Expand the simple paths that leave each server of a valid ``net``
+    level by level into a catalog of all ordered pairs. A level holds its
+    paths as parallel lists (end server, coefficient, route bitmask) in node
+    order, so a pair's paths come in canonical order and its
+    ``sum(1 / A_k)`` is added left to right. Raises PathExplosionError on
+    the first path past ``resolve_path_cap()``, counted across all pairs,
+    and before the table is built when the paths of at most two links alone
+    pass it.
     """
     cap = resolve_path_cap()
     if _short_path_count(net) > cap:
         raise PathExplosionError(cap)
     n = net.n_servers
     adjacency = _adjacency(net)
-    # the expansion's table: _adjacency's with each neighbour's route bit
-    steps = [tuple((w, inverse, 1 << w) for w, inverse, _ in row) for row in adjacency]
     total_paths = 0
     recursion_calls: dict[tuple[int, int], int] = {}
-    ranks: dict[tuple[int, int], int] = {}
     inv_rows, cheapest_rows = [], []
     for u in range(n):
         inv_row = [0.0] * n
         best = [math.inf] * n
         count = [0] * n
-        rank = [0] * n
         ends, coeffs, masks = [u], [0.0], [1 << u]
         while ends:
             next_ends, next_coeffs, next_masks = [], [], []
             for end, coeff, mask in zip(ends, coeffs, masks):
-                for node, inverse, bit in steps[end]:
+                for node, inverse, bit, _ in adjacency[end]:
                     if mask & bit:
                         continue
                     if total_paths == cap:
@@ -285,20 +281,14 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
                     total_paths += 1
                     coefficient = coeff + inverse
                     inv_row[node] += 1.0 / coefficient
-                    if coefficient < best[node]:  # strict: the canonical-first wins
+                    if coefficient < best[node]:
                         best[node] = coefficient
-                        rank[node] = count[node]
                     count[node] += 1
                     next_ends.append(node)
                     next_coeffs.append(coefficient)
                     next_masks.append(mask | bit)
             ends, coeffs, masks = next_ends, next_coeffs, next_masks
-        for v in range(n):
-            if v != u:
-                pair = (u, v)
-                recursion_calls[pair] = count[v]
-                if best[v] < math.inf:
-                    ranks[pair] = rank[v]
+        recursion_calls.update(((u, v), count[v]) for v in range(n) if v != u)
         inv_row[u] = math.inf
         best[u] = 0.0
         inv_rows.append(inv_row)
@@ -312,7 +302,6 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
         net=net,
         recursion_calls=recursion_calls,
         inv_coeff_sum=inv_sum,
-        cheapest=_CheapestRoutes(adjacency, ranks),
         cheapest_coefficient=cheapest_coeff,
         _adjacency=adjacency,
     )

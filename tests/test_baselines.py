@@ -48,7 +48,7 @@ def test_passive_route_prefers_cheapest_path():
     # triangle: direct 0-1 costs 1.0 s/bit, detour 0-2-1 costs 0.75 s/bit
     net = triangle_network()
     routes = passive_routes(build_catalog(net))
-    assert routes.cheapest[(0, 1)].nodes == (0, 2, 1)
+    assert routes.cheapest_path(0, 1).nodes == (0, 2, 1)
     assert routes.cheapest_coefficient[0, 1] == 0.75
     assert routes.cheapest_coefficient[1, 1] == 0.0
 
@@ -62,7 +62,7 @@ def test_passive_route_tie_goes_to_canonical_first():
     validate_network(net)
     routes = passive_routes(build_catalog(net))
     assert routes.cheapest_coefficient[0, 1] == 1.0
-    assert routes.cheapest[(0, 1)].nodes == (0, 1)  # shorter path wins the tie
+    assert routes.cheapest_path(0, 1).nodes == (0, 1)  # shorter path wins the tie
     # the same tie on 1-2, where node order alone puts the detour 1-0-2 first
     net = make_network(
         [Server(0, 1.0), Server(1, 1.0), Server(2, 1.0)],
@@ -71,7 +71,7 @@ def test_passive_route_tie_goes_to_canonical_first():
     validate_network(net)
     routes = passive_routes(build_catalog(net))
     assert routes.cheapest_coefficient[1, 2] == 1.0
-    assert routes.cheapest[(1, 2)].nodes == (1, 2)
+    assert routes.cheapest_path(1, 2).nodes == (1, 2)
 
 
 def test_passive_route_equal_length_tie_goes_to_node_order():
@@ -83,9 +83,9 @@ def test_passive_route_equal_length_tie_goes_to_node_order():
     validate_network(net)
     routes = passive_routes(build_catalog(net))
     assert routes.cheapest_coefficient[0, 3] == 2.0
-    assert routes.cheapest[(0, 3)].nodes == (0, 1, 3)  # lexicographically first
-    assert routes.cheapest[(0, 3)].link_ids == (0, 2)
-    assert routes.cheapest[(3, 0)].nodes == (3, 1, 0)
+    assert routes.cheapest_path(0, 3).nodes == (0, 1, 3)  # lexicographically first
+    assert routes.cheapest_path(0, 3).link_ids == (0, 2)
+    assert routes.cheapest_path(3, 0).nodes == (3, 1, 0)
 
 
 def test_passive_routes_cover_all_ordered_pairs():
@@ -94,8 +94,8 @@ def test_passive_routes_cover_all_ordered_pairs():
     for u in range(4):
         for v in range(4):
             if u != v:
-                assert routes.cheapest[(u, v)].nodes[0] == u
-                assert routes.cheapest[(u, v)].nodes[-1] == v
+                assert routes.cheapest_path(u, v).nodes[0] == u
+                assert routes.cheapest_path(u, v).nodes[-1] == v
                 assert routes.cheapest_coefficient[u, v] == 0.5  # direct link is cheapest
 
 

@@ -16,8 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_benchmark_runs_and_checks_every_embedding():
     # one loop, not parametrized ids, so the test keeps its id; the idle
-    # workload adds the checker's optimality check on idle servers
-    for workload in ("desk-busy", "desk-idle"):
+    # workload adds the checker's optimality check on idle servers, and
+    # wide-busy cross-checks routes on the 10-server network
+    for workload in ("desk-busy", "desk-idle", "wide-busy"):
         proc = subprocess.run(
             [sys.executable, "benchmark/run.py", "--workload", workload,
              "--seed", "0", "--seconds", "1", "--trace", "0"],

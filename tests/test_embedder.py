@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -585,6 +586,22 @@ def test_an_all_zero_ready_map_embeds_like_none(algo):
     zeros = {server: 0.0 for server in range(net.n_servers)}
     embed = EMBEDDERS[algo]
     assert _bits(embed(aug, net, catalog, zeros)) == _bits(embed(aug, net, catalog, None))
+
+
+@pytest.mark.parametrize("algo", ["brute", "heft"])
+def test_finish_times_past_the_float_range_place_on_server_0(algo):
+    # an entry of 1e300 flops ready at the largest float finishes at inf on
+    # either server; heft and brute then keep server 0, as the dynamic
+    # program's argmin does
+    net = two_server_line()
+    aug = chain_dag([1e300, 1.0], sizes=[1.0])
+    ready = {0: sys.float_info.max, 1: sys.float_info.max}
+    catalog = build_catalog(net)
+    with np.errstate(over="ignore"):  # the DP's numpy rows overflow to inf
+        dp = dpe_embed(aug, net, catalog, ready)
+    result = EMBEDDERS[algo](aug, net, catalog, ready)
+    assert result.placements == dp.placements == {0: 0, 1: 0, 2: 0}
+    assert result.makespan == dp.makespan == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ valid ones: a ``WorkloadSpec`` with one or two fields swapped, a ready map
 with bad keys, times or shape, ``scale_network`` factors,
 ``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
 variable, the ends of a path listing (``enumerate_simple_paths`` and
-``PathCatalog.pair_split``), the weights of a workload built in code (ints
+``PathCatalog.pair_split``) and of a cheapest path
+(``PathCatalog.cheapest_path``), the weights of a workload built in code (ints
 past the float range among them), the function ids and stream ends of one,
 the ids, ends and capacities of a network built in code, the stream ends
 and output sizes ``dag_to_json`` writes, and mutated network and workload
@@ -83,6 +84,7 @@ numbers = st.sampled_from([0.5, 1.0, 2.0, 1, 2, 3, 4, 6, 1e-300, 1e308])
 # that hypothesis never formats it in the strategy's repr
 values = bad | numbers | st.builds(pow, st.just(10), st.just(5000))
 hashable = values.filter(lambda x: not isinstance(x, (list, dict)))
+unhashable = st.sampled_from([[], [0], {}, {"0": 1}])
 sequences = (
     st.tuples(numbers, numbers) | st.tuples(values, values) | st.lists(values, max_size=3)
 )
@@ -149,6 +151,7 @@ ENTRIES = {
     "paths": lambda src, dst: enumerate_simple_paths(NET, src, dst),
     # a fresh catalog, so that every pair is checked on its first listing
     "pair-split": lambda u, v: build_catalog(NET).pair_split(u, v),
+    "cheapest-path": lambda u, v: build_catalog(NET).cheapest_path(u, v),
     "weights": _weights,
     "dag-ids": _dag_ids,
     "network": _network,
@@ -183,7 +186,7 @@ def calls(draw):
         args = (draw(sequences | bad), draw(values))
     elif entry == "cap":
         args = ()
-    elif entry in ("paths", "pair-split"):
+    elif entry in ("paths", "pair-split", "cheapest-path"):
         args = (draw(values), draw(values))
     elif entry == "weights":
         args = tuple(draw(values | st.just(10**400)) for _ in range(3))
@@ -200,7 +203,8 @@ def calls(draw):
         ]
         args = (servers, links)
     elif entry == "dag-to-json":
-        ends = (draw(st.just(0) | values), draw(st.just(1) | values))
+        # an unhashable end in about one draw of four, which only validation catches
+        ends = (draw(st.just(0) | unhashable | values), draw(st.just(1) | unhashable | values))
         sizes = values | st.just(10**400)
         args = (ends, draw(st.dictionaries(st.sampled_from(range(3)), sizes, max_size=2)))
     elif entry == "network-json":
@@ -236,6 +240,7 @@ NAMED_IN_ERRORS = {
     "scale": (lambda: scale_network(NET, HUGE), PAST),
     "paths": (lambda: enumerate_simple_paths(NET, HUGE, 1), PAST),
     "pair-split": (lambda: build_catalog(NET).pair_split(0, -HUGE), PAST),
+    "cheapest-path": (lambda: build_catalog(NET).cheapest_path(HUGE, 1), PAST),
     "spec-pair": (lambda: dataclasses.replace(SPEC, psi_range=[1.0, 2.0, HUGE]), PAST),
     "nested": (lambda: nested_networks(SPEC, [1.5, HUGE]), PAST),
     "augment-key": (lambda: augment_dummy_tail(PAIR, {1: 1.0, HUGE: 1.0}), PAST),

@@ -28,7 +28,7 @@ from edge_embed import (
     validate_network,
 )
 import edge_embed
-from edge_embed import model
+from edge_embed import model, pathfind
 from edge_embed.embedder import _processing_table
 
 from conftest import chain_dag, complete_network, triangle_network
@@ -40,12 +40,26 @@ from conftest import chain_dag, complete_network, triangle_network
 
 
 def test_make_network_builds_sorted_adjacency():
+    # make_network keeps the tuples; the one traversal table is built from
+    # the links: per server (neighbour, 1 / throughput, route bit, link id)
+    # sorted by neighbour
     net = triangle_network()
     assert net.n_servers == 3
-    # adjacency holds (neighbor, link id) pairs sorted by neighbor
-    assert net.adjacency[0] == ((1, 0), (2, 2))
-    assert net.adjacency[1] == ((0, 0), (2, 1))
-    assert net.adjacency[2] == ((0, 2), (1, 1))
+    assert pathfind._adjacency(net) == [
+        ((1, 1.0, 0b010, 0), (2, 0.25, 0b100, 2)),
+        ((0, 1.0, 0b001, 0), (2, 0.5, 0b100, 1)),
+        ((0, 0.25, 0b001, 2), (1, 0.5, 0b010, 1)),
+    ]
+    # parallel links of an unvalidated network tie on the neighbour and go
+    # in link id order, whatever their throughputs and listed order
+    net = make_network(
+        [Server(0, 1.0), Server(1, 1.0)],
+        [Link(2, 0, 1, 2.0), Link(0, 0, 1, 1.0), Link(1, 1, 0, 4.0)],
+    )
+    assert pathfind._adjacency(net) == [
+        ((1, 1.0, 0b10, 0), (1, 0.25, 0b10, 1), (1, 0.5, 0b10, 2)),
+        ((0, 1.0, 0b01, 0), (0, 0.25, 0b01, 1), (0, 0.5, 0b01, 2)),
+    ]
 
 
 def test_validate_network_rejects_nonpositive_speed():

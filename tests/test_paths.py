@@ -257,25 +257,50 @@ def test_catalog_aggregates_match_oracle(net):
     "net", _oracle_networks() + [generate_network(WorkloadSpec(seed=0, n_servers=10))]
 )
 def test_cheapest_is_the_first_cheapest_path_of_the_listing(net):
-    # the catalog ranks each pair's cheapest path as it aggregates; the pair
-    # listing expands the pair on its own, so its first minimum checks that rank
+    # the catalog keeps each pair's least coefficient as it aggregates; the
+    # pair listing expands the pair on its own, so its first minimum checks
+    # the path cheapest_path builds from that coefficient
     catalog = build_catalog(net)
-    routed = []
     for u in range(net.n_servers):
         for v in range(net.n_servers):
             if u == v:
                 continue
             paths, coeffs = catalog.pair_split(u, v)[:2]
-            if not paths or min(coeffs) == math.inf:
-                assert (u, v) not in catalog.cheapest
-                continue
-            routed.append((u, v))
             first = coeffs.index(min(coeffs))
-            assert catalog.cheapest[(u, v)] == paths[first]
-            assert catalog.cheapest[(u, v)] is catalog.cheapest[(u, v)]  # kept
+            assert catalog.cheapest_path(u, v) == paths[first]
+            assert catalog.cheapest_path(u, v) is catalog.cheapest_path(u, v)  # kept
             assert catalog.cheapest_coefficient[u, v] == coeffs[first]
-    assert list(catalog.cheapest) == routed  # ascending pair order
-    assert len(catalog.cheapest) == len(routed)
+
+
+def test_cheapest_path_of_an_all_inf_pair_is_its_first_path():
+    # a ring of links at 1e-308 bit/s: one link costs 1e308 s/bit, two
+    # overflow to inf, so both paths from 0 to 2 cost inf and the first wins
+    net = make_network(
+        [Server(i, 1.0) for i in range(4)],
+        [Link(k, k, (k + 1) % 4, 1e-308) for k in range(4)],
+    )
+    validate_network(net)
+    catalog = build_catalog(net)
+    assert catalog.pair_split(0, 2)[1] == (math.inf, math.inf)
+    assert catalog.cheapest_coefficient[0, 2] == math.inf
+    assert catalog.cheapest_path(0, 2).nodes == (0, 1, 2)
+    assert catalog.cheapest_path(2, 0).nodes == (2, 1, 0)
+    assert catalog.cheapest_path(0, 1).nodes == (0, 1)  # one link: finite
+
+
+def test_cheapest_path_rejects_ends_as_pair_split_does():
+    catalog = build_catalog(triangle_network())
+    for u, v in ((0, 3), (-1, 1), (True, 1), (0, 1.0), ([0], 1)):
+        with pytest.raises(ValidationError):
+            catalog.pair_split(u, v)
+        with pytest.raises(ValidationError):
+            catalog.cheapest_path(u, v)
+    with pytest.raises(EdgeEmbedError, match="itself"):
+        catalog.cheapest_path(1, 1)
+    # only an invalid network, here one without links, has no cheapest path
+    catalog = build_catalog(make_network([Server(0, 1.0), Server(1, 1.0)], []))
+    with pytest.raises(ValidationError, match="invalid network$"):
+        catalog.cheapest_path(0, 1)
 
 
 def test_cheapest_paths_are_built_only_for_the_pairs_read(monkeypatch):
@@ -283,18 +308,25 @@ def test_cheapest_paths_are_built_only_for_the_pairs_read(monkeypatch):
     records = generate_dag_records(WorkloadSpec(seed=0, n_dags=40))
     augs = [r.augmented() for r in records]
     catalog = build_catalog(net)
+
+    def unread(self, u, v):
+        raise AssertionError("dpe read a cheapest path")
+
+    # dpe splits every stream, so it never reads a cheapest path
+    with monkeypatch.context() as patch:
+        patch.setattr(PathCatalog, "cheapest_path", unread)
+        for aug in augs:
+            dpe_embed(aug, net, catalog)
+            dpe_embed(aug, net, catalog, ready={0: 1.0, 2: 0.5})
+    # heft lists no pair, so each expansion it starts builds a cheapest path
     built = []
-    route = pathfind._route
+    paths_to = pathfind._paths_to
 
-    def spy(adjacency, rank, src, dst):
+    def spy(adjacency, src, dst, cap):
         built.append((src, dst))
-        return route(adjacency, rank, src, dst)
+        return paths_to(adjacency, src, dst, cap)
 
-    monkeypatch.setattr(pathfind, "_route", spy)
-    for aug in augs:
-        dpe_embed(aug, net, catalog)
-        dpe_embed(aug, net, catalog, ready={0: 1.0, 2: 0.5})
-    assert built == []
+    monkeypatch.setattr(pathfind, "_paths_to", spy)
     routed = set()
     for aug in augs:
         result = heft_schedule(aug, net, catalog)
@@ -302,8 +334,8 @@ def test_cheapest_paths_are_built_only_for_the_pairs_read(monkeypatch):
             m, n = result.placements[f], result.placements[g]
             if m != n:
                 routed.add((m, n))
-                assert mapping.paths == (catalog.cheapest[(m, n)],)
-    assert routed and len(routed) < len(catalog.cheapest)
+                assert mapping.paths == (catalog.cheapest_path(m, n),)
+    assert routed and len(routed) < net.n_servers * (net.n_servers - 1)
     assert sorted(built) == sorted(routed)  # each pair built once
 
 
@@ -323,7 +355,8 @@ def test_wide_catalog_is_pinned():
             digest.update(value.hex().encode())
     for (u, v), calls in sorted(catalog.recursion_calls.items()):
         digest.update(f"{u},{v}:{calls};".encode())
-    for pair, path in sorted(catalog.cheapest.items()):
+    for pair in sorted(catalog.recursion_calls):
+        path = catalog.cheapest_path(*pair)
         digest.update(f"{pair}:{path.nodes}{path.link_ids};".encode())
     for u, v in ((0, 9), (4, 7), (9, 2)):
         paths, coeffs = catalog.pair_split(u, v)[:2]
@@ -419,7 +452,7 @@ def test_catalog_of_a_large_star():
     catalog = build_catalog(net)
     assert catalog.total_paths == n * (n - 1)
     assert set(catalog.recursion_calls.values()) == {1}
-    assert catalog.cheapest[(3, 7)].nodes == (3, 0, 7)
+    assert catalog.cheapest_path(3, 7).nodes == (3, 0, 7)
     assert catalog.inv_coeff_sum[3, 7] == 0.5
     assert catalog.cheapest_coefficient[0, 5] == 1.0
 
