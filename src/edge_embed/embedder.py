@@ -54,7 +54,7 @@ class EdgeMapping:
         return not self.paths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingResult:
     """A complete embedding: placements, stream mappings, finish times."""
 
@@ -104,6 +104,7 @@ def _source(column: np.ndarray, proc: float) -> int:
     return int((column + proc).argmin())
 
 
+@np.errstate(over="ignore")  # a finish past the float range is inf, as in heft
 def _dynamic_embed(
     dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, split: bool, ready
 ) -> EmbeddingResult:

@@ -23,7 +23,7 @@ from .errors import ValidationError
 _FLOAT_MAX = sys.float_info.max  # the largest finite float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Server:
     """A compute server with processing power ``psi`` in flop/s."""
 
@@ -31,7 +31,7 @@ class Server:
     psi: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """An undirected link; ``throughput`` is in bit/s, same both ways."""
 
@@ -41,7 +41,7 @@ class Link:
     throughput: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionNode:
     """One function of a workload; ``flops`` is its compute demand."""
 
@@ -49,7 +49,7 @@ class FunctionNode:
     flops: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEdge:
     """A data stream of ``size`` bits from function ``src`` to ``dst``."""
 

@@ -5,10 +5,10 @@ the embedders need much less than the paths themselves: each prices a
 server pair from one dense n x n matrix, and only the pairs an embedding
 actually uses need their path lists. The catalog therefore expands the
 simple paths that leave each source server level by level (one link, then
-two, ...) and fills both matrices, diagonal included: ``inv_coeff_sum``
-(``sum(1 / A_k)``, infinite on the diagonal) for ``dpe`` and
+two, ...) and fills three matrices, diagonal included: ``inv_coeff_sum``
+(``sum(1 / A_k)``, infinite on the diagonal) for ``dpe``,
 ``cheapest_coefficient`` (the cheapest path's A, zero on the diagonal) for
-the single-path baselines. It keeps per-pair path counts. A pair's
+the single-path baselines, and the per-pair ``path_count``. A pair's
 cheapest path and its listing of paths and coefficients, each made on
 first use, come from one more level-order expansion from the pair's source
 that never extends its destination. Every expansion reads one table built
@@ -123,7 +123,7 @@ def _check_ends(net: EdgeNetwork, src, dst) -> None:
     """Raise ValidationError unless both ends are integer server ids of
     ``net`` (a bool is not), and EdgeEmbedError when they are one server."""
     for end in (src, dst):
-        if not (_is_integer(end) and 0 <= end < net.n_servers):
+        if not ((type(end) is int or _is_integer(end)) and 0 <= end < net.n_servers):
             raise ValidationError(
                 f"server {_shown(end)} is not in the network ({net.n_servers} servers)"
             )
@@ -148,20 +148,20 @@ class PathCatalog:
     """Per ordered server pair: path count, pair costs, cheapest path; the
     one pair-cost table every embedder reads.
 
-    ``recursion_calls[(u, v)]`` counts the paths from u to v, and the
-    ``total_paths`` property sums them. ``inv_coeff_sum[u, v]`` holds
+    ``path_count[u, v]`` counts the paths from u to v, zero on the diagonal,
+    and the ``total_paths`` property sums them. ``inv_coeff_sum[u, v]`` holds
     ``sum(1 / A_k)`` over all paths of the pair, the denominator of the
     bottleneck-equalizing split, and is infinite on the diagonal, so
     ``bits / inv_coeff_sum`` is the split transit matrix with free
     same-server streams. ``cheapest_coefficient[u, v]`` is the seconds per
     bit of the pair's cheapest path, which ``cheapest_path(u, v)`` builds on
-    first use; that matrix is zero on the diagonal. Both matrices are
+    first use; that matrix is zero on the diagonal. All three matrices are
     read-only n x n arrays. A pair's paths and their coefficients are listed
     together on first use and memoized with the pair's split terms.
     """
 
     net: EdgeNetwork = field(repr=False)
-    recursion_calls: dict[tuple[int, int], int] = field(repr=False)
+    path_count: np.ndarray = field(repr=False)
     inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
     _adjacency: _Table = field(repr=False)
@@ -174,7 +174,16 @@ class PathCatalog:
 
     @property
     def total_paths(self) -> int:
-        return sum(self.recursion_calls.values())
+        return int(self.path_count.sum())
+
+    @property
+    def recursion_calls(self) -> dict[tuple[int, int], int]:
+        """``path_count`` per ordered pair of distinct servers, built when
+        read. Kept for ``benchmark/run.py --trace 1`` (``walk_calls``) until
+        ROADMAP 1b moves that counter to ``total_paths``, as ``passive_routes``
+        is kept."""
+        rows = enumerate(self.path_count.tolist())
+        return {(u, v): c for u, row in rows for v, c in enumerate(row) if v != u}
 
     def pair_split(self, u: int, v: int) -> _SplitListing:
         """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
@@ -252,7 +261,8 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
     level by level into a catalog of all ordered pairs. A level holds its
     paths as parallel lists (end server, coefficient, route bitmask) in node
     order, so a pair's paths come in canonical order and its
-    ``sum(1 / A_k)`` is added left to right. Raises PathExplosionError on
+    ``sum(1 / A_k)`` is added left to right; each source's three rows go
+    straight into the catalog's arrays. Raises PathExplosionError on
     the first path past ``resolve_path_cap()``, counted across all pairs,
     and before the table is built when the paths of at most two links alone
     pass it.
@@ -263,8 +273,8 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
     n = net.n_servers
     adjacency = _adjacency(net)
     total_paths = 0
-    recursion_calls: dict[tuple[int, int], int] = {}
-    inv_rows, cheapest_rows = [], []
+    inv_sum, cheapest_coeff = np.empty((n, n)), np.empty((n, n))
+    path_count = np.empty((n, n), dtype=np.int64)
     for u in range(n):
         inv_row = [0.0] * n
         best = [math.inf] * n
@@ -288,19 +298,15 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
                     next_coeffs.append(coefficient)
                     next_masks.append(mask | bit)
             ends, coeffs, masks = next_ends, next_coeffs, next_masks
-        recursion_calls.update(((u, v), count[v]) for v in range(n) if v != u)
         inv_row[u] = math.inf
         best[u] = 0.0
-        inv_rows.append(inv_row)
-        cheapest_rows.append(best)
-    # reshaped so that a network without servers still gets 0 x 0 matrices
-    inv_sum = np.array(inv_rows).reshape(n, n)
-    cheapest_coeff = np.array(cheapest_rows).reshape(n, n)
+        inv_sum[u], cheapest_coeff[u], path_count[u] = inv_row, best, count
     # shared by every embedding call, so no caller may write into them
-    inv_sum.flags.writeable = cheapest_coeff.flags.writeable = False
+    for matrix in (inv_sum, cheapest_coeff, path_count):
+        matrix.flags.writeable = False
     return PathCatalog(
         net=net,
-        recursion_calls=recursion_calls,
+        path_count=path_count,
         inv_coeff_sum=inv_sum,
         cheapest_coefficient=cheapest_coeff,
         _adjacency=adjacency,

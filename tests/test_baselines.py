@@ -330,7 +330,7 @@ def test_benchmark_call_shapes_match_the_algorithm_table():
     catalog = build_catalog(net)
     routes = passive_routes(catalog)
     assert routes is catalog
-    assert catalog.total_paths == sum(catalog.recursion_calls.values())
+    assert catalog.total_paths == catalog.path_count.sum()
 
     def key(result):
         finish = sorted((f, t.hex()) for f, t in result.finish_times.items())

@@ -11,6 +11,7 @@ import types
 import pytest
 
 from edge_embed import (
+    EmbeddingResult,
     FunctionNode,
     Link,
     Server,
@@ -544,3 +545,19 @@ def test_all_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(names) == public
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Server(0, 1.0),
+        Link(0, 0, 1, 1.0),
+        FunctionNode(0, 1.0),
+        StreamEdge(0, 1, 1.0),
+        EmbeddingResult({0: 0}, {}, {0: 1.0}, 1.0),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_frozen_records_hold_their_fields_in_slots(record):
+    # built by the thousand per run, so each keeps its fields without a dict
+    assert not hasattr(record, "__dict__")

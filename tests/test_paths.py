@@ -353,9 +353,11 @@ def test_wide_catalog_is_pinned():
     for matrix in (catalog.inv_coeff_sum, catalog.cheapest_coefficient):
         for value in matrix.ravel().tolist():
             digest.update(value.hex().encode())
-    for (u, v), calls in sorted(catalog.recursion_calls.items()):
-        digest.update(f"{u},{v}:{calls};".encode())
-    for pair in sorted(catalog.recursion_calls):
+    n = net.n_servers
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for u, v in pairs:
+        digest.update(f"{u},{v}:{catalog.path_count[u, v]};".encode())
+    for pair in pairs:
         path = catalog.cheapest_path(*pair)
         digest.update(f"{pair}:{path.nodes}{path.link_ids};".encode())
     for u, v in ((0, 9), (4, 7), (9, 2)):
@@ -427,34 +429,53 @@ def test_split_route_raises_what_optimal_split_raises(net, bits):
         assert str(got.value) == str(want.value)
 
 
+def _star(n):
+    """n servers, each of 1..n-1 linked to server 0 only."""
+    return make_network(
+        [Server(i, 1.0) for i in range(n)],
+        [Link(i - 1, 0, i, 1.0) for i in range(1, n)],
+    )
+
+
 def test_catalog_peak_memory_stays_small():
     # K_7 has 13692 paths and K_8 109592: the catalog keeps per-pair counts,
-    # and only one source's coefficients are alive at a time
-    for n, bound_mb in ((7, 1.5), (8, 1.0)):
-        net = complete_network(n)
+    # and only one source's coefficients are alive at a time. The 300-server
+    # star's three matrices take 2.1 MiB; a count per pair under a tuple key,
+    # or n x n Python lists, would take several times that.
+    for net, bound_mb in ((complete_network(7), 1.5), (complete_network(8), 1.0), (_star(300), 4)):
         tracemalloc.start()
         try:
             build_catalog(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound_mb * 2**20, (n, peak)
+        assert peak < bound_mb * 2**20, (net.n_servers, peak)
 
 
 def test_catalog_of_a_large_star():
     # one path per ordered pair, so the catalog's work should follow the
     # 89,700 paths, not n^3 hop buckets
     n = 300
-    net = make_network(
-        [Server(i, 1.0) for i in range(n)],
-        [Link(i - 1, 0, i, 1.0) for i in range(1, n)],
-    )
-    catalog = build_catalog(net)
+    catalog = build_catalog(_star(n))
     assert catalog.total_paths == n * (n - 1)
-    assert set(catalog.recursion_calls.values()) == {1}
+    assert np.array_equal(catalog.path_count, 1 - np.eye(n, dtype=np.int64))
     assert catalog.cheapest_path(3, 7).nodes == (3, 0, 7)
     assert catalog.inv_coeff_sum[3, 7] == 0.5
     assert catalog.cheapest_coefficient[0, 5] == 1.0
+
+
+def test_path_count_is_a_read_only_int_matrix_with_a_zero_diagonal():
+    catalog = build_catalog(complete_network(4, throughput=3.0))
+    counts = catalog.path_count
+    assert counts.dtype == np.int64 and counts.shape == (4, 4)
+    assert np.array_equal(counts, 5 - 5 * np.eye(4, dtype=np.int64))
+    for matrix in (counts, catalog.inv_coeff_sum, catalog.cheapest_coefficient):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 1] = 0
+    # the per-pair view kept for the benchmark's trace reads the same counts
+    assert catalog.recursion_calls == {
+        (u, v): 5 for u in range(4) for v in range(4) if u != v
+    }
 
 
 def test_pair_paths_are_listed_once_and_match_enumeration():
@@ -482,9 +503,8 @@ def test_recursion_calls_within_factorial_budget(n, calls, budget):
     assert budget == 6 * math.factorial(n - 2)
     assert calls <= budget
     # one walk step lands on v from u per path, the same for every pair of K_n
-    assert len(catalog.recursion_calls) == n * (n - 1)
-    for pair_calls in catalog.recursion_calls.values():
-        assert pair_calls == calls
+    want = calls - calls * np.eye(n, dtype=np.int64)
+    assert np.array_equal(catalog.path_count, want)
 
 
 def test_path_cap_triggers_explosion_error(monkeypatch):
