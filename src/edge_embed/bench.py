@@ -401,9 +401,7 @@ def nested_networks(
             anchor = int(rng.integers(0, new_id))
             new_pairs = [(anchor, new_id)]
             for other in range(new_id):
-                if other == anchor:
-                    continue
-                if rng.random() < spec.connectivity:
+                if other != anchor and rng.random() < spec.connectivity:
                     new_pairs.append((other, new_id))
             for pair in new_pairs:
                 pairs.append(pair)
@@ -524,14 +522,10 @@ def run_benchmark(
         cdf[algo] = [
             (span, (k + 1) / len(spans)) for k, span in enumerate(spans)
         ]
-    reductions = {}
-    for a in algos:
-        for b in algos:
-            if a == b:
-                continue
-            reductions[f"{a}_over_{b}"] = (
-                (mean_makespan[b] - mean_makespan[a]) / mean_makespan[b]
-            )
+    reductions = {
+        f"{a}_over_{b}": (mean_makespan[b] - mean_makespan[a]) / mean_makespan[b]
+        for a in algos for b in algos if a != b
+    }
     if not all(map(math.isfinite, (*mean_makespan.values(), *reductions.values()))):
         raise ValidationError("mean makespans overflow: the DAG set is too large")
     return ReportBundle(

@@ -30,19 +30,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EdgeEmbedError
-from .model import AugmentedDag, EdgeNetwork, _ready_row
+from .model import AugmentedDag, EdgeNetwork, _ready_row, _record
 from .pathfind import PathCatalog, SimplePath
 from .splitter import _equalize
 
 EXHAUSTIVE_LIMIT = 10**6
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class EdgeMapping:
     """A stream's bits per path; with no paths it stays on one server."""
 
@@ -54,7 +53,7 @@ class EdgeMapping:
         return not self.paths
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class EmbeddingResult:
     """A complete embedding: placements, stream mappings, finish times."""
 
@@ -79,13 +78,12 @@ def _map_streams(
     for key, e in zip(dag.stream_keys, dag.edges):
         m, n = placements[e.src], placements[e.dst]
         if m == n:
-            mapping = _SAME_SERVER
+            mappings[key] = _SAME_SERVER
         elif split:
             paths, coefficients, *terms = catalog.pair_split(m, n)
-            mapping = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
+            mappings[key] = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
         else:
-            mapping = EdgeMapping((catalog.cheapest_path(m, n),), (e.size,))
-        mappings[key] = mapping
+            mappings[key] = EdgeMapping((catalog.cheapest_path(m, n),), (e.size,))
     return mappings
 
 
@@ -128,9 +126,9 @@ def _dynamic_embed(
     recompute under that commitment. Other picks are resolved in the pointer
     walk backward from the best collector placement. Both compare the
     per-source sums, so the smallest source server id wins ties, also those
-    that rounding creates when processing is added (``_source``). An
-    uncommitted input's sums overwrite its block, and the priced array's
-    E x n x n floats are the only ones kept for the walk. Returns the
+    that rounding creates when processing is added (``_source``). The state
+    is the finish rows, the commitments and the priced array: an uncommitted
+    input's sums overwrite its block, where the walk reads them. Returns the
     embedding, its streams mapped by ``_map_streams`` under the same
     ``split``.
     """
@@ -139,65 +137,57 @@ def _dynamic_embed(
     inputs, consumers = dag.stream_table
     sizes = [bits for f in dag.functions for _, bits in inputs[f.id]]
     bits = np.array(sizes)[:, None, None]
-    blocks = iter(bits / catalog.inv_coeff_sum if split else bits * catalog.cheapest_coefficient)
-    # per function id: its finish row, the row as an n x 1 column, and the
-    # server a fan-out function is committed to
-    finish, columns = [None] * len(procs), [None] * len(procs)
+    priced = bits / catalog.inv_coeff_sum if split else bits * catalog.cheapest_coefficient
+    blocks = iter(priced)
+    # per function id: its finish row, and a fan-out function's server
+    finish: list[np.ndarray | None] = [None] * len(procs)
     committed: list[int | None] = [None] * len(procs)
-    # (fj, fj's processing row, [(fi, fi's server if committed, else the
-    # n x n block finish[fi][m] + transit(m, n) it is picked from, summed in
-    # place into the stream's block of the priced array)] in input order)
-    sources: list[tuple[int, np.ndarray, list[tuple[int, np.ndarray | int]]]] = []
 
     for node, proc in zip(dag.functions, procs):
         fj = node.id
         if not inputs[fj]:
-            row = proc + ready_row
-            finish[fj], columns[fj] = row, row[:, None]
+            finish[fj] = proc + ready_row
             continue
         arrivals: list[np.ndarray] = []
-        picks: list[tuple[int, np.ndarray | int]] = []
-        fanout: list[tuple[int, int]] = []  # (input index, fi) to commit
+        fanout: list[tuple[int, int, np.ndarray]] = []  # (input index, fi, sums) to commit
         for fi, _ in inputs[fj]:
             block = next(blocks)
             c = committed[fi]
             if c is None:
-                sums = np.add(columns[fi], block, out=block)
+                sums = np.add(finish[fi][:, None], block, out=block)
                 if consumers[fi] >= 2:
-                    fanout.append((len(picks), fi))
-                picks.append((fi, sums))
+                    fanout.append((len(arrivals), fi, sums))
                 arrivals.append(np.minimum.reduce(sums))  # over axis 0
             else:
-                picks.append((fi, c))
                 arrivals.append(finish[fi][c] + block[c])
         row = functools.reduce(np.maximum, arrivals) + proc
         if fanout:
             n_hat = int(row.argmin())
-            for k, fi in fanout:
-                sums = picks[k][1]
+            for k, fi, sums in fanout:
                 c = committed[fi] = _source(sums[:, n_hat], proc[n_hat])
-                picks[k] = (fi, c)
                 arrivals[k] = sums[c]
             row = functools.reduce(np.maximum, arrivals) + proc
-        finish[fj], columns[fj] = row, row[:, None]
-        sources.append((fj, proc, picks))
+        finish[fj] = row
 
-    dummy = dag.dummy_id
     # Reverse topological order places a function before its in-edges are
-    # resolved. A fan-out input holds its committed server at every
-    # consumer and any other input has one consumer, so no placement is
-    # ever assigned twice with different servers.
-    placements: dict[int, int] = {dummy: int(finish[dummy].argmin())}
-    for fj, proc, picks in reversed(sources):
-        n = placements[fj]
-        for fi, pick in picks:
-            placements[fi] = pick if isinstance(pick, int) else _source(pick[:, n], proc[n])
+    # resolved, and k steps back by its input count to its first block. A
+    # fan-out input holds its committed server at every consumer and any
+    # other input has one consumer, so no placement is ever assigned twice
+    # with different servers.
+    placements: dict[int, int] = {dag.dummy_id: int(finish[dag.dummy_id].argmin())}
+    k = len(priced)
+    for node, proc in zip(reversed(dag.functions), procs[::-1]):
+        n = placements[node.id]
+        k -= len(inputs[node.id])
+        for i, (fi, _) in enumerate(inputs[node.id], k):
+            c = committed[fi]
+            placements[fi] = _source(priced[i, :, n], proc[n]) if c is None else c
     finish_times = {f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions}
     return EmbeddingResult(
         placements=placements,
         edge_mappings=_map_streams(dag, placements, catalog, split),
         finish_times=finish_times,
-        makespan=finish_times[dummy],
+        makespan=finish_times[dag.dummy_id],
     )
 
 
@@ -320,17 +310,16 @@ def simulate_embedding(
 
 def embedding_to_json(result: EmbeddingResult) -> dict:
     """Plain-dict rendering of an embedding for the CLI and reports."""
-    edges = []
-    for (src, dst), mapping in sorted(result.edge_mappings.items()):
-        edges.append(
-            {
-                "src": src,
-                "dst": dst,
-                "same_server": mapping.same_server,
-                "paths": [list(p.nodes) for p in mapping.paths],
-                "z": list(mapping.allocations),
-            }
-        )
+    edges = [
+        {
+            "src": src,
+            "dst": dst,
+            "same_server": mapping.same_server,
+            "paths": [list(p.nodes) for p in mapping.paths],
+            "z": list(mapping.allocations),
+        }
+        for (src, dst), mapping in sorted(result.edge_mappings.items())
+    ]
     return {
         "placements": {str(f): s for f, s in sorted(result.placements.items())},
         "edges": edges,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Iterable, Mapping
@@ -23,7 +23,21 @@ from .errors import ValidationError
 _FLOAT_MAX = sys.float_info.max  # the largest finite float
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls):
+    """``dataclass(frozen=True, slots=True)``, but every attribute write or delete raises
+    FrozenInstanceError: Python 3.11's own pair let a non-field name end in TypeError."""
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_record
 class Server:
     """A compute server with processing power ``psi`` in flop/s."""
 
@@ -31,7 +45,7 @@ class Server:
     psi: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Link:
     """An undirected link; ``throughput`` is in bit/s, same both ways."""
 
@@ -41,7 +55,7 @@ class Link:
     throughput: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class FunctionNode:
     """One function of a workload; ``flops`` is its compute demand."""
 
@@ -49,7 +63,7 @@ class FunctionNode:
     flops: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class StreamEdge:
     """A data stream of ``size`` bits from function ``src`` to ``dst``."""
 

@@ -185,6 +185,14 @@ class PathCatalog:
         rows = enumerate(self.path_count.tolist())
         return {(u, v): c for u, row in rows for v, c in enumerate(row) if v != u}
 
+    def _memoized(self, memo: dict, u, v):
+        """``memo``'s entry for the pair or None, after ``_check_ends`` unless
+        both ends are exact ints and the pair is memoized."""
+        if type(u) is int and type(v) is int and (entry := memo.get((u, v))) is not None:
+            return entry
+        _check_ends(self.net, u, v)
+        return memo.get((u, v))
+
     def pair_split(self, u: int, v: int) -> _SplitListing:
         """``(paths, coefficients, inv_sum, a_max, a_min)`` for the pair,
         listed once and memoized: the terms ``splitter._equalize`` takes.
@@ -194,13 +202,10 @@ class PathCatalog:
         the largest and smallest coefficient, as ``optimal_split`` computes
         them. When the pair has no path or a coefficient outside (0, inf),
         which no split accepts, all three are nan. Raises what
-        ``enumerate_simple_paths`` raises, checked when the pair is first listed.
+        ``enumerate_simple_paths`` raises, also for a pair already listed.
         """
-        try:
-            return self._listed[(u, v)]
-        except (KeyError, TypeError):  # not listed yet, or an unhashable end
-            pass
-        _check_ends(self.net, u, v)
+        if (listing := self._memoized(self._listed, u, v)) is not None:
+            return listing
         paths, coefficients = _list_paths(self._adjacency, u, v)
         if coefficients and all(0.0 < a < math.inf for a in coefficients):
             terms = (float(self.inv_coeff_sum[u, v]), max(coefficients), min(coefficients))
@@ -215,11 +220,8 @@ class PathCatalog:
         ``cheapest_coefficient[u, v]`` (both add the same floats in the same
         order), so the first path when all cost inf. Raises what ``pair_split``
         raises for the ends, and ValidationError on an invalid network."""
-        try:
-            return self._cheapest[(u, v)]
-        except (KeyError, TypeError):  # not built yet, or an unhashable end
-            pass
-        _check_ends(self.net, u, v)
+        if (path := self._memoized(self._cheapest, u, v)) is not None:
+            return path
         least = float(self.cheapest_coefficient[u, v])
         for nodes, link_ids, coefficient in _paths_to(self._adjacency, u, v, math.inf):
             if coefficient == least:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import types
+from decimal import Decimal
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,15 @@ def _dag_ids(ids, ends):
     # built in code, so an id or a stream end reaches the checks as drawn
     dag = WorkloadDag(tuple(FunctionNode(i, 1.0) for i in ids), (StreamEdge(*ends, 1.0),))
     run_benchmark(["dpe", "heft"], network=NET, dag_records=[DagRecord(dag, {1: 1.0})])
+
+
+def _warm(method, u, v):
+    """``CATALOG.<method>(u, v)`` once every pair of ``NET`` is listed and has
+    its cheapest path, so that ends equal to a pair's ids meet its memo."""
+    for m, n in permutations(range(NET.n_servers), 2):
+        CATALOG.pair_split(m, n)
+        CATALOG.cheapest_path(m, n)
+    return getattr(CATALOG, method)(u, v)
 
 
 def _network(servers, links):
@@ -241,6 +252,14 @@ NAMED_IN_ERRORS = {
     "paths": (lambda: enumerate_simple_paths(NET, HUGE, 1), PAST),
     "pair-split": (lambda: build_catalog(NET).pair_split(0, -HUGE), PAST),
     "cheapest-path": (lambda: build_catalog(NET).cheapest_path(HUGE, 1), PAST),
+    "pair-split-warm-float": (lambda: _warm("pair_split", 0.0, 1.0), r"server 0\.0 is not"),
+    "cheapest-path-warm-float": (lambda: _warm("cheapest_path", 0, 1.0), r"server 1\.0 is not"),
+    "pair-split-warm-decimal": (
+        lambda: _warm("pair_split", Decimal(0), 1), r"server Decimal\('0'\) is not"
+    ),
+    "cheapest-path-warm-decimal": (
+        lambda: _warm("cheapest_path", 0, Decimal(1)), r"server Decimal\('1'\) is not"
+    ),
     "spec-pair": (lambda: dataclasses.replace(SPEC, psi_range=[1.0, 2.0, HUGE]), PAST),
     "nested": (lambda: nested_networks(SPEC, [1.5, HUGE]), PAST),
     "augment-key": (lambda: augment_dummy_tail(PAIR, {1: 1.0, HUGE: 1.0}), PAST),
@@ -305,6 +324,8 @@ TRUE_IN_EACH_ROLE = {
     "server-id": lambda: validate_network(_pair_network(second_id=True)),
     "function-id": lambda: validate_dag(_pair_dag(second_id=True)),
     "link-end": lambda: validate_network(_pair_network(end=True)),
+    "warm-pair-split-end": lambda: _warm("pair_split", True, 0),
+    "warm-cheapest-path-end": lambda: _warm("cheapest_path", 0, True),
 }
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
 import types
@@ -11,6 +14,7 @@ import types
 import pytest
 
 from edge_embed import (
+    EdgeMapping,
     EmbeddingResult,
     FunctionNode,
     Link,
@@ -554,6 +558,7 @@ def test_all_names_exactly_the_public_attributes():
         Link(0, 0, 1, 1.0),
         FunctionNode(0, 1.0),
         StreamEdge(0, 1, 1.0),
+        EdgeMapping(),
         EmbeddingResult({0: 0}, {}, {0: 1.0}, 1.0),
     ],
     ids=lambda record: type(record).__name__,
@@ -561,3 +566,16 @@ def test_all_names_exactly_the_public_attributes():
 def test_frozen_records_hold_their_fields_in_slots(record):
     # built by the thousand per run, so each keeps its fields without a dict
     assert not hasattr(record, "__dict__")
+    # frozen for fields and other names alike: a slotted frozen dataclass's
+    # own methods raise TypeError for a name that is no field (Python 3.11)
+    field = dataclasses.fields(record)[0].name
+    for name in (field, "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(record, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(record, name)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert copied == record and type(copied) is type(record)
+    assert dataclasses.replace(record) == record
+    changed = dataclasses.replace(record, **{field: getattr(record, field)})
+    assert changed == record and changed is not record

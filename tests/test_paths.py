@@ -6,6 +6,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from decimal import Decimal
 from itertools import permutations
 
 import numpy as np
@@ -301,6 +302,25 @@ def test_cheapest_path_rejects_ends_as_pair_split_does():
     catalog = build_catalog(make_network([Server(0, 1.0), Server(1, 1.0)], []))
     with pytest.raises(ValidationError, match="invalid network$"):
         catalog.cheapest_path(0, 1)
+
+
+def test_a_warm_catalog_still_checks_the_ends():
+    # a memoized pair's key (0, 1) equals (0.0, 1.0) and (False, True), so the
+    # memo alone would hand those ends the listing
+    net = generate_network(WorkloadSpec(seed=0, n_servers=6))
+    catalog = build_catalog(net)
+    for u, v in permutations(range(net.n_servers), 2):
+        catalog.pair_split(u, v)
+        catalog.cheapest_path(u, v)
+    for ends in ((0.0, 1.0), (False, True), (0, True), (Decimal(0), 1), (0, Decimal(1))):
+        with pytest.raises(ValidationError, match="is not in the network"):
+            catalog.pair_split(*ends)
+        with pytest.raises(ValidationError, match="is not in the network"):
+            catalog.cheapest_path(*ends)
+    # numpy ints are integer ids: they pass the check and read the memo
+    ends = (np.int64(0), np.int64(1))
+    assert catalog.pair_split(*ends) is catalog.pair_split(0, 1)
+    assert catalog.cheapest_path(*ends) is catalog.cheapest_path(0, 1)
 
 
 def test_cheapest_paths_are_built_only_for_the_pairs_read(monkeypatch):
