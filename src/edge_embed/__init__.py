@@ -62,7 +62,6 @@ from .pathfind import (
     SimplePath,
     build_catalog,
     enumerate_simple_paths,
-    path_coefficient,
     resolve_path_cap,
 )
 from .splitter import (
@@ -113,7 +112,6 @@ __all__ = [
     "network_to_json",
     "optimal_split",
     "passive_routes",
-    "path_coefficient",
     "placement_only_embed",
     "resolve_path_cap",
     "run_benchmark",

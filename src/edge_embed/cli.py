@@ -27,7 +27,7 @@ from .bench import (
 from .embedder import brute_force_embed, embedding_to_json
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
 from .model import _json_key, augment_dummy_tail, dag_from_json, validate_time_range
-from .pathfind import build_catalog, enumerate_simple_paths, path_coefficient
+from .pathfind import _adjacency, _check_ends, _list_paths, build_catalog
 from .splitter import SplitProblem, bisection_oracle, optimal_split
 
 EMBEDDERS = {**ALGORITHMS, "brute": brute_force_embed}
@@ -46,9 +46,10 @@ def _load_ready(raw) -> dict:
 
 def _cmd_paths(args) -> int:
     net = load_network(args.network)
-    paths = enumerate_simple_paths(net, args.src, args.dst)
-    for p in paths:
-        coeff = path_coefficient(p, net)
+    # the steps of ``enumerate_simple_paths``, keeping the listed coefficients
+    _check_ends(net.n_servers, args.src, args.dst)
+    paths, coefficients = _list_paths(_adjacency(net), args.src, args.dst)
+    for p, coeff in zip(paths, coefficients):
         print(f"{'-'.join(str(n) for n in p.nodes)} coeff={coeff:.6g}")
     print(f"{len(paths)} simple paths from {args.src} to {args.dst}")
     return 0

@@ -274,7 +274,7 @@ def simulate_embedding(
     is the self-consistency oracle for every producer; sources are read from
     ``dag.stream_table``. A stream between two servers waits for its slowest
     path (ValueError if it has none); a path's coefficient sums per-call
-    inverse link throughputs left to right, like ``path_coefficient``.
+    inverse link throughputs left to right, as the path listing does.
     """
     inverse = [1.0 / link.throughput for link in net.links]
     psi = [s.psi for s in net.servers]

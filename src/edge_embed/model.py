@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from numbers import Integral, Real
 from typing import Iterable, Mapping
 
@@ -283,44 +284,25 @@ def validate_dag(dag: WorkloadDag) -> None:
         )
 
 
-def _cycle_error(cycle: list[int]) -> ValidationError:
-    chain = " -> ".join(str(f) for f in cycle)
-    return ValidationError(f"workload edges form a cycle: {chain}")
-
-
 def _check_acyclic(dag: WorkloadDag) -> None:
-    """Depth-first cycle detection independent of the stored order.
-
-    The walk keeps its own stack, so a chain of any length stays clear of
-    the interpreter's recursion limit.
-    """
-    out: dict[int, list[int]] = {f.id: [] for f in dag.functions}
-    for e in dag.edges:
-        if e.src == e.dst:
-            raise _cycle_error([e.src, e.dst])
-        out[e.src].append(e.dst)
-    done: set[int] = set()
-    for root in dag.functions:
-        if root.id in done:
-            continue
-        # ``path`` is the current chain; ``pending`` holds an iterator over
-        # the unvisited successors of each function on it.
-        path = [root.id]
-        on_path = {root.id}
-        pending = [iter(out[root.id])]
-        while pending:
-            succ = next(pending[-1], None)
-            if succ is None:
-                pending.pop()
-                node = path.pop()
-                on_path.remove(node)
-                done.add(node)
-            elif succ in on_path:
-                raise _cycle_error(path[path.index(succ):] + [succ])
-            elif succ not in done:
-                path.append(succ)
-                on_path.add(succ)
-                pending.append(iter(out[succ]))
+    """Raise ValidationError naming a cycle of ``dag``'s edges, if any: the
+    first self-loop in ``edges`` order, else the first that ``graphlib``'s
+    depth-first search meets from each function in stored order, along its
+    streams out in ``edges`` order, on its own stack (no recursion limit)."""
+    cycle = next(([e.src, e.dst] for e in dag.edges if e.src == e.dst), None)
+    if cycle is None:
+        sorter = TopologicalSorter()
+        for f in dag.functions:
+            sorter.add(f.id)
+        for e in dag.edges:
+            sorter.add(e.dst, e.src)
+        try:
+            sorter.prepare()
+            return
+        except CycleError as exc:
+            cycle = exc.args[1]
+    chain = " -> ".join(str(f) for f in cycle)
+    raise ValidationError(f"workload edges form a cycle: {chain}")
 
 
 @dataclass(frozen=True)

@@ -47,17 +47,6 @@ class SimplePath:
             raise ValueError("a path over k links visits k+1 servers")
 
 
-def path_coefficient(path: SimplePath, net: EdgeNetwork) -> float:
-    """Seconds per bit along ``path``: sum of inverse link throughputs.
-
-    Summed left to right so the value is reproducible bit for bit.
-    """
-    total = 0.0
-    for link_id in path.link_ids:
-        total += 1.0 / net.links[link_id].throughput
-    return total
-
-
 # per server id: (neighbour, 1 / throughput, route bit, link id) per link
 _Table = list[tuple[tuple[int, float, int, int], ...]]
 
@@ -80,9 +69,9 @@ def _paths_to(
     """Every simple path src -> dst as ``(nodes, link_ids, coefficient)`` in
     canonical (hops, nodes) order: the paths that leave ``src``, expanded level
     by level on the ``_adjacency`` table without extending ``dst``. Each
-    coefficient is summed left to right from the table's floats, as
-    ``path_coefficient`` sums. Raises PathExplosionError once more than
-    ``cap`` paths have been expanded.
+    coefficient, the path's seconds per bit, is its links' inverse
+    throughputs added left to right from 0.0. Raises PathExplosionError once
+    more than ``cap`` paths have been expanded.
     """
     expanded = 0
     level = [((src,), (), 0.0, 1 << src)]
@@ -119,13 +108,13 @@ def _list_paths(adjacency, src: int, dst: int) -> _Listing:
     return tuple(path for path, _ in listed), tuple(coeff for _, coeff in listed)
 
 
-def _check_ends(net: EdgeNetwork, src, dst) -> None:
-    """Raise ValidationError unless both ends are integer server ids of
-    ``net`` (a bool is not), and EdgeEmbedError when they are one server."""
+def _check_ends(n_servers: int, src, dst) -> None:
+    """Raise ValidationError unless both ends are integer ids of ``n_servers``
+    servers (a bool is not), and EdgeEmbedError when they are one server."""
     for end in (src, dst):
-        if not ((type(end) is int or _is_integer(end)) and 0 <= end < net.n_servers):
+        if not ((type(end) is int or _is_integer(end)) and 0 <= end < n_servers):
             raise ValidationError(
-                f"server {_shown(end)} is not in the network ({net.n_servers} servers)"
+                f"server {_shown(end)} is not in the network ({n_servers} servers)"
             )
     if src == dst:
         raise EdgeEmbedError(f"no paths requested between server {src} and itself")
@@ -139,7 +128,7 @@ def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimpleP
     EdgeEmbedError when src == dst, and PathExplosionError when the listing
     expands more than ``resolve_path_cap()`` paths from ``src``.
     """
-    _check_ends(net, src, dst)
+    _check_ends(net.n_servers, src, dst)
     return list(_list_paths(_adjacency(net), src, dst)[0])
 
 
@@ -160,7 +149,6 @@ class PathCatalog:
     together on first use and memoized with the pair's split terms.
     """
 
-    net: EdgeNetwork = field(repr=False)
     path_count: np.ndarray = field(repr=False)
     inv_coeff_sum: np.ndarray = field(repr=False)
     cheapest_coefficient: np.ndarray = field(repr=False)
@@ -190,7 +178,7 @@ class PathCatalog:
         both ends are exact ints and the pair is memoized."""
         if type(u) is int and type(v) is int and (entry := memo.get((u, v))) is not None:
             return entry
-        _check_ends(self.net, u, v)
+        _check_ends(len(self._adjacency), u, v)
         return memo.get((u, v))
 
     def pair_split(self, u: int, v: int) -> _SplitListing:
@@ -307,7 +295,6 @@ def build_catalog(net: EdgeNetwork) -> PathCatalog:
     for matrix in (inv_sum, cheapest_coeff, path_count):
         matrix.flags.writeable = False
     return PathCatalog(
-        net=net,
         path_count=path_count,
         inv_coeff_sum=inv_sum,
         cheapest_coefficient=cheapest_coeff,

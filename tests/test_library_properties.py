@@ -26,7 +26,9 @@ import os
 import types
 from decimal import Decimal
 from itertools import permutations
+from numbers import Integral
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -240,6 +242,27 @@ def test_library_entry_points_raise_only_edge_embed_errors(call):
         os.environ.pop(PATH_CAP_ENV_VAR, None)
         if saved is not None:
             os.environ[PATH_CAP_ENV_VAR] = saved
+
+
+server_ids = st.sampled_from(range(NET.n_servers))
+# ids of NET, and values equal to them that are no ids, or that are numpy ints
+warm_ends = (
+    values | server_ids | st.booleans() | server_ids.map(float) | server_ids.map(Decimal)
+    | server_ids.map(np.int64)
+)
+
+
+# apart from the property above, so that its 400 examples stay as they are
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(["pair_split", "cheapest_path"]), warm_ends, warm_ends)
+def test_a_warm_catalog_raises_only_edge_embed_errors(method, u, v):
+    try:
+        got = _warm(method, u, v)
+    except EdgeEmbedError:
+        return
+    # only integer ids (a bool is none) pass, and they get the memoized object
+    assert all(isinstance(end, Integral) and not isinstance(end, bool) for end in (u, v))
+    assert got is getattr(CATALOG, method)(int(u), int(v))
 
 
 HUGE = 10**5000  # too many digits for Python to format

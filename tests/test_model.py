@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import pickle
+import random
 import re
 import sys
 import types
@@ -240,6 +241,51 @@ def test_validate_dag_reports_a_cycle_before_an_earlier_order_violation():
     with pytest.raises(ValidationError) as exc:
         validate_dag(dag)
     assert str(exc.value) == "workload edges form a cycle: 2 -> 3 -> 2"
+
+
+@pytest.mark.parametrize(
+    "order,edges,witness",
+    [
+        # the search roots at each function in stored order, so at 3 first
+        ((3, 2, 1, 0), [(0, 1), (1, 0), (3, 2), (2, 3)], "3 -> 2 -> 3"),
+        # and follows a function's streams out in edges order, so 0->2 first
+        ((0, 1, 2), [(0, 2), (0, 1), (1, 0), (2, 0)], "0 -> 2 -> 0"),
+    ],
+    ids=["stored-order-roots", "edges-order-successors"],
+)
+def test_the_cycle_witness_follows_stored_and_edges_order(order, edges, witness):
+    dag = WorkloadDag(_functions(*order), tuple(StreamEdge(u, v, 1.0) for u, v in edges))
+    with pytest.raises(ValidationError) as exc:
+        validate_dag(dag)
+    assert str(exc.value) == f"workload edges form a cycle: {witness}"
+
+
+def test_every_cycle_witness_is_a_closed_walk_over_the_edges():
+    rng = random.Random(20)
+    cyclic = 0
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        order = rng.sample(range(n), n)
+        density = rng.random() / 2
+        edges = {(u, v) for u in range(n) for v in range(n) if rng.random() < density}
+        dag = WorkloadDag(_functions(*order), tuple(StreamEdge(u, v, 1.0) for u, v in edges))
+        # independent of the search: peel functions with no stream in until none is left
+        left = set(range(n))
+        while peel := {v for v in left if not any(u in left for u, w in edges if w == v)}:
+            left -= peel
+        try:
+            validate_dag(dag)
+            message = ""
+        except ValidationError as exc:
+            message = str(exc)
+        if not message.startswith("workload edges form a cycle: "):
+            assert not left, (order, sorted(edges), message)
+            continue
+        cyclic += 1
+        chain = [int(f) for f in message.split(": ")[1].split(" -> ")]
+        assert len(chain) >= 2 and chain[0] == chain[-1]
+        assert all(hop in edges for hop in zip(chain, chain[1:])), (sorted(edges), chain)
+    assert 100 < cyclic < 400  # both kinds of digraph were drawn
 
 
 def test_validate_dag_seeks_cycles_only_past_an_order_violation(monkeypatch):

@@ -30,7 +30,6 @@ from edge_embed import (
     heft_schedule,
     make_network,
     optimal_split,
-    path_coefficient,
     resolve_path_cap,
     validate_network,
 )
@@ -185,8 +184,8 @@ def test_path_coefficient_sums_inverse_throughputs():
         [Link(0, 0, 1, 2.0e7), Link(1, 1, 2, 4.0e7)],
     )
     validate_network(net)
-    (path,) = enumerate_simple_paths(net, 0, 2)
-    assert path_coefficient(path, net) == 7.5e-8  # 1/2e7 + 1/4e7, exact in floats
+    # one path, over links 0 and 1: 1/2e7 + 1/4e7, exact in floats
+    assert build_catalog(net).pair_split(0, 2)[1] == (7.5e-8,)
 
 
 def test_catalog_transit_aggregates_parallel_paths():
@@ -236,10 +235,8 @@ def test_catalog_aggregates_match_oracle(net):
                 continue
             want = sorted(oracle_simple_paths(net, u, v), key=lambda ns: (len(ns), ns))
             total += len(want)
-            paths, listed_coeffs = catalog.pair_split(u, v)[:2]
+            paths, coeffs = catalog.pair_split(u, v)[:2]
             assert [p.nodes for p in paths] == want
-            coeffs = tuple(path_coefficient(p, net) for p in paths)
-            assert listed_coeffs == coeffs
             # the same floats from the oracle's node sequences alone
             oracle_coeffs = []
             for nodes in want:
@@ -505,7 +502,8 @@ def test_pair_paths_are_listed_once_and_match_enumeration():
     assert catalog.pair_split(0, 4) is first
     paths, coeffs = first[:2]
     assert list(paths) == enumerate_simple_paths(net, 0, 4)
-    assert coeffs == tuple(path_coefficient(p, net) for p in paths)
+    inverse = [1.0 / link.throughput for link in net.links]
+    assert coeffs == tuple(sum_left(inverse[i] for i in p.link_ids) for p in paths)
     # a same-server pair has no paths, as for enumerate_simple_paths
     with pytest.raises(EdgeEmbedError, match="between server 2 and itself"):
         catalog.pair_split(2, 2)
