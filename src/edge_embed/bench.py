@@ -38,10 +38,12 @@ from .model import (
     Server,
     StreamEdge,
     WorkloadDag,
+    _check_tail,
     _is_integer,
     _is_real,
     _reached_from_0,
     _shown,
+    _stream_index,
     _sum_left,
     augment_dummy_tail,
     canonical_json,
@@ -272,7 +274,7 @@ def load_dag_records(path) -> list[DagRecord]:
         try:
             dag, dst_out = dag_from_json(obj)
             # Surface collector-size problems at load time, not mid-run.
-            augment_dummy_tail(dag, dst_out)
+            _check_tail(dag, _stream_index(dag)[1], dst_out)
         except ValidationError as exc:
             raise ValidationError(f"record {index}: {exc}") from exc
         records.append(DagRecord(dag=dag, dst_out=dst_out))

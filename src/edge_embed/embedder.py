@@ -90,8 +90,7 @@ def _map_streams(
 def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
     """F x n seconds: row k is function k (stored order) on each server,
     ``flops / psi`` (the collector's 0), the table every embedder reads."""
-    psi = np.array([s.psi for s in net.servers])
-    return np.array([f.flops for f in dag.functions])[:, None] / psi
+    return dag._weights[0][:, None] / np.array([s.psi for s in net.servers])
 
 
 def _source(column: np.ndarray, proc: float) -> int:
@@ -135,8 +134,7 @@ def _dynamic_embed(
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
     inputs, consumers = dag.stream_table
-    sizes = [bits for f in dag.functions for _, bits in inputs[f.id]]
-    bits = np.array(sizes)[:, None, None]
+    bits = dag._weights[1][:, None, None]
     priced = bits / catalog.inv_coeff_sum if split else bits * catalog.cheapest_coefficient
     blocks = iter(priced)
     # per function id: its finish row, and a fan-out function's server

@@ -17,7 +17,9 @@ from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from numbers import Integral, Real
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -208,41 +210,47 @@ class WorkloadDag:
     functions: tuple[FunctionNode, ...]
     edges: tuple[StreamEdge, ...]
 
+    _index = cached_property(lambda self: _stream_index(self))
+    _weights = cached_property(lambda self: _weight_vectors(self.functions, self.stream_table[0]))
+
     @cached_property
     def position(self) -> dict[int, int]:
         """Function id -> index in the stored topological order."""
-        return {f.id: i for i, f in enumerate(self.functions)}
+        return self._index[3]
 
     @cached_property
     def stream_table(self) -> tuple[list[list[tuple[int, float]]], list[int]]:
-        """``(inputs, consumers)`` by function id, from one pass over
-        ``edges``: f's streams in as ``(source id, bits)``, ascending source
-        id, and the count of f's streams out. Indexed by id, so ids must be
-        dense and 0-based, as ``validate_dag`` requires. Shared: read only."""
-        inputs: list[list[tuple[int, float]]] = [[] for _ in self.functions]
-        consumers = [0] * len(self.functions)
-        for e in self.edges:
-            inputs[e.dst].append((e.src, e.size))
-            consumers[e.src] += 1
-        for row in inputs:
-            row.sort()  # sources are distinct, so bits never compare
-        return inputs, consumers
+        """``(inputs, consumers)`` by function id: f's streams in as ``(source id,
+        bits)`` by ascending source, and its count of streams out. Shared: read only."""
+        return self._index[:2]
 
     @cached_property
     def stream_keys(self) -> tuple[tuple[int, int], ...]:
-        """``(src, dst)`` of every stream, in ``edges`` order: the key of its
-        mapping in every embedding of this DAG, so all embeddings share one
-        key object per stream. Shared: read only."""
-        return tuple((e.src, e.dst) for e in self.edges)
+        """``(src, dst)`` of every stream, in ``edges`` order: its mapping's
+        key in every embedding of this DAG. Shared: read only."""
+        return self._index[2]
 
     @cached_property
     def destination_ids(self) -> tuple[int, ...]:
-        sources = {e.src for e in self.edges}
-        return tuple(f.id for f in self.functions if f.id not in sources)
+        return tuple(f.id for f in self.functions if not self._index[1][f.id])
+
+
+def _weight_vectors(functions, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flops by stored position and stream bits in the DP's input order."""
+    flops = np.array([f.flops for f in functions])
+    bits = np.array([size for f in functions for _, size in inputs[f.id]])
+    flops.flags.writeable = bits.flags.writeable = False
+    return flops, bits
 
 
 def validate_dag(dag: WorkloadDag) -> None:
     """Check every workload invariant; raises ValidationError."""
+    _stream_index(dag)
+
+
+def _stream_index(dag: WorkloadDag) -> tuple:
+    """``validate_dag``, returning from its pass over ``edges`` the tables it alone
+    builds, ``(*stream_table, stream_keys, position)``. Caches nothing on ``dag``."""
     if not dag.functions:
         raise ValidationError("workload has no functions")
     ids = [f.id for f in dag.functions]
@@ -257,23 +265,27 @@ def validate_dag(dag: WorkloadDag) -> None:
             _require_finite(f"function {f.id} flops", f.flops)
             if f.flops < 0:
                 raise ValidationError(f"function {f.id} has negative flops")
-    position = dag.position
-    seen_edges: set[tuple[int, int]] = set()
+    position = dict(zip(ids, dense))
+    inputs: list[list[tuple[int, float]]] = [[] for _ in ids]
+    consumers = [0] * len(ids)
+    keys: dict[tuple[int, int], None] = {}  # insertion-ordered, and finds repeats
     against = None  # the first edge that runs against the stored order
     for e in dag.edges:
-        src, dst = e.src, e.dst
+        src, dst, size = e.src, e.dst, e.size
         ends = type(src) is type(dst) is int or _is_integer(src) and _is_integer(dst)
         if not (ends and src in position and dst in position):
             raise ValidationError(
                 f"edge {_shown(src)}->{_shown(dst)} references an unknown function"
             )
-        if not (type(e.size) is float and 0.0 < e.size <= _FLOAT_MAX):
-            _require_finite(f"stream {src}->{dst} bits", e.size)
-            _require_positive(f"stream {src}->{dst}", e.size, " bits")
+        if not (type(size) is float and 0.0 < size <= _FLOAT_MAX):
+            _require_finite(f"stream {src}->{dst} bits", size)
+            _require_positive(f"stream {src}->{dst}", size, " bits")
         key = (src, dst)
-        if key in seen_edges:
+        if key in keys:
             raise ValidationError(f"more than one stream edge from {src} to {dst}")
-        seen_edges.add(key)
+        keys[key] = None
+        inputs[dst].append((src, size))
+        consumers[src] += 1
         if against is None and position[src] >= position[dst]:
             against = e
     if against is not None:
@@ -282,6 +294,9 @@ def validate_dag(dag: WorkloadDag) -> None:
         raise ValidationError(
             f"edge {against.src}->{against.dst} runs against the stored function order"
         )
+    for row in inputs:
+        row.sort()  # sources are distinct, so bits never compare
+    return inputs, consumers, tuple(keys), position
 
 
 def _check_acyclic(dag: WorkloadDag) -> None:
@@ -320,13 +335,12 @@ class AugmentedDag(WorkloadDag):
         return self.functions[-1].id
 
 
-def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None:
-    """Raise ValidationError unless ``dst_out_sizes`` gives every destination
-    of ``dag``, and no other function, a finite positive bit count."""
-    destinations = set(dag.destination_ids)
+def _check_outputs(destinations: Sequence[int], dst_out_sizes: Mapping[int, float]) -> None:
+    """Raise ValidationError unless ``dst_out_sizes`` gives each of a DAG's
+    ``destinations``, and no other function, a finite positive bit count."""
     # a key names a destination only as an integer: 1.0 and True equal 1, yet are no ids
     ids = [k for k in dst_out_sizes if type(k) is int or _is_integer(k)]
-    missing = sorted(destinations.difference(ids))
+    missing = sorted(set(destinations).difference(ids))
     # int keys ascending, then the others as given: keys of two types never compare
     unexpected = [k for k in dst_out_sizes if k not in destinations or k not in ids]
     unexpected.sort(key=lambda k: (0, k) if _is_integer(k) else (1, 0))
@@ -337,39 +351,52 @@ def _check_outputs(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> None
         parts.append(f"sizes given for non-destinations {_shown(unexpected)}")
     if parts:
         raise ValidationError("; ".join(parts))
-    for d in dag.destination_ids:
+    for d in destinations:
         out = dst_out_sizes[d]
         if not (type(out) is float and 0.0 < out <= _FLOAT_MAX):
             _require_finite(f"output of destination {d}", out)
             _require_positive(f"output of destination {d}", out, " bits")
 
 
-def augment_dummy_tail(
-    dag: WorkloadDag, dst_out_sizes: Mapping[int, float]
-) -> AugmentedDag:
+def _check_tail(dag: WorkloadDag, consumers: list[int], dst_out_sizes: Mapping) -> list[int]:
+    """Raise ValidationError unless ``dst_out_sizes`` lets a collector close the
+    valid ``dag``, whose function f has ``consumers[f]`` streams out."""
+    for f in dag.functions:
+        if f.flops == 0 and not consumers[f.id]:
+            raise ValidationError(
+                f"destination {f.id} has zero flops; workload appears to "
+                "carry a collector tail already"
+            )
+    destinations = [f.id for f in dag.functions if not consumers[f.id]]  # stored order
+    _check_outputs(destinations, dst_out_sizes)
+    return destinations
+
+
+def augment_dummy_tail(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> AugmentedDag:
     """Append the collector tail fed by every destination function.
 
     ``dst_out_sizes`` must cover exactly the destination set with finite
     positive bit counts. A workload whose destination already has zero
-    flops looks like an augmented one and is rejected.
+    flops looks like an augmented one and is rejected. The result carries
+    validation's stream index of ``dag``, extended by the collector, and its
+    weight vectors, so that no embedder builds them.
     """
-    validate_dag(dag)
-    destinations = dag.destination_ids
-    for d in destinations:
-        if dag.functions[dag.position[d]].flops == 0:
-            raise ValidationError(
-                f"destination {d} has zero flops; workload appears to "
-                "carry a collector tail already"
-            )
-    _check_outputs(dag, dst_out_sizes)
-    collector = FunctionNode(id=len(dag.functions), flops=0.0)
-    collector_edges = tuple(
-        StreamEdge(src=d, dst=collector.id, size=float(dst_out_sizes[d]))
-        for d in sorted(destinations)
+    inputs, consumers, keys, position = _stream_index(dag)
+    destinations = _check_tail(dag, consumers, dst_out_sizes)
+    cid = len(dag.functions)
+    position[cid] = cid
+    row = [(d, float(dst_out_sizes[d])) for d in sorted(destinations)]  # the collector's inputs
+    inputs.append(row)
+    tail = tuple([StreamEdge(d, cid, size) for d, size in row])
+    functions = dag.functions + (FunctionNode(cid, 0.0),)
+    aug = AugmentedDag(functions=functions, edges=dag.edges + tail)
+    # seeded where cached_property stores them; each destination feeds the collector once
+    vars(aug).update(
+        position=position, stream_table=(inputs, [c or 1 for c in consumers] + [0]),
+        stream_keys=keys + tuple([(d, cid) for d, _ in row]),
+        _weights=_weight_vectors(functions, inputs),
     )
-    return AugmentedDag(
-        functions=dag.functions + (collector,), edges=dag.edges + collector_edges
-    )
+    return aug
 
 
 def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:
@@ -507,8 +534,7 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
 def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
     """One workload document; raises ValidationError for an invalid DAG and
     for output sizes that ``augment_dummy_tail`` would reject."""
-    validate_dag(dag)
-    _check_outputs(dag, dst_out)
+    _check_outputs(dag.destination_ids, dst_out)  # validates ``dag`` first
     return {
         "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],
         "edges": [

@@ -317,6 +317,18 @@ def test_import_dags_happy_path(tmp_path):
     assert len(load_dag_records(path)) == 2
 
 
+def test_import_dags_checks_the_tail_without_augmenting(tmp_path, monkeypatch):
+    records = generate_dag_records(SMALL)[:2]
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps([dag_to_json(r.dag, r.dst_out) for r in records]))
+
+    def augment(*args):
+        raise AssertionError("augmented at load time")
+
+    monkeypatch.setattr(bench, "augment_dummy_tail", augment)
+    assert load_dag_records(path) == records
+
+
 def test_import_dags_names_the_bad_record(tmp_path):
     good = dag_to_json(
         generate_dag_records(SMALL)[0].dag, generate_dag_records(SMALL)[0].dst_out

@@ -32,6 +32,7 @@ from edge_embed import (
     simulate_embedding,
     validate_network,
 )
+from edge_embed import model
 from edge_embed.cli import EMBEDDERS
 from edge_embed.embedder import _processing_table
 from edge_embed.model import validate_time_range
@@ -371,6 +372,32 @@ def test_embeddings_of_a_dag_share_its_stream_keys():
     # heft spreads this DAG, so some mappings carry paths
     routed = [m for r in results for m in r.edge_mappings.values() if not m.same_server]
     assert routed and not any(hasattr(m, "__dict__") for m in routed + [EdgeMapping()])
+
+
+def test_embedders_build_no_table_on_an_augmented_dag(monkeypatch):
+    # 5 functions on 3 servers: brute tries 243 placement vectors
+    spec = WorkloadSpec(seed=1, n_servers=3, n_dags=3, dag_size_range=(4, 4))
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    augs = [record.augmented() for record in generate_dag_records(spec)]
+    lazy = [model.AugmentedDag(aug.functions, aug.edges) for aug in augs[:2]]
+    assert lazy[0].stream_table  # built now, so only its vectors are left to build
+
+    def spy(name):
+        def build(*args):
+            raise AssertionError(f"{name} ran")
+        return build
+
+    for name in ("_stream_index", "_weight_vectors"):
+        monkeypatch.setattr(model, name, spy(name))
+    for dag, name in zip(lazy, ("_weight_vectors", "_stream_index")):
+        with pytest.raises(AssertionError, match=name):  # each spy sees a lazy build
+            dpe_embed(dag, net, catalog)
+    ready = {0: 0.5, 1: 0.2}
+    for aug in augs:
+        for algo in ("dpe", "placement-only", "heft", "brute"):
+            result = EMBEDDERS[algo](aug, net, catalog, ready)
+            simulate_embedding(aug, net, result.placements, result.edge_mappings, ready)
 
 
 def test_split_strictly_beats_single_path_embedding():

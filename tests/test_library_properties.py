@@ -267,6 +267,13 @@ def test_a_warm_catalog_raises_only_edge_embed_errors(method, u, v):
 
 HUGE = 10**5000  # too many digits for Python to format
 PAST = "an int past the float range"
+
+
+def _bad_end():
+    """A DAG whose stream runs to a function it does not have."""
+    return WorkloadDag((FunctionNode(0, 1.0),), (StreamEdge(0, 5, 1.0),))
+
+
 # (call, what its ValidationError message says)
 NAMED_IN_ERRORS = {
     "ready-time": (lambda: _ready("dpe", {0: HUGE}), PAST),
@@ -304,6 +311,9 @@ NAMED_IN_ERRORS = {
         r"unknown server \(True, 1\)$",
     ),
     "server-id-huge": (lambda: _network([(0, 1.0), (HUGE, 1.0)], []), PAST),
+    # the tables come from validation's pass, so they fail with its message
+    "stream-table": (lambda: _bad_end().stream_table, r"^edge 0->5 references an unknown"),
+    "destination-ids": (lambda: _bad_end().destination_ids, r"^edge 0->5 references an unknown"),
     "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
     "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),
     "dag-to-json-none": (lambda: dag_to_json(PAIR, {1: None}), "must be finite, got None"),

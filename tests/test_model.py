@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import math
+import pathlib
 import pickle
 import random
 import re
@@ -15,6 +16,7 @@ import types
 import pytest
 
 from edge_embed import (
+    DagRecord,
     EdgeMapping,
     EmbeddingResult,
     FunctionNode,
@@ -23,10 +25,12 @@ from edge_embed import (
     StreamEdge,
     ValidationError,
     WorkloadDag,
+    WorkloadSpec,
     augment_dummy_tail,
     canonical_json,
     dag_from_json,
     dag_to_json,
+    generate_dag_records,
     make_network,
     network_from_json,
     network_to_json,
@@ -387,6 +391,86 @@ def test_augment_rejects_nonpositive_output_size():
         ValidationError, match=r"output of destination 1 must be > 0 bits, got 0\.0"
     ):
         augment_dummy_tail(dag, {1: 0.0})
+
+
+# the tables augmentation hands over, against those built lazily
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+HANDED_OVER = {"position", "stream_table", "stream_keys", "_weights"}
+SHUFFLED = {  # stored order 2, 0, 3, 1, which is not id order, and unsorted edges
+    "functions": [
+        {"id": 2, "flops": 3.0e9}, {"id": 0, "flops": 1.0e9},
+        {"id": 3, "flops": 2.5e9}, {"id": 1, "flops": 4.0e9},
+    ],
+    "edges": [
+        {"src": 2, "dst": 1, "bits": 6.0e6}, {"src": 0, "dst": 1, "bits": 5.0e6},
+        {"src": 2, "dst": 0, "bits": 7.0e6}, {"src": 2, "dst": 3, "bits": 1.1e7},
+    ],
+    "dst_out": {"3": 9.0e6, "1": 8.0e6},
+}
+
+
+def _tables(dag):
+    """Every table an embedder reads, with ``position``'s insertion order and
+    each vector's dtype and bits."""
+    return (
+        dag.stream_table,
+        dag.stream_keys,
+        list(dag.position.items()),
+        [(v.dtype, [float.hex(float(x)) for x in v]) for v in dag._weights],
+    )
+
+
+def _handed_over_records(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    from workloads import WORKLOADS, late_entry_records
+
+    records = [
+        record
+        for name in ("desk-idle", "wide-busy")
+        for spec in WORKLOADS[name].dag_specs(0)
+        for record in generate_dag_records(spec)
+    ]
+    return records + late_entry_records() + [DagRecord(*dag_from_json(SHUFFLED))]
+
+
+def test_augmentation_hands_over_the_tables_a_lazy_build_gives(monkeypatch):
+    records = _handed_over_records(monkeypatch)
+    assert len(records) == 224
+    for record in records:
+        aug = augment_dummy_tail(record.dag, record.dst_out)
+        assert HANDED_OVER <= vars(aug).keys()
+        lazy = model.AugmentedDag(functions=aug.functions, edges=aug.edges)
+        assert not HANDED_OVER & vars(lazy).keys()
+        assert _tables(aug) == _tables(lazy)
+        assert aug.destination_ids == lazy.destination_ids == (aug.dummy_id,)
+    # the shuffled document: rows by id in ascending source, keys in edges order
+    inputs, consumers = aug.stream_table
+    assert inputs == [
+        [(2, 7.0e6)], [(0, 5.0e6), (2, 6.0e6)], [], [(2, 1.1e7)], [(1, 8.0e6), (3, 9.0e6)]
+    ]
+    assert consumers == [1, 1, 3, 1, 0]
+    assert aug.stream_keys == ((2, 1), (0, 1), (2, 0), (2, 3), (1, 4), (3, 4))
+    assert list(aug.position) == [2, 0, 3, 1, 4]
+    flops, bits = aug._weights
+    assert flops.tolist() == [3.0e9, 1.0e9, 2.5e9, 4.0e9, 0.0]
+    assert bits.tolist() == [7.0e6, 1.1e7, 5.0e6, 6.0e6, 8.0e6, 9.0e6]
+
+
+def test_the_weight_vectors_refuse_writes():
+    aug = chain_dag([1.0, 2.0], sizes=[3.0], dst_out=5.0)
+    for vector in aug._weights:
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+
+
+def test_augmentation_leaves_the_base_dag_as_validation_does():
+    # a base DAG lives as long as its record: an index cached on it as well
+    # as on the augmented DAG would double the tables a run holds
+    for record in generate_dag_records(WorkloadSpec(seed=3, n_dags=20)):
+        validated = WorkloadDag(record.dag.functions, record.dag.edges)
+        validate_dag(validated)
+        augment_dummy_tail(record.dag, record.dst_out)
+        assert vars(record.dag).keys() == vars(validated).keys() == {"functions", "edges"}
 
 
 ALL = ("validate", "augment", "json")
