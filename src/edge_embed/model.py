@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from graphlib import CycleError, TopologicalSorter
 from numbers import Integral, Real
 from typing import Iterable, Mapping, Sequence
@@ -210,37 +209,11 @@ class WorkloadDag:
     functions: tuple[FunctionNode, ...]
     edges: tuple[StreamEdge, ...]
 
-    _index = cached_property(lambda self: _stream_index(self))
-    _weights = cached_property(lambda self: _weight_vectors(self.functions, self.stream_table[0]))
-
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Function id -> index in the stored topological order."""
-        return self._index[3]
-
-    @cached_property
-    def stream_table(self) -> tuple[list[list[tuple[int, float]]], list[int]]:
-        """``(inputs, consumers)`` by function id: f's streams in as ``(source id,
-        bits)`` by ascending source, and its count of streams out. Shared: read only."""
-        return self._index[:2]
-
-    @cached_property
-    def stream_keys(self) -> tuple[tuple[int, int], ...]:
-        """``(src, dst)`` of every stream, in ``edges`` order: its mapping's
-        key in every embedding of this DAG. Shared: read only."""
-        return self._index[2]
-
-    @cached_property
+    @property
     def destination_ids(self) -> tuple[int, ...]:
-        return tuple(f.id for f in self.functions if not self._index[1][f.id])
-
-
-def _weight_vectors(functions, inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only flops by stored position and stream bits in the DP's input order."""
-    flops = np.array([f.flops for f in functions])
-    bits = np.array([size for f in functions for _, size in inputs[f.id]])
-    flops.flags.writeable = bits.flags.writeable = False
-    return flops, bits
+        """The functions with no stream out, in stored order; runs validation's pass."""
+        consumers = _stream_index(self)[1]
+        return tuple(f.id for f in self.functions if not consumers[f.id])
 
 
 def validate_dag(dag: WorkloadDag) -> None:
@@ -250,7 +223,7 @@ def validate_dag(dag: WorkloadDag) -> None:
 
 def _stream_index(dag: WorkloadDag) -> tuple:
     """``validate_dag``, returning from its pass over ``edges`` the tables it alone
-    builds, ``(*stream_table, stream_keys, position)``. Caches nothing on ``dag``."""
+    builds, ``(inputs, consumers, stream_keys, position)``. Caches nothing on ``dag``."""
     if not dag.functions:
         raise ValidationError("workload has no functions")
     ids = [f.id for f in dag.functions]
@@ -327,8 +300,28 @@ class AugmentedDag(WorkloadDag):
     The collector (``dummy_id``) has 0 flops, so it costs nothing to run
     anywhere, and receives one edge from every destination function of the
     original workload, weighted with that destination's output size. Its
-    finish time is the makespan.
+    finish time is the makespan. Only ``augment_dummy_tail`` builds one, and
+    hands it the tables every embedder reads; they are shared, so read only.
     """
+
+    # ``(inputs, consumers)`` by function id: f's streams in as ``(source id,
+    # bits)`` by ascending source, and its count of streams out
+    stream_table: tuple[list[list[tuple[int, float]]], list[int]] = field(
+        repr=False, compare=False
+    )
+    # ``(src, dst)`` of every stream in ``edges`` order: its mapping's key in every embedding
+    stream_keys: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
+    position: dict[int, int] = field(repr=False, compare=False)  # function id -> stored index
+    # flops by stored position and stream bits in the DP's input order
+    _weights: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        for vector in self._weights:
+            vector.flags.writeable = False
+
+    def __reduce__(self):
+        # a copy or an unpickled DAG goes through __post_init__ too
+        return AugmentedDag, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def dummy_id(self) -> int:
@@ -387,16 +380,19 @@ def augment_dummy_tail(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> 
     position[cid] = cid
     row = [(d, float(dst_out_sizes[d])) for d in sorted(destinations)]  # the collector's inputs
     inputs.append(row)
-    tail = tuple([StreamEdge(d, cid, size) for d, size in row])
     functions = dag.functions + (FunctionNode(cid, 0.0),)
-    aug = AugmentedDag(functions=functions, edges=dag.edges + tail)
-    # seeded where cached_property stores them; each destination feeds the collector once
-    vars(aug).update(
-        position=position, stream_table=(inputs, [c or 1 for c in consumers] + [0]),
+    return AugmentedDag(
+        functions=functions,
+        edges=dag.edges + tuple([StreamEdge(d, cid, size) for d, size in row]),
+        # each destination feeds the collector once
+        stream_table=(inputs, [c or 1 for c in consumers] + [0]),
         stream_keys=keys + tuple([(d, cid) for d, _ in row]),
-        _weights=_weight_vectors(functions, inputs),
+        position=position,
+        _weights=(
+            np.array([f.flops for f in functions]),
+            np.array([size for f in functions for _, size in inputs[f.id]]),
+        ),
     )
-    return aug
 
 
 def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[float]:

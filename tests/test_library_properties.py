@@ -311,8 +311,7 @@ NAMED_IN_ERRORS = {
         r"unknown server \(True, 1\)$",
     ),
     "server-id-huge": (lambda: _network([(0, 1.0), (HUGE, 1.0)], []), PAST),
-    # the tables come from validation's pass, so they fail with its message
-    "stream-table": (lambda: _bad_end().stream_table, r"^edge 0->5 references an unknown"),
+    # the destinations come from validation's pass, so they fail with its message
     "destination-ids": (lambda: _bad_end().destination_ids, r"^edge 0->5 references an unknown"),
     "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
     "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),

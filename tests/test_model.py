@@ -13,6 +13,7 @@ import re
 import sys
 import types
 
+import numpy as np
 import pytest
 
 from edge_embed import (
@@ -193,9 +194,9 @@ def test_validate_dag_accepts_diamond():
     )
     validate_dag(dag)
     assert dag.destination_ids == (3,)
-    assert dag.stream_table == (
-        [[], [(0, 1.0)], [(0, 1.0)], [(1, 1.0), (2, 1.0)]],
-        [2, 1, 1, 0],
+    assert augment_dummy_tail(dag, {3: 2.0}).stream_table == (
+        [[], [(0, 1.0)], [(0, 1.0)], [(1, 1.0), (2, 1.0)], [(3, 2.0)]],
+        [2, 1, 1, 1, 0],
     )
 
 
@@ -393,7 +394,7 @@ def test_augment_rejects_nonpositive_output_size():
         augment_dummy_tail(dag, {1: 0.0})
 
 
-# the tables augmentation hands over, against those built lazily
+# the tables augmentation hands over, against those a reference builds
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 HANDED_OVER = {"position", "stream_table", "stream_keys", "_weights"}
 SHUFFLED = {  # stored order 2, 0, 3, 1, which is not id order, and unsorted edges
@@ -412,12 +413,31 @@ SHUFFLED = {  # stored order 2, 0, 3, 1, which is not id order, and unsorted edg
 def _tables(dag):
     """Every table an embedder reads, with ``position``'s insertion order and
     each vector's dtype and bits."""
+    return _listed(dag.stream_table, dag.stream_keys, dag.position, dag._weights)
+
+
+def _listed(stream_table, stream_keys, position, weights):
     return (
-        dag.stream_table,
-        dag.stream_keys,
-        list(dag.position.items()),
-        [(v.dtype, [float.hex(float(x)) for x in v]) for v in dag._weights],
+        stream_table,
+        stream_keys,
+        list(position.items()),
+        [(v.dtype, [float.hex(float(x)) for x in v]) for v in weights],
     )
+
+
+def _reference_tables(dag, dst_out):
+    """``_tables`` of ``dag`` augmented, built edge by edge from the definition."""
+    cid = len(dag.functions)
+    functions = dag.functions + (FunctionNode(cid, 0.0),)
+    edges = dag.edges + tuple(StreamEdge(d, cid, float(dst_out[d])) for d in sorted(dst_out))
+    inputs = [sorted((e.src, e.size) for e in edges if e.dst == i) for i in range(cid + 1)]
+    consumers = [sum(e.src == i for e in edges) for i in range(cid + 1)]
+    weights = (
+        np.array([f.flops for f in functions]),
+        np.array([size for f in functions for _, size in inputs[f.id]]),
+    )
+    position = {f.id: index for index, f in enumerate(functions)}
+    return _listed((inputs, consumers), tuple((e.src, e.dst) for e in edges), position, weights)
 
 
 def _handed_over_records(monkeypatch):
@@ -433,16 +453,14 @@ def _handed_over_records(monkeypatch):
     return records + late_entry_records() + [DagRecord(*dag_from_json(SHUFFLED))]
 
 
-def test_augmentation_hands_over_the_tables_a_lazy_build_gives(monkeypatch):
+def test_augmentation_hands_over_the_tables_a_reference_build_gives(monkeypatch):
     records = _handed_over_records(monkeypatch)
     assert len(records) == 224
     for record in records:
         aug = augment_dummy_tail(record.dag, record.dst_out)
-        assert HANDED_OVER <= vars(aug).keys()
-        lazy = model.AugmentedDag(functions=aug.functions, edges=aug.edges)
-        assert not HANDED_OVER & vars(lazy).keys()
-        assert _tables(aug) == _tables(lazy)
-        assert aug.destination_ids == lazy.destination_ids == (aug.dummy_id,)
+        assert vars(aug).keys() == {"functions", "edges"} | HANDED_OVER
+        assert _tables(aug) == _reference_tables(record.dag, record.dst_out)
+        assert aug.destination_ids == (aug.dummy_id,)
     # the shuffled document: rows by id in ascending source, keys in edges order
     inputs, consumers = aug.stream_table
     assert inputs == [
@@ -463,6 +481,14 @@ def test_the_weight_vectors_refuse_writes():
             vector[0] = 1.0
 
 
+def test_copies_of_an_augmented_dag_keep_its_tables_and_read_only_vectors():
+    aug = chain_dag([1.0, 2.0], sizes=[3.0], dst_out=5.0)
+    for copied in (copy.deepcopy(aug), pickle.loads(pickle.dumps(aug))):
+        assert copied == aug and type(copied) is type(aug)
+        assert _tables(copied) == _tables(aug)
+        assert [v.flags.writeable for v in copied._weights] == [False, False]
+
+
 def test_augmentation_leaves_the_base_dag_as_validation_does():
     # a base DAG lives as long as its record: an index cached on it as well
     # as on the augmented DAG would double the tables a run holds
@@ -470,6 +496,7 @@ def test_augmentation_leaves_the_base_dag_as_validation_does():
         validated = WorkloadDag(record.dag.functions, record.dag.edges)
         validate_dag(validated)
         augment_dummy_tail(record.dag, record.dst_out)
+        dag_to_json(record.dag, record.dst_out)
         assert vars(record.dag).keys() == vars(validated).keys() == {"functions", "edges"}
 
 
@@ -599,23 +626,24 @@ def test_rates_past_the_float_range_are_rejected():
 # ---------------------------------------------------------------------------
 
 
-def _processing(flops: float, *speeds: float) -> list[float]:
-    """The processing table's one row: ``flops`` on servers of these speeds."""
-    dag = WorkloadDag(functions=(FunctionNode(0, flops),), edges=())
+def _processing(flops: float, *speeds: float) -> list[list[float]]:
+    """The processing table's rows for a ``flops`` function and the collector
+    that augmentation adds, on servers of these speeds."""
+    dag = augment_dummy_tail(WorkloadDag(functions=(FunctionNode(0, flops),), edges=()), {0: 1.0})
     net = make_network([Server(i, psi) for i, psi in enumerate(speeds)], [])
-    return _processing_table(dag, net).tolist()[0]
+    return _processing_table(dag, net).tolist()
 
 
 def test_processing_time_exact_division():
-    assert _processing(3.0e9, 1.5e10) == [0.2]
+    assert _processing(3.0e9, 1.5e10)[0] == [0.2]
 
 
 def test_processing_time_dummy_is_free():
-    assert _processing(0.0, 1.0) == [0.0]
+    assert _processing(3.0e9, 1.0)[1] == [0.0]
 
 
 def test_processing_time_scales_inversely_with_speed():
-    slow, fast = _processing(7.3e9, 2.0e10, 4.0e10)
+    slow, fast = _processing(7.3e9, 2.0e10, 4.0e10)[0]
     assert fast == pytest.approx(slow / 2.0, rel=1e-12)
 
 
