@@ -38,12 +38,10 @@ from .model import (
     Server,
     StreamEdge,
     WorkloadDag,
-    _check_tail,
     _is_integer,
     _is_real,
     _reached_from_0,
     _shown,
-    _stream_index,
     _sum_left,
     augment_dummy_tail,
     canonical_json,
@@ -272,12 +270,9 @@ def load_dag_records(path) -> list[DagRecord]:
     records: list[DagRecord] = []
     for index, obj in enumerate(doc):
         try:
-            dag, dst_out = dag_from_json(obj)
-            # Surface collector-size problems at load time, not mid-run.
-            _check_tail(dag, _stream_index(dag)[1], dst_out)
+            records.append(DagRecord(*dag_from_json(obj)))
         except ValidationError as exc:
             raise ValidationError(f"record {index}: {exc}") from exc
-        records.append(DagRecord(dag=dag, dst_out=dst_out))
     return records
 
 
@@ -502,18 +497,14 @@ def run_benchmark(
 
     trials: list[TrialRecord] = []
     for dag_id, record in enumerate(dag_records):
-        aug = record.augmented()
-        validate_time_range(aug, network)
-        for algo in algos:
-            result = ALGORITHMS[algo](aug, network, catalog)
-            trials.append(
-                TrialRecord(
-                    dag_id=dag_id,
-                    algo=algo,
-                    makespan_s=result.makespan,
-                    dag_size=len(record.dag.functions),
-                )
-            )
+        try:  # a rejected record is named as ``load_dag_records`` names it
+            aug = record.augmented()
+            validate_time_range(aug, network)
+            makespans = [ALGORITHMS[algo](aug, network, catalog).makespan for algo in algos]
+        except ValidationError as exc:
+            raise ValidationError(f"record {dag_id}: {exc}") from exc
+        size = len(record.dag.functions)
+        trials += [TrialRecord(dag_id, algo, span, size) for algo, span in zip(algos, makespans)]
     trials.sort(key=lambda t: (t.dag_id, t.algo))
 
     mean_makespan = {}

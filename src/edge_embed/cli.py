@@ -3,8 +3,8 @@
 Subcommands: paths (enumerate routes between two servers), split (divide a
 stream across path coefficients), embed (schedule one workload), gen
 (write a seeded workload to disk), bench (run algorithms over a workload
-and emit reports). Exit codes: 0 success, 2 invalid input, 3 path-count
-explosion.
+and emit reports). Exit codes: 0 success, 1 output closed early (a reader
+such as ``head`` left the pipe), 2 invalid input, 3 path-count explosion.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .bench import (
@@ -205,7 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at the exit's own flush
+        return code
+    except BrokenPipeError as exc:
+        # what stdout still buffers goes to devnull, so the exit's flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: output closed early: {exc}", file=sys.stderr)
+        return 1
     except PathExplosionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

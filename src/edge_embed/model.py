@@ -16,7 +16,7 @@ import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from graphlib import CycleError, TopologicalSorter
 from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -209,12 +209,6 @@ class WorkloadDag:
     functions: tuple[FunctionNode, ...]
     edges: tuple[StreamEdge, ...]
 
-    @property
-    def destination_ids(self) -> tuple[int, ...]:
-        """The functions with no stream out, in stored order; runs validation's pass."""
-        consumers = _stream_index(self)[1]
-        return tuple(f.id for f in self.functions if not consumers[f.id])
-
 
 def validate_dag(dag: WorkloadDag) -> None:
     """Check every workload invariant; raises ValidationError."""
@@ -328,9 +322,22 @@ class AugmentedDag(WorkloadDag):
         return self.functions[-1].id
 
 
-def _check_outputs(destinations: Sequence[int], dst_out_sizes: Mapping[int, float]) -> None:
-    """Raise ValidationError unless ``dst_out_sizes`` gives each of a DAG's
-    ``destinations``, and no other function, a finite positive bit count."""
+def _check_tail(dag: WorkloadDag, dst_out_sizes: Mapping) -> tuple[tuple, list[int]]:
+    """The one tail rule: ``validate_dag``, then raise ValidationError unless
+    ``dst_out_sizes`` gives each destination of ``dag`` (a function with no
+    stream out), and no other function, a finite positive bit count, and no
+    destination has 0 flops. Returns ``(index, destinations)``: validation's
+    ``_stream_index`` of ``dag`` and its destinations in stored order."""
+    index = _stream_index(dag)
+    consumers = index[1]
+    sinks = [f for f in dag.functions if not consumers[f.id]]  # stored order
+    for f in sinks:
+        if f.flops == 0:
+            raise ValidationError(
+                f"destination {f.id} has zero flops; workload appears to "
+                "carry a collector tail already"
+            )
+    destinations = [f.id for f in sinks]
     # a key names a destination only as an integer: 1.0 and True equal 1, yet are no ids
     ids = [k for k in dst_out_sizes if type(k) is int or _is_integer(k)]
     missing = sorted(set(destinations).difference(ids))
@@ -349,20 +356,7 @@ def _check_outputs(destinations: Sequence[int], dst_out_sizes: Mapping[int, floa
         if not (type(out) is float and 0.0 < out <= _FLOAT_MAX):
             _require_finite(f"output of destination {d}", out)
             _require_positive(f"output of destination {d}", out, " bits")
-
-
-def _check_tail(dag: WorkloadDag, consumers: list[int], dst_out_sizes: Mapping) -> list[int]:
-    """Raise ValidationError unless ``dst_out_sizes`` lets a collector close the
-    valid ``dag``, whose function f has ``consumers[f]`` streams out."""
-    for f in dag.functions:
-        if f.flops == 0 and not consumers[f.id]:
-            raise ValidationError(
-                f"destination {f.id} has zero flops; workload appears to "
-                "carry a collector tail already"
-            )
-    destinations = [f.id for f in dag.functions if not consumers[f.id]]  # stored order
-    _check_outputs(destinations, dst_out_sizes)
-    return destinations
+    return index, destinations
 
 
 def augment_dummy_tail(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> AugmentedDag:
@@ -374,8 +368,7 @@ def augment_dummy_tail(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> 
     validation's stream index of ``dag``, extended by the collector, and its
     weight vectors, so that no embedder builds them.
     """
-    inputs, consumers, keys, position = _stream_index(dag)
-    destinations = _check_tail(dag, consumers, dst_out_sizes)
+    (inputs, consumers, keys, position), destinations = _check_tail(dag, dst_out_sizes)
     cid = len(dag.functions)
     position[cid] = cid
     row = [(d, float(dst_out_sizes[d])) for d in sorted(destinations)]  # the collector's inputs
@@ -505,7 +498,8 @@ def network_to_json(net: EdgeNetwork) -> dict:
 
 
 def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
-    """Parse and validate one workload document.
+    """Parse and validate one workload document, accepted exactly when
+    ``augment_dummy_tail`` accepts its parse.
 
     Returns the DAG plus the destination output sizes used to weight the
     collector edges at augmentation time.
@@ -523,14 +517,14 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"malformed workload document: {exc}") from exc
     dag = WorkloadDag(functions=functions, edges=edges)
-    validate_dag(dag)
+    _check_tail(dag, dst_out)
     return dag, dst_out
 
 
 def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
-    """One workload document; raises ValidationError for an invalid DAG and
-    for output sizes that ``augment_dummy_tail`` would reject."""
-    _check_outputs(dag.destination_ids, dst_out)  # validates ``dag`` first
+    """One workload document; raises ValidationError, with ``dag_from_json``'s
+    message, for a DAG and output sizes that it would reject."""
+    _check_tail(dag, dst_out)
     return {
         "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],
         "edges": [

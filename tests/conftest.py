@@ -88,8 +88,9 @@ def random_out_tree(rng: np.random.Generator, max_functions: int = 5):
     )
     dag = WorkloadDag(functions=functions, edges=tuple(edges))
     validate_dag(dag)
+    sources = {e.src for e in edges}
     dst_out = {
-        d: float(rng.uniform(1.0, 8.0)) for d in dag.destination_ids
+        f.id: float(rng.uniform(1.0, 8.0)) for f in functions if f.id not in sources
     }
     return augment_dummy_tail(dag, dst_out)
 

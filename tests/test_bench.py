@@ -34,7 +34,7 @@ from edge_embed import (
     validate_network,
     write_workload,
 )
-from edge_embed import bench
+from edge_embed import bench, model
 from edge_embed.bench import (
     ALGORITHMS,
     MAX_DAG_SIZE,
@@ -179,7 +179,9 @@ def test_dag_batch_is_deterministic_and_in_range():
             # the destinations feed the collector, which alone has no stream out
             assert [f for f, count in enumerate(consumers) if not count] == [aug.dummy_id]
             sinks = tuple(f for f, _ in inputs[aug.dummy_id])
-            assert dag.destination_ids == sinks == tuple(record.dst_out)
+            sources = {e.src for e in dag.edges}
+            assert tuple(f.id for f in dag.functions if f.id not in sources) == sinks
+            assert sinks == tuple(record.dst_out)
             # layered shape: exactly one entry, at most 3 inputs per function
             assert [f for f, row in enumerate(inputs) if not row] == [0]
             for row in inputs[: aug.dummy_id]:
@@ -330,6 +332,28 @@ def test_import_dags_checks_the_tail_without_augmenting(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "augment_dummy_tail", augment)
     assert load_dag_records(path) == records
+
+
+def test_import_dags_validates_each_record_once(tmp_path, monkeypatch):
+    records = generate_dag_records(SMALL)
+    path = tmp_path / "dags.json"
+    path.write_text(json.dumps([dag_to_json(r.dag, r.dst_out) for r in records]))
+    calls = []
+    index = model._stream_index
+
+    def spy(dag):
+        calls.append(dag)
+        return index(dag)
+
+    monkeypatch.setattr(model, "_stream_index", spy)
+    monkeypatch.setattr(bench, "_stream_index", spy, raising=False)  # a name imported here too
+    assert load_dag_records(path) == records
+    assert len(calls) == len(records)
+    # and once more per record when the run augments it
+    calls.clear()
+    net = generate_network(SMALL)
+    run_benchmark(list(ALGORITHMS), network=net, dag_records=load_dag_records(path))
+    assert len(calls) == 2 * len(records)
 
 
 def test_import_dags_names_the_bad_record(tmp_path):

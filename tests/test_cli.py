@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import edge_embed
 from edge_embed import (
     augment_dummy_tail,
     brute_force_embed,
@@ -92,6 +97,26 @@ def test_paths_cap_bounds_the_listing_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EDGE_EMBED_PATH_CAP", "1000")
     code = main(["paths", "--network", str(path), "--src", "0", "--dst", "9"])
     assert_one_error(capsys, code, want=3)
+
+
+def test_paths_into_a_closed_pipe_ends_in_one_error_line(tmp_path, capsys):
+    # K_9 lists 13,701 paths from 0 to 1, far more than a pipe buffers, so
+    # the command is still writing when its reader leaves after one line
+    assert main(["gen", "--seed", "0", "--servers", "9", "--connectivity", "1.0",
+                 "--dags", "1", "--out", str(tmp_path / "k9")]) == 0
+    env = {k: v for k, v in os.environ.items() if k != "EDGE_EMBED_PATH_CAP"}
+    env["PYTHONPATH"] = str(pathlib.Path(edge_embed.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "edge_embed.cli", "paths", "--network",
+         str(tmp_path / "k9" / "net.json"), "--src", "0", "--dst", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"0-1 coeff=2.47853e-08\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.splitlines() == ["error: output closed early: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5", "", "\u0663", "\uff11\uff10"])
@@ -699,6 +724,24 @@ def test_bench_rejects_times_out_of_range(tmp_path, capsys, net_doc, dags_doc):
                  "--out", str(tmp_path / "report")])
     assert_one_error(capsys, code)
     assert not (tmp_path / "report").exists()
+
+
+def test_bench_names_the_record_a_run_rejects(tmp_path, capsys):
+    # both records load, but record 1's finish times overflow on this network
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(_two_servers(0.5)), encoding="utf-8")
+    dags = tmp_path / "dags.json"
+    dags.write_text(json.dumps([_pair_dag(1.0e9, 1.0e9), _pair_dag(1e308, 1.0e9)]),
+                    encoding="utf-8")
+    code = main(["bench", "--network", str(net), "--dags", str(dags),
+                 "--out", str(tmp_path / "report")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: record 1: finish times overflow: the workload's flops and bits are "
+        "too large for this network's speeds and throughputs"
+    ]
+    assert captured.out == "" and not (tmp_path / "report").exists()
 
 
 def test_bench_rejects_empty_dag_set(tmp_path, capsys):

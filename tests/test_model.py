@@ -193,7 +193,7 @@ def test_validate_dag_accepts_diamond():
         ),
     )
     validate_dag(dag)
-    assert dag.destination_ids == (3,)
+    # the collector's row: 3 is the one destination
     assert augment_dummy_tail(dag, {3: 2.0}).stream_table == (
         [[], [(0, 1.0)], [(0, 1.0)], [(1, 1.0), (2, 1.0)], [(3, 2.0)]],
         [2, 1, 1, 1, 0],
@@ -460,7 +460,8 @@ def test_augmentation_hands_over_the_tables_a_reference_build_gives(monkeypatch)
         aug = augment_dummy_tail(record.dag, record.dst_out)
         assert vars(aug).keys() == {"functions", "edges"} | HANDED_OVER
         assert _tables(aug) == _reference_tables(record.dag, record.dst_out)
-        assert aug.destination_ids == (aug.dummy_id,)
+        sources = {e.src for e in aug.edges}
+        assert [f.id for f in aug.functions if f.id not in sources] == [aug.dummy_id]
     # the shuffled document: rows by id in ascending source, keys in edges order
     inputs, consumers = aug.stream_table
     assert inputs == [
@@ -501,8 +502,7 @@ def test_augmentation_leaves_the_base_dag_as_validation_does():
 
 
 ALL = ("validate", "augment", "json")
-AUGMENT = ("augment",)
-OUTPUT = ("augment", "json")  # dag_to_json checks the outputs as augment does
+OUTPUT = ("augment", "json")  # dag_to_json checks the tail as augment does
 INF, NAN = math.inf, math.nan
 ZERO_FLOP_TAIL = (
     "destination 2 has zero flops; workload appears to carry a collector tail already"
@@ -521,8 +521,8 @@ PINNED_WEIGHT_ERRORS = [
     ("flops2", INF, "function 2 flops must be finite, got inf", ALL),
     ("flops2", -INF, "function 2 flops must be finite, got -inf", ALL),
     ("flops2", -1.0, "function 2 has negative flops", ALL),
-    ("flops2", -0.0, ZERO_FLOP_TAIL, AUGMENT),
-    ("flops2", 0.0, ZERO_FLOP_TAIL, AUGMENT),
+    ("flops2", -0.0, ZERO_FLOP_TAIL, OUTPUT),
+    ("flops2", 0.0, ZERO_FLOP_TAIL, OUTPUT),
     ("bits", NAN, "stream 0->2 bits must be finite, got nan", ALL),
     ("bits", INF, "stream 0->2 bits must be finite, got inf", ALL),
     ("bits", -INF, "stream 0->2 bits must be finite, got -inf", ALL),
@@ -565,6 +565,65 @@ def test_weight_errors_keep_their_messages(weight, value, message, raising):
         with pytest.raises(ValidationError) as info:
             route()
         assert str(info.value) == message
+
+
+def _raised(call) -> str | None:
+    """The message of the ValidationError ``call`` raises, else None."""
+    try:
+        call()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _pair_tail(flops1=1.0, end=1):
+    """0 -> ``end`` on functions 0 and 1, which has ``flops1`` flops."""
+    return WorkloadDag((FunctionNode(0, 1.0), FunctionNode(1, flops1)), (StreamEdge(0, end, 1.0),))
+
+
+# (DAG, output sizes, the message all three routes raise, or None)
+TAIL_CASES = {
+    "zero-flop-sink": (
+        _pair_tail(flops1=0.0), {1: 1.0},
+        "destination 1 has zero flops; workload appears to carry a collector tail already",
+    ),
+    "missing-key": (_pair_tail(), {}, "missing sizes for destinations [1]"),
+    "extra-key": (_pair_tail(), {1: 1.0, 0: 2.0}, "sizes given for non-destinations [0]"),
+    "bool-key": (
+        _pair_tail(), {True: 1.0},
+        "missing sizes for destinations [1]; sizes given for non-destinations [True]",
+    ),
+    "float-key": (
+        _pair_tail(), {1.0: 1.0},
+        "missing sizes for destinations [1]; sizes given for non-destinations [1.0]",
+    ),
+    "one-function-no-key": (
+        WorkloadDag((FunctionNode(0, 1.0),), ()), {}, "missing sizes for destinations [0]"
+    ),
+    "unknown-end": (_pair_tail(end=5), {1: 1.0}, "edge 0->5 references an unknown function"),
+    **{
+        f"generated-{k}": (record.dag, record.dst_out, None)
+        for k, record in enumerate(
+            generate_dag_records(WorkloadSpec(seed=4, n_dags=4, dag_size_range=(1, 8)))
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("case", TAIL_CASES)
+def test_the_reader_and_writer_check_the_tail_as_augmentation_does(case):
+    # each route raises the message, or (None) all three accept the workload
+    dag, dst_out, message = TAIL_CASES[case]
+    assert _raised(lambda: augment_dummy_tail(dag, dst_out)) == message
+    assert _raised(lambda: dag_to_json(dag, dst_out)) == message
+    assert _raised(lambda: dag_from_json(dag_to_json(dag, dst_out))) == message
+    if all(type(k) is int for k in dst_out):  # a document the writer refuses to write
+        doc = {
+            "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],
+            "edges": [{"src": e.src, "dst": e.dst, "bits": e.size} for e in dag.edges],
+            "dst_out": {str(k): v for k, v in dst_out.items()},
+        }
+        assert _raised(lambda: dag_from_json(doc)) == message
 
 
 @pytest.mark.parametrize(
