@@ -22,10 +22,8 @@ from .bench import (
     generate_network,
     load_dag_records,
     load_network,
-    nested_networks,
     network_fingerprint,
     run_benchmark,
-    scale_network,
     write_workload,
 )
 from .embedder import (
@@ -106,7 +104,6 @@ __all__ = [
     "load_dag_records",
     "load_network",
     "make_network",
-    "nested_networks",
     "network_fingerprint",
     "network_from_json",
     "network_to_json",
@@ -115,7 +112,6 @@ __all__ = [
     "placement_only_embed",
     "resolve_path_cap",
     "run_benchmark",
-    "scale_network",
     "simulate_embedding",
     "validate_dag",
     "validate_network",

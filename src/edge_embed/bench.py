@@ -20,7 +20,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -30,7 +30,6 @@ from .baselines import heft_schedule, placement_only_embed
 from .embedder import EmbeddingResult, dpe_embed
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
 from .model import (
-    _FLOAT_MAX,
     AugmentedDag,
     EdgeNetwork,
     FunctionNode,
@@ -43,6 +42,7 @@ from .model import (
     _reached_from_0,
     _shown,
     _sum_left,
+    _within_floats,
     augment_dummy_tail,
     canonical_json,
     dag_from_json,
@@ -102,7 +102,7 @@ class WorkloadSpec:
             raise ValidationError("DAG sizes must be >= 1")
         for name in ("dag_size_range",) + reals:
             lo, hi = getattr(self, name)
-            if not (abs(lo) <= _FLOAT_MAX and abs(hi) <= _FLOAT_MAX):
+            if not (_within_floats(lo) and _within_floats(hi)):
                 raise ValidationError(f"{name} must have finite ends")
             if lo <= 0 or lo > hi:
                 raise ValidationError(f"{name} must satisfy 0 < lo <= hi")
@@ -127,25 +127,40 @@ def _substream(seed: int, stream: int) -> np.random.Generator:
     )
 
 
-def _sample_topology(
-    rng: np.random.Generator, n: int, probability: float
-) -> list[tuple[int, int]]:
-    """One round of pair sampling: each pair kept with ``probability``."""
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < probability
-    ]
-
-
 def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
-    """Draw a connected random network from the network substream.
+    """Draw a connected random network from the network substream: identical
+    spec, identical network. A connected network has a simple path for every
+    ordered server pair, so n(n-1) above ``resolve_path_cap()`` raises
+    PathExplosionError before the first draw."""
+    cap = resolve_path_cap()
+    if spec.n_servers * (spec.n_servers - 1) > cap:
+        raise PathExplosionError(cap)
+    return _draw_network(spec, _substream(spec.seed, STREAM_NETWORK))
 
-    This is the first network of ``nested_networks``, which documents the
-    draws. Identical spec always yields the identical network.
-    """
-    return nested_networks(spec, [spec.n_servers])[0]
+
+def _draw_network(spec: WorkloadSpec, rng: np.random.Generator) -> EdgeNetwork:
+    """``spec``'s network from ``rng``: server powers first, then pair
+    topologies, each keeping each pair with the connectivity probability,
+    re-sampled (up to a bounded retry count) until connected, then one
+    throughput per kept link."""
+    n, p = spec.n_servers, spec.connectivity
+    psi = rng.uniform(*spec.psi_range, size=n).tolist()
+    for _ in range(MAX_NETWORK_ATTEMPTS):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        if len(_reached_from_0(n, pairs)) == n:
+            break
+    else:
+        raise EdgeEmbedError(
+            f"no connected network found after {MAX_NETWORK_ATTEMPTS} "
+            "attempts; raise the connectivity probability"
+        )
+    throughput = rng.uniform(*spec.bandwidth_range, size=len(pairs)).tolist()
+    net = make_network(
+        map(Server, range(n), psi),
+        [Link(k, u, v, b) for k, ((u, v), b) in enumerate(zip(pairs, throughput))],
+    )
+    validate_network(net)
+    return net
 
 
 def _words32(rng: np.random.Generator) -> Iterator[int]:
@@ -258,7 +273,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deep
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -315,96 +330,6 @@ def network_fingerprint(net: EdgeNetwork) -> str:
         canonical_json(network_to_json(net)).encode("utf-8")
     )
     return digest.hexdigest()[:12]
-
-
-def scale_network(
-    net: EdgeNetwork, psi_factor: float = 1.0, throughput_factor: float = 1.0
-) -> EdgeNetwork:
-    """Same topology with uniformly scaled server and link capacities. Each
-    factor must be a finite real number > 0 (not a bool), and the result a
-    valid network."""
-    for name, factor in (("psi_factor", psi_factor), ("throughput_factor", throughput_factor)):
-        if not (_is_real(factor) and 0 < factor <= _FLOAT_MAX):
-            raise ValidationError(f"{name} must be a finite number > 0, got {_shown(factor)}")
-    servers = [Server(id=s.id, psi=s.psi * psi_factor) for s in net.servers]
-    links = [
-        Link(id=l.id, u=l.u, v=l.v, throughput=l.throughput * throughput_factor)
-        for l in net.links
-    ]
-    scaled = make_network(servers, links)
-    validate_network(scaled)
-    return scaled
-
-
-def nested_networks(
-    spec: WorkloadSpec, server_counts: Sequence[int]
-) -> list[EdgeNetwork]:
-    """A chain of networks where each one extends the previous.
-
-    The smallest count is drawn from the network substream: server powers
-    first, then pair topologies re-sampled (up to a bounded retry count)
-    until connected, then one throughput per kept link. Every later count
-    adds new servers, each wired to at least one existing server
-    (guaranteeing connectivity) plus random extra links at the workload's
-    connectivity probability. Existing servers and links keep their ids, so
-    makespans across the chain compare like-for-like.
-
-    A connected network has a simple path for every ordered server pair, so
-    a count c with c(c-1) above ``resolve_path_cap()`` raises
-    PathExplosionError before the first draw.
-    """
-    if not (isinstance(server_counts, Sequence) and server_counts) or not all(
-        map(_is_integer, server_counts)
-    ):
-        raise ValidationError(f"server counts must be integers, got {_shown(server_counts)}")
-    counts = sorted(server_counts)
-    if len(set(counts)) != len(counts):
-        raise ValidationError("server counts must be distinct")
-    cap = resolve_path_cap()
-    if counts[-1] * (counts[-1] - 1) > cap:
-        raise PathExplosionError(cap)
-    base_spec = replace(spec, n_servers=counts[0])
-    rng = _substream(spec.seed, STREAM_NETWORK)
-    n = base_spec.n_servers
-    psi = [float(x) for x in rng.uniform(*spec.psi_range, size=n)]
-    for _ in range(MAX_NETWORK_ATTEMPTS):
-        pairs = _sample_topology(rng, n, spec.connectivity)
-        if len(_reached_from_0(n, pairs)) == n:
-            break
-    else:
-        raise EdgeEmbedError(
-            f"no connected network found after {MAX_NETWORK_ATTEMPTS} "
-            "attempts; raise the connectivity probability"
-        )
-    throughput = [float(x) for x in rng.uniform(*spec.bandwidth_range, size=len(pairs))]
-
-    nets: list[EdgeNetwork] = []
-
-    def freeze() -> EdgeNetwork:
-        servers = [Server(id=i, psi=psi[i]) for i in range(len(psi))]
-        links = [
-            Link(id=k, u=u, v=v, throughput=throughput[k])
-            for k, (u, v) in enumerate(pairs)
-        ]
-        net = make_network(servers, links)
-        validate_network(net)
-        return net
-
-    nets.append(freeze())
-    for count in counts[1:]:
-        while len(psi) < count:
-            new_id = len(psi)
-            psi.append(float(rng.uniform(*spec.psi_range)))
-            anchor = int(rng.integers(0, new_id))
-            new_pairs = [(anchor, new_id)]
-            for other in range(new_id):
-                if other != anchor and rng.random() < spec.connectivity:
-                    new_pairs.append((other, new_id))
-            for pair in new_pairs:
-                pairs.append(pair)
-                throughput.append(float(rng.uniform(*spec.bandwidth_range)))
-        nets.append(freeze())
-    return nets
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,17 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} holding an int past the float range"
 
 
+def _within_floats(value) -> bool:
+    """``abs(value) <= _FLOAT_MAX`` for a real ``value``, exact on ints and
+    ``Fraction``s. A numpy float16 or float32 is widened first: NEP 50 casts
+    the bound to its type, which overflows with a RuntimeWarning."""
+    if isinstance(value, (np.float16, np.float32)):
+        value = float(value)
+    return abs(value) <= _FLOAT_MAX
+
+
 def _require_finite(what: str, value: float) -> None:
-    if not (_is_real(value) and abs(value) <= _FLOAT_MAX):  # exact on ints
+    if not (_is_real(value) and _within_floats(value)):
         raise ValidationError(f"{what} must be finite, got {_shown(value)}")
 
 
@@ -126,7 +135,8 @@ def _require_rate(what: str, value: float) -> None:
     """A speed or throughput: finite, > 0, and with a finite reciprocal."""
     _require_finite(what, value)
     _require_positive(what, value)
-    if not math.isfinite(1.0 / value):
+    rate = float(value)  # a float32's 1/x would warn of overflow; a tiny Fraction is 0.0
+    if rate == 0.0 or not math.isfinite(1.0 / rate):
         raise ValidationError(
             f"{what} is too small, got {value!r}: 1/{value!r} overflows"
         )
@@ -403,7 +413,10 @@ def _ready_row(net: EdgeNetwork, ready: Mapping[int, float] | None) -> list[floa
             raise ValidationError(f"ready map entry {shown} holds a bool")
         if not ((type(server) is int or _is_integer(server)) and 0 <= server < len(row)):
             raise ValidationError(f"ready map names unknown server {_shown(server)}")
-        if not ((type(seconds) is float or _is_real(seconds)) and 0.0 <= seconds <= _FLOAT_MAX):
+        if not (
+            type(seconds) is float and 0.0 <= seconds <= _FLOAT_MAX
+            or _is_real(seconds) and 0.0 <= seconds and _within_floats(seconds)
+        ):
             raise ValidationError(
                 f"ready time of server {server} must be finite and >= 0, got {_shown(seconds)}"
             )
@@ -488,10 +501,13 @@ def network_from_json(obj: Mapping) -> EdgeNetwork:
 
 
 def network_to_json(net: EdgeNetwork) -> dict:
+    """One network document, ids as ints and weights as floats; raises
+    ValidationError for a network that ``network_from_json`` would reject."""
+    validate_network(net)
     return {
-        "servers": [{"id": s.id, "psi": s.psi} for s in net.servers],
+        "servers": [{"id": int(s.id), "psi": float(s.psi)} for s in net.servers],
         "links": [
-            {"id": l.id, "u": l.u, "v": l.v, "b": l.throughput}
+            {"id": int(l.id), "u": int(l.u), "v": int(l.v), "b": float(l.throughput)}
             for l in net.links
         ],
     }
@@ -522,15 +538,16 @@ def dag_from_json(obj: Mapping) -> tuple[WorkloadDag, dict[int, float]]:
 
 
 def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
-    """One workload document; raises ValidationError, with ``dag_from_json``'s
-    message, for a DAG and output sizes that it would reject."""
+    """One workload document, ids as ints and weights as floats; raises
+    ValidationError, with ``dag_from_json``'s message, for a DAG and output
+    sizes that it would reject."""
     _check_tail(dag, dst_out)
     return {
-        "functions": [{"id": f.id, "flops": f.flops} for f in dag.functions],
+        "functions": [{"id": int(f.id), "flops": float(f.flops)} for f in dag.functions],
         "edges": [
-            {"src": e.src, "dst": e.dst, "bits": e.size} for e in dag.edges
+            {"src": int(e.src), "dst": int(e.dst), "bits": float(e.size)} for e in dag.edges
         ],
-        "dst_out": {str(k): float(dst_out[k]) for k in sorted(dst_out)},
+        "dst_out": {str(int(k)): float(dst_out[k]) for k in sorted(dst_out)},
     }
 
 

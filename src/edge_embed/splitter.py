@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .model import _FLOAT_MAX, _is_real, _sum_left
+from .model import _is_real, _sum_left, _within_floats
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class SplitProblem:
         if not self.coefficients:
             raise ValidationError("a split needs at least one path")
         # compared exactly first: float() of an int past the float range overflows
-        if not all(abs(x) <= _FLOAT_MAX for x in (*self.coefficients, self.stream_size)):
+        if not all(map(_within_floats, (*self.coefficients, self.stream_size))):
             raise ValidationError("path coefficients and stream size must be finite")
         object.__setattr__(self, "coefficients", tuple(map(float, self.coefficients)))
         object.__setattr__(self, "stream_size", float(self.stream_size))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from edge_embed import bench
 from edge_embed import (
     FunctionNode,
     Link,
@@ -69,6 +72,35 @@ def small_random_network(rng: np.random.Generator, max_servers: int = 4):
         stream_range=(1.0, 10.0),
     )
     return generate_network(spec)
+
+
+def nested_networks(spec: WorkloadSpec, server_counts) -> list:
+    """Networks of ``server_counts`` servers, each extending the one before:
+    ``generate_network``'s draw, then from the same substream each new
+    server's psi, one server it links to (so it stays connected), links to the
+    others at the spec's connectivity and their throughputs. Ids are kept, so
+    makespans compare like-for-like along the chain."""
+    counts = sorted(server_counts)
+    rng = bench._substream(spec.seed, bench.STREAM_NETWORK)
+    nets = [bench._draw_network(replace(spec, n_servers=counts[0]), rng)]
+    servers, links = list(nets[0].servers), list(nets[0].links)
+    for count in counts[1:]:
+        for new in range(len(servers), count):
+            servers.append(Server(new, float(rng.uniform(*spec.psi_range))))
+            anchor = int(rng.integers(0, new))
+            ends = [u for u in range(new) if u != anchor and rng.random() < spec.connectivity]
+            for u in [anchor, *ends]:
+                links.append(Link(len(links), u, new, float(rng.uniform(*spec.bandwidth_range))))
+        nets.append(make_network(servers, links))
+    return nets
+
+
+def scale_network(net, psi_factor: float = 1.0, throughput_factor: float = 1.0):
+    """The same topology with every psi and every throughput multiplied by its factor."""
+    return make_network(
+        [Server(s.id, s.psi * psi_factor) for s in net.servers],
+        [Link(l.id, l.u, l.v, l.throughput * throughput_factor) for l in net.links],
+    )
 
 
 def random_out_tree(rng: np.random.Generator, max_functions: int = 5):

@@ -26,19 +26,19 @@ from edge_embed import (
     generate_dag_records,
     generate_network,
     heft_schedule,
-    nested_networks,
     optimal_split,
     passive_routes,
     placement_only_embed,
-    scale_network,
     simulate_embedding,
 )
 from edge_embed.cli import main as cli_main
 
 from conftest import (
     complete_network,
+    nested_networks,
     random_general_dag,
     random_out_tree,
+    scale_network,
     small_random_network,
     worked_example,
 )

@@ -25,11 +25,9 @@ from edge_embed import (
     generate_network,
     load_dag_records,
     load_network,
-    nested_networks,
     network_fingerprint,
     optimal_split,
     run_benchmark,
-    scale_network,
     validate_dag,
     validate_network,
     write_workload,
@@ -47,6 +45,8 @@ from edge_embed.bench import (
     generate_dag_records,
 )
 from edge_embed.model import _sum_left, canonical_json, dag_to_json, validate_time_range
+
+from conftest import nested_networks, scale_network
 
 # sha256 over the canonical JSON of every DAG record that WorkloadSpec(seed=s,
 # n_dags=50, dag_size_range=r) generates, s in 0..2, r in (2, 20), (20, 60),
@@ -407,7 +407,7 @@ def test_import_dags_empty_array(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# derived networks
+# derived networks: the premises of the helpers criteria 5 and 6 run on
 # ---------------------------------------------------------------------------
 
 
@@ -422,31 +422,6 @@ def test_scale_network_scales_uniformly():
         assert after.throughput == before.throughput * 3.0
 
 
-@pytest.mark.parametrize(
-    "factors",
-    [
-        {"psi_factor": 0.0},
-        {"psi_factor": -1.0},
-        {"throughput_factor": 1e308},
-        {"psi_factor": "2"},
-        {"throughput_factor": None},
-        {"psi_factor": True},
-        {"throughput_factor": 10**400},
-    ],
-    ids=[
-        "zero-psi", "negative-psi", "overflowing-throughput",
-        "string-psi", "none-throughput", "bool-psi", "int-past-the-floats",
-    ],
-)
-def test_scale_network_rejects_factors_that_break_the_network(factors):
-    # the first three gave dpe a nan makespan, a negative one, and a
-    # ZeroDivisionError; a string or None died in a bare TypeError, True
-    # was taken as 1.0, and 10**400 died in an OverflowError
-    net = generate_network(WorkloadSpec(seed=0, n_servers=4))
-    with pytest.raises(ValidationError):
-        scale_network(net, **factors)
-
-
 def test_network_fingerprint_tracks_content():
     net = generate_network(SMALL)
     fp = network_fingerprint(net)
@@ -459,29 +434,12 @@ def test_nested_networks_grow_by_extension():
     spec = WorkloadSpec(seed=4, n_servers=6, connectivity=0.6, n_dags=1)
     nets = nested_networks(spec, [3, 5, 6])
     assert [n.n_servers for n in nets] == [3, 5, 6]
+    assert nets[0] == generate_network(replace(spec, n_servers=3))
     for smaller, larger in zip(nets, nets[1:]):
         validate_network(larger)
         # the smaller network is a literal prefix of the larger one
         assert larger.servers[: smaller.n_servers] == smaller.servers
         assert larger.links[: len(smaller.links)] == smaller.links
-
-
-def test_nested_networks_reject_duplicate_counts():
-    with pytest.raises(ValueError):
-        nested_networks(SMALL, [3, 3])
-
-
-@pytest.mark.parametrize(
-    "counts",
-    [[], [3, "4"], [3, 4.5], [True, 3], None, 3, True],
-    ids=["empty", "string", "float", "bool", "none", "bare-int", "bare-bool"],
-)
-def test_nested_networks_reject_malformed_counts(counts):
-    # the first three died in an IndexError and a TypeError or gave a silent
-    # 5-server network; a bool now fails before the first draw; a bare value
-    # died in a TypeError
-    with pytest.raises(ValidationError):
-        nested_networks(SMALL, counts)
 
 
 # ---------------------------------------------------------------------------

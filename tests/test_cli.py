@@ -373,6 +373,30 @@ def test_embed_rejects_unreadable_dag(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--network", "NESTED", "--dag", "DAG"],
+        ["embed", "--network", "NET", "--dag", "NESTED"],
+        ["embed", "--network", "NET", "--dag", "DAG", "--ready", "NESTED"],
+        ["bench", "--network", "NESTED", "--dags", "DAGS", "--out", "OUT"],
+        ["bench", "--network", "NET", "--dags", "NESTED", "--out", "OUT"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{argv[argv.index('NESTED') - 1][2:]}",
+)
+def test_deeply_nested_json_ends_in_one_error_line(tmp_path, capsys, argv):
+    # the parser gave up in a RecursionError traceback with exit 1
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000, encoding="utf-8")
+    dags = tmp_path / "dags.json"
+    dags.write_text(json.dumps([DIAMOND]), encoding="utf-8")
+    files = {"NESTED": nested, "NET": write_triangle(tmp_path), "DAG": write_diamond(tmp_path)}
+    files.update(DAGS=dags, OUT=tmp_path / "out")
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {nested} is not valid JSON")
+
+
+@pytest.mark.parametrize(
     "ready",
     [
         {"zero": 1.0}, {"0": "soon"}, {"0": [1.0]}, {"9": 1.0}, [1.0], {"0": -1.0},

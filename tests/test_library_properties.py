@@ -3,8 +3,7 @@ user values raise only ``EdgeEmbedError``.
 
 Each example picks one entry point and calls it with values drawn around
 valid ones: a ``WorkloadSpec`` with one or two fields swapped, a ready map
-with bad keys, times or shape, ``scale_network`` factors,
-``nested_networks`` counts, a ``SplitProblem``'s terms, the path-cap
+with bad keys, times or shape, a ``SplitProblem``'s terms, the path-cap
 variable, the ends of a path listing (``enumerate_simple_paths`` and
 ``PathCatalog.pair_split``) and of a cheapest path
 (``PathCatalog.cheapest_path``), the weights of a workload built in code (ints
@@ -25,6 +24,7 @@ import dataclasses
 import os
 import types
 from decimal import Decimal
+from fractions import Fraction
 from itertools import permutations
 from numbers import Integral
 
@@ -53,13 +53,11 @@ from edge_embed import (
     generate_dag_records,
     generate_network,
     make_network,
-    nested_networks,
     network_from_json,
     network_to_json,
     optimal_split,
     resolve_path_cap,
     run_benchmark,
-    scale_network,
     simulate_embedding,
     validate_dag,
     validate_network,
@@ -157,8 +155,6 @@ def _dag_document(doc):
 ENTRIES = {
     "spec": _spec,
     "ready": _ready,
-    "scale": lambda psi, throughput: scale_network(NET, psi, throughput),
-    "nested": lambda counts: nested_networks(SPEC, counts),
     "split": _split,
     "cap": _cap,
     "paths": lambda src, dst: enumerate_simple_paths(NET, src, dst),
@@ -190,11 +186,6 @@ def calls(draw):
             | bad
         )
         args = (draw(st.sampled_from(sorted(EMBEDDERS))), ready)
-    elif entry == "scale":
-        args = (draw(values), draw(values))
-    elif entry == "nested":
-        counts = st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True)
-        args = (draw(counts | sequences | bad),)
     elif entry == "split":
         args = (draw(sequences | bad), draw(values))
     elif entry == "cap":
@@ -273,7 +264,6 @@ PAST = "an int past the float range"
 NAMED_IN_ERRORS = {
     "ready-time": (lambda: _ready("dpe", {0: HUGE}), PAST),
     "ready-key": (lambda: _ready("dpe", {HUGE: 1.0}), PAST),
-    "scale": (lambda: scale_network(NET, HUGE), PAST),
     "paths": (lambda: enumerate_simple_paths(NET, HUGE, 1), PAST),
     "pair-split": (lambda: build_catalog(NET).pair_split(0, -HUGE), PAST),
     "cheapest-path": (lambda: build_catalog(NET).cheapest_path(HUGE, 1), PAST),
@@ -286,7 +276,6 @@ NAMED_IN_ERRORS = {
         lambda: _warm("cheapest_path", 0, Decimal(1)), r"server Decimal\('1'\) is not"
     ),
     "spec-pair": (lambda: dataclasses.replace(SPEC, psi_range=[1.0, 2.0, HUGE]), PAST),
-    "nested": (lambda: nested_networks(SPEC, [1.5, HUGE]), PAST),
     "augment-key": (lambda: augment_dummy_tail(PAIR, {1: 1.0, HUGE: 1.0}), PAST),
     "augment-mixed-keys": (
         lambda: augment_dummy_tail(PAIR, {1: 1.0, "a": 1.0, None: 2.0}),
@@ -306,6 +295,11 @@ NAMED_IN_ERRORS = {
         r"unknown server \(True, 1\)$",
     ),
     "server-id-huge": (lambda: _network([(0, 1.0), (HUGE, 1.0)], []), PAST),
+    # a ZeroDivisionError: 1/psi went through float(psi), which is 0.0
+    "psi-past-the-floats": (
+        lambda: _network([(0, Fraction(1, 10**400)), (1, 1.0)], [(0, 0, 1, 1.0)]),
+        r"psi is too small, got Fraction\(1, 1000",
+    ),
     # the destinations come from validation's pass, so they fail with its message
     "dag-to-json": (lambda: dag_to_json(PAIR, {1: HUGE}), PAST),
     "dag-to-json-1e400": (lambda: dag_to_json(PAIR, {1: 10**400}), PAST),
@@ -359,3 +353,29 @@ TRUE_IN_EACH_ROLE = {
 def test_true_is_rejected_in_every_role(call):
     with pytest.raises(ValidationError, match="True"):
         call()
+
+
+# a numpy float32 is a number in every role; its largest value is far below
+# the float bound, which NEP 50 cast to float32 with an overflow warning
+FLOAT32_IN_EACH_ROLE = {
+    "psi": lambda x: validate_network(_pair_network(psi=x)),
+    "throughput": lambda x: validate_network(_pair_network(throughput=x)),
+    "flops": lambda x: augment_dummy_tail(_pair_dag(flops=x), {1: 1.0}),
+    "bits": lambda x: augment_dummy_tail(_pair_dag(bits=x), {1: 1.0}),
+    "output": lambda x: augment_dummy_tail(PAIR, {1: x}),
+    "spec-range": lambda x: WorkloadSpec(psi_range=(x, x)),
+    "split": lambda x: SplitProblem((x, 2e-7), 1e6),
+    "ready-time": lambda x: _ready("dpe", {0: x}),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT32_IN_EACH_ROLE.values(), ids=FLOAT32_IN_EACH_ROLE)
+def test_a_float32_is_a_number_in_every_role(call):
+    call(np.float32(1e-7))
+    call(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("call", FLOAT32_IN_EACH_ROLE.values(), ids=FLOAT32_IN_EACH_ROLE)
+def test_an_infinite_float32_is_rejected_in_every_role(call):
+    with pytest.raises(ValidationError, match="finite"):
+        call(np.float32("inf"))

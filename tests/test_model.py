@@ -12,6 +12,7 @@ import random
 import re
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -737,6 +738,27 @@ def test_dag_json_round_trip():
     assert back.functions == dag.functions
     assert back.edges == dag.edges
     assert dst_out == {1: 7.0e6}
+
+
+def test_dag_to_json_writes_what_dag_from_json_reads():
+    # an int64 id or a Fraction or float32 weight was copied as given, for a
+    # document that json.dumps could not write and the reader refused
+    first, second = FunctionNode(np.int64(0), Fraction(3, 2)), FunctionNode(1, np.float32(2.5))
+    dag = WorkloadDag((first, second), (StreamEdge(np.int64(0), 1, np.float32(0.75)),))
+    doc = json.loads(json.dumps(dag_to_json(dag, {np.int64(1): Fraction(1, 4)})))
+    back, dst_out = dag_from_json(doc)
+    assert back.functions == (FunctionNode(0, 1.5), FunctionNode(1, 2.5))
+    assert back.edges == (StreamEdge(0, 1, 0.75),) and dst_out == {1: 0.25}
+
+
+def test_network_to_json_validates_and_writes_what_network_from_json_reads():
+    servers = [Server(np.int64(0), Fraction(1, 2)), Server(1, np.float32(2.0))]
+    net = make_network(servers, [Link(np.int64(0), 0, np.int64(1), 3)])
+    back = network_from_json(json.loads(json.dumps(network_to_json(net))))
+    assert back == make_network([Server(0, 0.5), Server(1, 2.0)], [Link(0, 0, 1, 3.0)])
+    twice = make_network(servers, [*net.links, Link(1, 1, 0, 1.0)])
+    with pytest.raises(ValidationError, match="more than one link between servers 0 and 1"):
+        network_to_json(twice)
 
 
 def test_canonical_json_is_key_sorted_and_compact():
