@@ -1,16 +1,16 @@
 """Reproducible workload generation and benchmark reporting.
 
-All randomness flows through numpy PCG64 generators seeded from a single
+All randomness flows through numpy PCG64 bit generators seeded from a single
 integer via named substreams (SeedSequence spawn keys): stream 0 draws the
 network, stream 1 draws DAG sizes and shapes, stream 2 draws weights
 (flops, stream bits, destination output bits). Identical spec, identical
-artifacts, byte for byte. Streams 1 and 2 are read as PCG64's raw 64-bit
-words and turned into draws by the rules numpy's ``Generator`` applies to
-them: Lemire's bounded integers on 32-bit halves for the shapes (each
-function's predecessors by Floyd's sample), and 53-bit doubles for the
-weights. These are exactly the draws ``integers``, ``choice(pos, size=k,
-replace=False)`` and ``uniform`` made, so workloads are byte-identical to
-those of versions that called them.
+artifacts, byte for byte. Every stream is read as PCG64's raw 64-bit words
+and turned into draws by the rules numpy's ``Generator`` applies to them:
+Lemire's bounded integers on 32-bit halves for the shapes (each function's
+predecessors by Floyd's sample), and 53-bit doubles for the network's
+powers, link coins and throughputs and for the weights. These are exactly
+the draws ``integers``, ``choice(pos, size=k, replace=False)``, ``random``
+and ``uniform`` make, so workloads are byte-identical to what those calls give.
 """
 
 from __future__ import annotations
@@ -121,10 +121,8 @@ class DagRecord:
         return augment_dummy_tail(self.dag, self.dst_out)
 
 
-def _substream(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
-    )
+def _substream(seed: int, stream: int) -> np.random.PCG64:
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
@@ -138,15 +136,17 @@ def generate_network(spec: WorkloadSpec) -> EdgeNetwork:
     return _draw_network(spec, _substream(spec.seed, STREAM_NETWORK))
 
 
-def _draw_network(spec: WorkloadSpec, rng: np.random.Generator) -> EdgeNetwork:
-    """``spec``'s network from ``rng``: server powers first, then pair
-    topologies, each keeping each pair with the connectivity probability,
-    re-sampled (up to a bounded retry count) until connected, then one
-    throughput per kept link."""
-    n, p = spec.n_servers, spec.connectivity
-    psi = rng.uniform(*spec.psi_range, size=n).tolist()
+def _draw_network(spec: WorkloadSpec, rng: np.random.PCG64) -> EdgeNetwork:
+    """``spec``'s network from ``rng``'s unit doubles: server powers first,
+    then pair topologies, each keeping each pair whose coin falls below the
+    connectivity probability, re-sampled (up to a bounded retry count) until
+    connected, then one throughput per kept link."""
+    n, p = spec.n_servers, float(spec.connectivity)
+    psi = _uniform(_unit_doubles(rng, n), *spec.psi_range)
+    candidates = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(MAX_NETWORK_ATTEMPTS):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        coins = _unit_doubles(rng, len(candidates))
+        pairs = [pair for pair, coin in zip(candidates, coins) if coin < p]
         if len(_reached_from_0(n, pairs)) == n:
             break
     else:
@@ -154,7 +154,7 @@ def _draw_network(spec: WorkloadSpec, rng: np.random.Generator) -> EdgeNetwork:
             f"no connected network found after {MAX_NETWORK_ATTEMPTS} "
             "attempts; raise the connectivity probability"
         )
-    throughput = rng.uniform(*spec.bandwidth_range, size=len(pairs)).tolist()
+    throughput = _uniform(_unit_doubles(rng, len(pairs)), *spec.bandwidth_range)
     net = make_network(
         map(Server, range(n), psi),
         [Link(k, u, v, b) for k, ((u, v), b) in enumerate(zip(pairs, throughput))],
@@ -163,13 +163,12 @@ def _draw_network(spec: WorkloadSpec, rng: np.random.Generator) -> EdgeNetwork:
     return net
 
 
-def _words32(rng: np.random.Generator) -> Iterator[int]:
-    """The 32-bit words a fresh ``rng``'s ``integers`` reads, in order, as
-    PCG64 hands them out: the low half, then the high half, of each raw
-    64-bit word."""
-    bit_generator = rng.bit_generator
+def _words32(rng: np.random.PCG64) -> Iterator[int]:
+    """The 32-bit words ``Generator(rng).integers`` reads from a fresh
+    ``rng``, in order, as PCG64 hands them out: the low half, then the high
+    half, of each raw 64-bit word."""
     while True:
-        raw = bit_generator.random_raw(_RAW_CHUNK)
+        raw = rng.random_raw(_RAW_CHUNK)
         yield from raw.astype("<u8").view("<u4").tolist()
 
 
@@ -212,15 +211,16 @@ def _floyd_sample(u32: Iterator[int], pos: int, k: int) -> list[int]:
     return sample
 
 
-def _unit_doubles(rng: np.random.Generator, count: int) -> list[float]:
-    """The ``count`` doubles in [0, 1) that ``rng.uniform`` would scale:
+def _unit_doubles(rng: np.random.PCG64, count: int) -> list[float]:
+    """The ``count`` doubles in [0, 1) that ``Generator(rng).random`` draws:
     the top 53 bits of each raw 64-bit word, times 2**-53."""
-    return ((rng.bit_generator.random_raw(count) >> 11) * 2.0**-53).tolist()
+    return ((rng.random_raw(count) >> 11) * 2.0**-53).tolist()
 
 
 def _uniform(units: Sequence[float], lo: float, hi: float) -> list[float]:
-    """``rng.uniform(lo, hi, len(units))`` from the unit doubles it scales."""
-    span = hi - lo
+    """``Generator.uniform(lo, hi, len(units))`` from the unit doubles it
+    scales, with both ends made floats first as ``uniform`` makes them."""
+    lo, span = float(lo), float(hi) - float(lo)
     return [lo + span * u for u in units]
 
 

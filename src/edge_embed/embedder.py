@@ -81,9 +81,9 @@ def _map_streams(
             mappings[key] = _SAME_SERVER
         elif split:
             paths, coefficients, *terms = catalog.pair_split(m, n)
-            mappings[key] = EdgeMapping(paths, _equalize(coefficients, e.size, *terms)[1])
+            mappings[key] = EdgeMapping(paths, _equalize(coefficients, float(e.size), *terms)[1])
         else:
-            mappings[key] = EdgeMapping((catalog.cheapest_path(m, n),), (e.size,))
+            mappings[key] = EdgeMapping((catalog.cheapest_path(m, n),), (float(e.size),))
     return mappings
 
 
@@ -282,7 +282,7 @@ def simulate_embedding(
     for node in dag.functions:
         fid = node.id
         server = placements[fid]
-        proc = node.flops / psi[server]  # not the shared table: an independent check
+        proc = float(node.flops) / psi[server]  # not the shared table: an independent check
         if not inputs[fid]:
             finish[fid] = proc + ready_row[server]
             continue

@@ -128,7 +128,7 @@ def _require_finite(what: str, value: float) -> None:
 
 def _require_positive(what: str, value: float, unit: str = "") -> None:
     if value <= 0:
-        raise ValidationError(f"{what} must be > 0{unit}, got {value!r}")
+        raise ValidationError(f"{what} must be > 0{unit}, got {_shown(value)}")
 
 
 def _require_rate(what: str, value: float) -> None:
@@ -137,9 +137,8 @@ def _require_rate(what: str, value: float) -> None:
     _require_positive(what, value)
     rate = float(value)  # a float32's 1/x would warn of overflow; a tiny Fraction is 0.0
     if rate == 0.0 or not math.isfinite(1.0 / rate):
-        raise ValidationError(
-            f"{what} is too small, got {value!r}: 1/{value!r} overflows"
-        )
+        shown = _shown(value)
+        raise ValidationError(f"{what} is too small, got {shown}: 1/{shown} overflows")
 
 
 def _sum_left(values: Iterable[float]) -> float:
@@ -257,6 +256,7 @@ def _stream_index(dag: WorkloadDag) -> tuple:
         if not (type(size) is float and 0.0 < size <= _FLOAT_MAX):
             _require_finite(f"stream {src}->{dst} bits", size)
             _require_positive(f"stream {src}->{dst}", size, " bits")
+            size = float(size)  # the tables price every stream in floats
         key = (src, dst)
         if key in keys:
             raise ValidationError(f"more than one stream edge from {src} to {dst}")
@@ -392,8 +392,8 @@ def augment_dummy_tail(dag: WorkloadDag, dst_out_sizes: Mapping[int, float]) -> 
         stream_keys=keys + tuple([(d, cid) for d, _ in row]),
         position=position,
         _weights=(
-            np.array([f.flops for f in functions]),
-            np.array([size for f in functions for _, size in inputs[f.id]]),
+            np.array([f.flops for f in functions], dtype=float),
+            np.array([size for f in functions for _, size in inputs[f.id]], dtype=float),
         ),
     )
 

@@ -81,8 +81,9 @@ def nested_networks(spec: WorkloadSpec, server_counts) -> list:
     others at the spec's connectivity and their throughputs. Ids are kept, so
     makespans compare like-for-like along the chain."""
     counts = sorted(server_counts)
-    rng = bench._substream(spec.seed, bench.STREAM_NETWORK)
-    nets = [bench._draw_network(replace(spec, n_servers=counts[0]), rng)]
+    bit_generator = bench._substream(spec.seed, bench.STREAM_NETWORK)
+    nets = [bench._draw_network(replace(spec, n_servers=counts[0]), bit_generator)]
+    rng = np.random.Generator(bit_generator)
     servers, links = list(nets[0].servers), list(nets[0].links)
     for count in counts[1:]:
         for new in range(len(servers), count):

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ from conftest import nested_networks, scale_network
 # n_dags=50, dag_size_range=r) generates, s in 0..2, r in (2, 20), (20, 60),
 # (1, 3), recorded when predecessors were drawn by Generator.choice
 GENERATED_SHA256 = "5986cb779ab88f7f371104f7a17655aed3b119992cb377abfb8707fe1f67c1ed"
+
+# sha256 over the float.hex of every server power, then the ends and the
+# float.hex throughput of every link, of generate_network(WorkloadSpec(seed=s,
+# n_servers=n, connectivity=p)), s in 0..19, n in 1, 2, 3, 6, 10, 14, p in
+# 0.1, 0.3, 0.5, 0.8, 1.0, recorded when the network was drawn by
+# Generator.uniform and Generator.random
+NETWORK_SHA256 = "ce51d8d4afd66818c813ae90bc53b54982a90d131f1d1bb716d66c66978c25a2"
 
 SMALL = WorkloadSpec(
     seed=7,
@@ -199,10 +207,23 @@ def test_generated_workloads_are_frozen():
     assert digest.hexdigest() == GENERATED_SHA256
 
 
+def test_generated_networks_are_frozen():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for n in (1, 2, 3, 6, 10, 14):
+            for p in (0.1, 0.3, 0.5, 0.8, 1.0):
+                net = generate_network(WorkloadSpec(seed=seed, n_servers=n, connectivity=p))
+                for server in net.servers:
+                    digest.update(f"{server.psi.hex()}\n".encode())
+                for link in net.links:
+                    digest.update(f"{link.u} {link.v} {link.throughput.hex()}\n".encode())
+    assert digest.hexdigest() == NETWORK_SHA256
+
+
 def test_floyd_sample_matches_choice():
     pairs = [(pos, k) for pos in range(1, 41) for k in range(1, min(3, pos) + 1)]
     for seed in range(200):
-        ours = _words32(np.random.default_rng(seed))
+        ours = _words32(np.random.PCG64(seed))
         theirs = np.random.default_rng(seed)
         random.Random(seed).shuffle(pairs)
         for pos, k in pairs:
@@ -224,7 +245,7 @@ def test_bounded_matches_integers():
     redraws = 0
     for seed in range(100):
         order = random.Random(seed)
-        words = _words32(np.random.default_rng(seed))
+        words = _words32(np.random.PCG64(seed))
         read = 0
 
         def counted():
@@ -247,42 +268,65 @@ def test_bounded_matches_integers():
 
 
 def test_uniform_scales_raw_words_like_generator_uniform():
+    # the last seven ranges have float32, Fraction and int ends: uniform
+    # makes both ends floats before it subtracts, where a float32 span would
+    # round to single precision and an exact int or Fraction span would not
+    # round at all
     ranges = [
         (0.0, 1.0), (1.0e9, 1.0e10), (5.0e6, 1.5e7), (2.0e10, 4.0e10),
         (3.0, 3.0), (1.0e-300, 1.0e300), (0.1, 0.1 + 1e-15),
+        (np.float32(1e9), np.float32(1e10)), (np.float32(0.1), 1.0),
+        (Fraction(1, 3), Fraction(2, 3)), (Fraction(10**10, 3), 10**10),
+        (1, 10), (3, 2**60 + 1), (2**53 + 1, 2**53 + 3),
     ]
     for seed in range(50):
-        ours = np.random.default_rng(seed)
+        ours = np.random.PCG64(seed)
         theirs = np.random.default_rng(seed)
         for size in (0, 1, 2, 7, 300):
             for lo, hi in ranges:
                 got = _uniform(_unit_doubles(ours, size), lo, hi)
-                assert got == theirs.uniform(lo, hi, size).tolist()
+                assert [type(x) for x in got] == size * [float]
+                assert [x.hex() for x in got] == [
+                    x.hex() for x in theirs.uniform(lo, hi, size).tolist()
+                ]
 
 
-class _NoSampling(np.random.Generator):
-    """A generator whose sampling methods fail: only its raw words work."""
+def test_float32_ranges_draw_python_float_weights_like_generator_uniform():
+    flops_range = np.float32(1e9), np.float32(1.5e10)
+    stream_range = np.float32(5e6), np.float32(1.5e7)
+    for seed in range(3):
+        spec = WorkloadSpec(
+            seed=seed, n_dags=20, flops_range=flops_range, stream_range=stream_range
+        )
+        theirs = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(bench.STREAM_WEIGHTS,))
+        )
+        for record in generate_dag_records(spec):
+            flops = [f.flops for f in record.dag.functions]
+            bits = [e.size for e in record.dag.edges] + list(record.dst_out.values())
+            assert {type(w) for w in flops + bits} == {float}
+            assert flops == theirs.uniform(*flops_range, len(flops)).tolist()
+            assert bits == theirs.uniform(*stream_range, len(bits)).tolist()
 
-    def _fail(self, *args, **kwargs):
-        raise AssertionError("generation called a Generator sampling method")
 
-    integers = uniform = choice = random = _fail
+class _RawWords:
+    """A substream that exposes only PCG64's raw words, so generation fails
+    at any call of a ``Generator`` sampling method."""
+
+    def __init__(self, seed: int, stream: int):
+        bit_generator = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,)))
+        self.random_raw = bit_generator.random_raw
 
 
 def test_generation_reads_only_raw_words(monkeypatch):
     specs = [
         SMALL,
         WorkloadSpec(seed=3, n_dags=20, dag_size_range=(20, 60)),
-        WorkloadSpec(seed=4, n_dags=30, dag_size_range=(1, 3)),
+        WorkloadSpec(seed=4, n_servers=10, connectivity=0.2, n_dags=30, dag_size_range=(1, 3)),
     ]
-    expected = [generate_dag_records(spec) for spec in specs]
-    substream = bench._substream
-    monkeypatch.setattr(
-        bench,
-        "_substream",
-        lambda seed, stream: _NoSampling(substream(seed, stream).bit_generator),
-    )
-    assert [generate_dag_records(spec) for spec in specs] == expected
+    expected = [(generate_network(spec), generate_dag_records(spec)) for spec in specs]
+    monkeypatch.setattr(bench, "_substream", _RawWords)
+    assert [(generate_network(spec), generate_dag_records(spec)) for spec in specs] == expected
 
 
 def test_spec_caps_dag_sizes_at_32_bit_spans():

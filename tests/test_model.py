@@ -29,10 +29,12 @@ from edge_embed import (
     WorkloadDag,
     WorkloadSpec,
     augment_dummy_tail,
+    build_catalog,
     canonical_json,
     dag_from_json,
     dag_to_json,
     generate_dag_records,
+    generate_network,
     make_network,
     network_from_json,
     network_to_json,
@@ -41,9 +43,11 @@ from edge_embed import (
 )
 import edge_embed
 from edge_embed import model, pathfind
+from edge_embed.bench import ALGORITHMS
 from edge_embed.embedder import _processing_table
 
 from conftest import chain_dag, complete_network, triangle_network
+from test_identity import _embedding
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,74 @@ def test_the_weight_vectors_refuse_writes():
     for vector in aug._weights:
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = 1.0
+
+
+def test_weights_of_any_real_type_give_float_vectors_and_float_embeddings():
+    # a diamond whose entry must leave busy server 0, the fastest, so
+    # streams cross servers; its twin holds float() of each weight
+    flops = [Fraction(10**11, 3), np.float32(2.5e11), 4e11, Fraction(3, 2) * 10**11]
+    bits = [Fraction(3, 2) * 10**6, np.float32(7.1e6), Fraction(10**7, 7), np.float32(9.3e6)]
+    out = {3: Fraction(10**7, 3)}
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+
+    def dag(number):
+        return WorkloadDag(
+            tuple(FunctionNode(f, number(x)) for f, x in enumerate(flops)),
+            tuple(StreamEdge(u, v, number(b)) for (u, v), b in zip(pairs, bits)),
+        )
+
+    as_given = augment_dummy_tail(dag(lambda x: x), out)
+    twin = augment_dummy_tail(dag(float), {3: float(out[3])})
+    for vector, twins in zip(as_given._weights, twin._weights):
+        assert vector.dtype == np.float64 and not vector.flags.writeable
+        assert [x.hex() for x in vector.tolist()] == [x.hex() for x in twins.tolist()]
+    net = generate_network(WorkloadSpec(seed=2, n_servers=4, connectivity=0.7))
+    catalog, ready = build_catalog(net), {0: 100.0}
+    for runner in ALGORITHMS.values():
+        # placements, float.hex times and allocations, and the replay's times
+        text = _embedding(runner, as_given, net, catalog, ready)
+        assert len(set(text.splitlines()[0].split())) > 1  # some streams cross servers
+        assert text == _embedding(runner, twin, net, catalog, ready)
+
+
+# past the 4,300 digits Python formats an int in: no message may format it
+TINY, NEGATIVE = Fraction(1, 10**5000), Fraction(-1, 10**5000)
+HELD = "a Fraction holding an int past the float range"
+
+
+def _one_stream(bits=1.0, out=1.0):
+    dag = WorkloadDag((FunctionNode(0, 1.0), FunctionNode(1, 1.0)), (StreamEdge(0, 1, bits),))
+    return lambda: augment_dummy_tail(dag, {1: out})
+
+
+FRACTIONS_PAST_THE_DIGIT_LIMIT = {
+    "tiny-psi": (
+        lambda: validate_network(make_network([Server(0, TINY)], [])),
+        f"server 0 psi is too small, got {HELD}: 1/{HELD} overflows",
+    ),
+    "negative-psi": (
+        lambda: validate_network(make_network([Server(0, NEGATIVE)], [])),
+        f"server 0 psi must be > 0, got {HELD}",
+    ),
+    "tiny-throughput": (
+        lambda: validate_network(
+            make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 1, TINY)])
+        ),
+        f"link 0 throughput is too small, got {HELD}: 1/{HELD} overflows",
+    ),
+    "negative-bits": (_one_stream(bits=NEGATIVE), f"stream 0->1 must be > 0 bits, got {HELD}"),
+    "negative-out": (
+        _one_stream(out=NEGATIVE), f"output of destination 1 must be > 0 bits, got {HELD}"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FRACTIONS_PAST_THE_DIGIT_LIMIT)
+def test_fractions_past_the_digit_limit_are_named_not_formatted(case):
+    call, message = FRACTIONS_PAST_THE_DIGIT_LIMIT[case]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_copies_of_an_augmented_dag_keep_its_tables_and_read_only_vectors():
