@@ -217,9 +217,10 @@ def brute_force_embed(
     number of placement vectors.
     """
     n, q = net.n_servers, len(dag.functions)
-    if n**q > EXHAUSTIVE_LIMIT:
+    if (count := n**q) > EXHAUSTIVE_LIMIT:
+        shown = count if count < 10**100 else f"{n}**{q}"  # int's str stops at 4,300 digits
         raise EdgeEmbedError(
-            f"{n**q} placement vectors exceed the exhaustive-search limit of {EXHAUSTIVE_LIMIT}"
+            f"{shown} placement vectors exceed the exhaustive-search limit of {EXHAUSTIVE_LIMIT}"
         )
 
     proc = _processing_table(dag, net).tolist()

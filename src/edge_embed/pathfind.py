@@ -120,16 +120,16 @@ def _check_ends(n_servers: int, src, dst) -> None:
         raise EdgeEmbedError(f"no paths requested between server {src} and itself")
 
 
-def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> list[SimplePath]:
-    """Every simple path from ``src`` to ``dst`` of a valid network, in
-    canonical order.
+def enumerate_simple_paths(net: EdgeNetwork, src: int, dst: int) -> _Listing:
+    """``(paths, coefficients)``: the simple paths ``src`` -> ``dst`` of a valid
+    network in canonical order and their seconds per bit, as ``pair_split``.
 
     Raises ValidationError when an end is not a server of ``net``,
     EdgeEmbedError when src == dst, and PathExplosionError when the listing
     expands more than ``resolve_path_cap()`` paths from ``src``.
     """
     _check_ends(net.n_servers, src, dst)
-    return list(_list_paths(_adjacency(net), src, dst)[0])
+    return _list_paths(_adjacency(net), src, dst)
 
 
 @dataclass
@@ -219,15 +219,18 @@ class PathCatalog:
 
 
 def resolve_path_cap() -> int:
-    """Path cap: the env var (a non-negative integer, ASCII digits), else the default."""
+    """Path cap: the env var (a non-negative integer, ASCII digits, at most
+    4,300 after any leading zeros, as Python's ``int`` reads), else the default."""
     env = os.environ.get(PATH_CAP_ENV_VAR)
     if env is None:
         return DEFAULT_PATH_CAP
-    if not (env.isascii() and env.strip().isdecimal()):
+    digits = env.strip().lstrip("0")
+    if not (env.isascii() and env.strip().isdecimal() and len(digits) <= 4300):
         raise ValidationError(
-            f"{PATH_CAP_ENV_VAR} must be a non-negative integer, got {env!r}"
+            f"{PATH_CAP_ENV_VAR} must be a non-negative integer of at most 4,300 "
+            f"digits, got {env!r}"
         )
-    return int(env)
+    return int(digits or "0")
 
 
 def _short_path_count(net: EdgeNetwork) -> int:

@@ -88,11 +88,14 @@ def bisection_oracle(problem: SplitProblem) -> float:
     stream by then, i.e. sum(tau / A_k) >= s. Feasibility is monotone in
     tau, so bisection over [0, s * min(A_k)] converges to the optimum.
     The search runs until the interval can no longer shrink in floating
-    point, so it holds full precision at every scale.
+    point, so it holds full precision at every scale; a start s * min(A_k)
+    that over- or underflows raises ValidationError.
     """
     s = problem.stream_size
     lo = 0.0
     hi = s * min(problem.coefficients)  # one path alone meets this deadline
+    if not 0.0 < hi < math.inf:
+        raise ValidationError("the bisection oracle leaves the float range")
     # stops once no float lies strictly between lo and hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         moved = 0.0  # bits the paths move by the deadline mid

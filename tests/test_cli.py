@@ -119,7 +119,9 @@ def test_paths_into_a_closed_pipe_ends_in_one_error_line(tmp_path, capsys):
     assert err.splitlines() == ["error: output closed early: [Errno 32] Broken pipe"]
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "", "\u0663", "\uff11\uff10"])
+@pytest.mark.parametrize(
+    "value", ["abc", "-5", "1.5", "", "\u0663", "\uff11\uff10", pytest.param("9" * 5000, id="5000-nines")]
+)
 def test_paths_rejects_malformed_cap_from_environment(
     tmp_path, capsys, monkeypatch, value
 ):
@@ -127,6 +129,22 @@ def test_paths_rejects_malformed_cap_from_environment(
     net = write_triangle(tmp_path)
     code = main(["paths", "--network", net, "--src", "0", "--dst", "1"])
     assert_one_error(capsys, code)
+
+
+@pytest.mark.parametrize(
+    "cap, want",
+    [("0" * 5000 + "5", 3), ("0" * 5000 + "6", 0)],
+    ids=["zero-padded-5", "zero-padded-6"],
+)
+def test_zero_padded_cap_counts_its_digits_after_the_zeros(
+    tmp_path, capsys, monkeypatch, cap, want
+):
+    # 3 servers hold at least 3 * 2 = 6 paths: past a cap of 5, within one of 6
+    monkeypatch.setenv("EDGE_EMBED_PATH_CAP", cap)
+    code = main(["gen", "--seed", "1", "--servers", "3", "--dags", "1", "--out", str(tmp_path)])
+    assert code == want
+    if want:
+        assert capsys.readouterr().err == "error: simple-path count exceeded the cap of 5\n"
 
 
 def test_paths_missing_network_file(tmp_path, capsys):
@@ -263,6 +281,21 @@ def test_embed_long_chain(tmp_path, capsys, algo):
     dag = write_diamond(tmp_path, chain)
     assert main(["embed", "--network", net, "--dag", dag, "--algo", algo]) == 0
     assert len(json.loads(capsys.readouterr().out)["placements"]) == n + 1
+
+
+def test_embed_brute_refuses_a_count_past_the_digit_limit(tmp_path, capsys):
+    # 6**5601 placement vectors: 4,359 digits, more than Python formats
+    n = 5600
+    chain = {
+        "functions": [{"id": i, "flops": 1.0} for i in range(n)],
+        "edges": [{"src": i, "dst": i + 1, "bits": 1.0} for i in range(n - 1)],
+        "dst_out": {str(n - 1): 1.0},
+    }
+    net = tmp_path / "k6.json"
+    net.write_text(json.dumps(network_to_json(complete_network(6))), encoding="utf-8")
+    dag = write_diamond(tmp_path, chain)
+    code = main(["embed", "--network", str(net), "--dag", dag, "--algo", "brute"])
+    assert_one_error(capsys, code)
 
 
 def test_embed_accepts_ready_map_for_dpe(tmp_path, capsys):
@@ -798,7 +831,9 @@ def test_bench_requires_both_workload_files(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("value,want", [("1", 3), ("abc", 2)])
+@pytest.mark.parametrize(
+    "value,want", [("1", 3), ("abc", 2), pytest.param("9" * 5000, 2, id="5000-nines-2")]
+)
 def test_embed_and_bench_honor_cap_from_environment(
     tmp_path, capsys, monkeypatch, value, want
 ):

@@ -718,6 +718,17 @@ def test_brute_force_rejects_oversized_search():
         brute_force_embed(aug, net, build_catalog(net))
 
 
+def test_brute_force_names_a_count_past_the_digit_limit():
+    # 6**5601 has 4,359 digits, more than Python formats from an int
+    net = complete_network(6)
+    aug = chain_dag([1.0] * 5600, sizes=[1.0] * 5599)
+    with pytest.raises(
+        EdgeEmbedError,
+        match=r"^6\*\*5601 placement vectors exceed the exhaustive-search limit of 1000000$",
+    ):
+        brute_force_embed(aug, net, build_catalog(net))
+
+
 def test_embedding_json_rendering():
     aug, net, placements, mappings, expected = worked_example()
     finish, makespan = simulate_embedding(aug, net, placements, mappings)

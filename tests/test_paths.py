@@ -87,8 +87,9 @@ def sum_left(values) -> float:
 
 def test_triangle_paths_match_oracle_and_order():
     net = triangle_network()
-    paths = enumerate_simple_paths(net, 0, 1)
+    paths, coeffs = enumerate_simple_paths(net, 0, 1)
     assert [p.nodes for p in paths] == [(0, 1), (0, 2, 1)]
+    assert coeffs == (1.0, 0.75)
     assert {p.nodes for p in paths} == oracle_simple_paths(net, 0, 1)
     # link ids line up with consecutive node hops
     assert paths[0].link_ids == (0,)
@@ -118,7 +119,7 @@ def test_enumeration_matches_oracle_on_irregular_network():
         for dst in range(5):
             if src == dst:
                 continue
-            got = [p.nodes for p in enumerate_simple_paths(net, src, dst)]
+            got = [p.nodes for p in enumerate_simple_paths(net, src, dst)[0]]
             assert set(got) == oracle_simple_paths(net, src, dst)
             assert len(got) == len(set(got))
             # canonical order: shorter first, then lexicographic
@@ -132,16 +133,31 @@ def test_enumeration_matches_oracle_on_irregular_network():
 def test_complete_network_pair_counts(n, expected):
     assert oracle_complete_count(n) == expected  # cross-check the constant
     net = complete_network(n)
-    paths = enumerate_simple_paths(net, 0, 1)
-    assert len(paths) == expected
+    paths, coeffs = enumerate_simple_paths(net, 0, 1)
+    assert len(paths) == len(coeffs) == expected
     assert {p.nodes for p in paths} == oracle_simple_paths(net, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        generate_network(WorkloadSpec(seed=0, n_servers=6)),  # the desk network
+        generate_network(WorkloadSpec(seed=0, n_servers=10)),  # wide-busy's
+        complete_network(5),
+    ],
+    ids=["desk", "wide-busy", "K5"],
+)
+def test_enumeration_is_the_catalogs_pair_listing(net):
+    catalog = build_catalog(net)
+    for u, v in permutations(range(net.n_servers), 2):
+        assert enumerate_simple_paths(net, u, v) == catalog.pair_split(u, v)[:2]
 
 
 def test_path_reversal_bijection():
     # reversing every 0->1 path yields exactly the 1->0 paths
     net = complete_network(5)
-    fwd = {tuple(reversed(p.nodes)) for p in enumerate_simple_paths(net, 0, 1)}
-    bwd = {p.nodes for p in enumerate_simple_paths(net, 1, 0)}
+    fwd = {tuple(reversed(p.nodes)) for p in enumerate_simple_paths(net, 0, 1)[0]}
+    bwd = {p.nodes for p in enumerate_simple_paths(net, 1, 0)[0]}
     assert fwd == bwd
 
 
@@ -501,7 +517,7 @@ def test_pair_paths_are_listed_once_and_match_enumeration():
     first = catalog.pair_split(0, 4)
     assert catalog.pair_split(0, 4) is first
     paths, coeffs = first[:2]
-    assert list(paths) == enumerate_simple_paths(net, 0, 4)
+    assert (paths, coeffs) == enumerate_simple_paths(net, 0, 4)
     inverse = [1.0 / link.throughput for link in net.links]
     assert coeffs == tuple(sum_left(inverse[i] for i in p.link_ids) for p in paths)
     # a same-server pair has no paths, as for enumerate_simple_paths
@@ -551,7 +567,7 @@ def test_path_cap_bounds_the_listing_work(monkeypatch):
             enumerate_simple_paths(net, 0, 9)
         assert exc.value.cap == int(cap)
     monkeypatch.setenv(PATH_CAP_ENV_VAR, "109601")
-    assert [p.nodes for p in enumerate_simple_paths(net, 0, 9)] == [(0, 9)]
+    assert [p.nodes for p in enumerate_simple_paths(net, 0, 9)[0]] == [(0, 9)]
 
 
 def test_catalog_past_cap_raises_before_walking(monkeypatch):
@@ -599,6 +615,28 @@ def test_resolve_path_cap_precedence(monkeypatch):
     assert resolve_path_cap() == DEFAULT_PATH_CAP
     monkeypatch.setenv(PATH_CAP_ENV_VAR, "250")
     assert resolve_path_cap() == 250
+
+
+@pytest.mark.parametrize(
+    "value, cap",
+    [("0" * 5000 + "5", 5), ("0" * 5000, 0), (" 007 ", 7), ("9" * 4300, int("9" * 4300))],
+    ids=["zero-padded-5", "zero-padded-0", "padded-7", "4300-nines"],
+)
+def test_resolve_path_cap_reads_the_digits_after_leading_zeros(monkeypatch, value, cap):
+    # int() refuses text of more than 4,300 digits, leading zeros included
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, value)
+    assert resolve_path_cap() == cap
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["9" * 4301, "9" * 5000, "0" * 10 + "1" * 4301],
+    ids=["4301-nines", "5000-nines", "zero-padded-4301"],
+)
+def test_resolve_path_cap_rejects_more_than_4300_digits(monkeypatch, value):
+    monkeypatch.setenv(PATH_CAP_ENV_VAR, value)
+    with pytest.raises(ValidationError, match="of at most 4,300 digits"):
+        resolve_path_cap()
 
 
 @pytest.mark.parametrize("value", ["\u0663", "\uff11\uff10"], ids=["arabic-3", "fullwidth-10"])

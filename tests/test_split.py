@@ -49,6 +49,18 @@ def test_bisection_oracle_matches_on_example():
     assert bisection_oracle(tiny) == optimal_split(tiny).bottleneck_time
 
 
+@pytest.mark.parametrize(
+    "coefficients, size",
+    [((1e308, 1e308), 3.0), ((1e-300,), 1e-300)],
+    ids=["start-overflows", "start-underflows"],
+)
+def test_bisection_oracle_rejects_a_start_outside_the_float_range(coefficients, size):
+    # the search starts from size * min(A_k): 3e308 is inf and 1e-600 is 0,
+    # where it returned that start as the bottleneck time
+    with pytest.raises(ValidationError, match="^the bisection oracle leaves the float range$"):
+        bisection_oracle(SplitProblem(coefficients, size))
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         SplitProblem(coefficients=(), stream_size=1.0)
