@@ -14,7 +14,7 @@ Transit uses the bottleneck-equalizing split over every simple path of the
 program with each stream sent whole over the pair's cheapest path. A
 predecessor that feeds several functions cannot be re-placed per consumer:
 the first consumer processed commits its placement and later consumers
-reuse it, so every finish time is one embedding's (``_dynamic_embed``).
+reuse it, so every finish time is one embedding's (``_forward``, ``_walk``).
 
 Every embedder reads the same shared tables: the path catalog for pair
 costs and splits (a split stream is mapped by ``optimal_split``'s closed
@@ -102,11 +102,9 @@ def _source(column: np.ndarray, proc: float) -> int:
 
 
 @np.errstate(over="ignore")  # a finish past the float range is inf, as in heft
-def _dynamic_embed(
-    dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, split: bool, ready
-) -> EmbeddingResult:
-    """Shared DP driver. With ``split`` a stream of s bits from server m to
-    server n takes s / ``catalog.inv_coeff_sum[m, n]`` seconds, spread over
+def _forward(dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, split: bool, ready):
+    """The DP's forward pass. With ``split`` a stream of s bits from server m
+    to server n takes s / ``catalog.inv_coeff_sum[m, n]`` seconds, spread over
     all paths of the pair; without it, s * ``cheapest_coefficient[m, n]``
     seconds, sent whole over the pair's cheapest path.
 
@@ -123,13 +121,13 @@ def _dynamic_embed(
     more than one function to the source it used at the committing row's best
     destination c; its arrival is then row c of its min-plus block, equal to a
     recompute under that commitment. Other picks are resolved in the pointer
-    walk backward from the best collector placement. Both compare the
-    per-source sums, so the smallest source server id wins ties, also those
-    that rounding creates when processing is added (``_source``). The state
-    is the finish rows, the commitments and the priced array: an uncommitted
-    input's sums overwrite its block, where the walk reads them. Returns the
-    embedding, its streams mapped by ``_map_streams`` under the same
-    ``split``.
+    walk backward from the best collector placement (``_walk``). Both compare
+    the per-source sums, so the smallest source server id wins ties, also
+    those that rounding creates when processing is added (``_source``). The
+    state is the finish rows, the commitments and the priced array: an
+    uncommitted input's sums overwrite its block, where the walk reads them.
+    Returns ``(finish, committed, priced, procs)``: the state and the
+    processing table.
     """
     ready_row = np.array(_ready_row(net, ready))
     procs = _processing_table(dag, net)
@@ -166,7 +164,14 @@ def _dynamic_embed(
                 arrivals[k] = sums[c]
             row = functools.reduce(np.maximum, arrivals) + proc
         finish[fj] = row
+    return finish, committed, priced, procs
 
+
+@np.errstate(over="ignore")  # _source's per-source sums may pass the float range
+def _walk(dag: AugmentedDag, finish, committed, priced, procs) -> dict[int, int]:
+    """The placements read from what ``_forward`` returns, by the pointer
+    walk backward from the collector's best server."""
+    inputs = dag.stream_table[0]
     # Reverse topological order places a function before its in-edges are
     # resolved, and k steps back by its input count to its first block. A
     # fan-out input holds its committed server at every consumer and any
@@ -180,6 +185,16 @@ def _dynamic_embed(
         for i, (fi, _) in enumerate(inputs[node.id], k):
             c = committed[fi]
             placements[fi] = _source(priced[i, :, n], proc[n]) if c is None else c
+    return placements
+
+
+def _dynamic_embed(
+    dag: AugmentedDag, net: EdgeNetwork, catalog: PathCatalog, split: bool, ready
+) -> EmbeddingResult:
+    """Shared DP driver: ``_forward``, then ``_walk``. Returns the embedding,
+    its streams mapped by ``_map_streams`` under the same ``split``."""
+    finish, committed, priced, procs = _forward(dag, net, catalog, split, ready)
+    placements = _walk(dag, finish, committed, priced, procs)
     finish_times = {f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions}
     return EmbeddingResult(
         placements=placements,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -220,14 +221,18 @@ class PathCatalog:
 
 def resolve_path_cap() -> int:
     """Path cap: the env var (a non-negative integer, ASCII digits, at most
-    4,300 after any leading zeros, as Python's ``int`` reads), else the default."""
+    4,300 after any leading zeros, or fewer where ``sys.set_int_max_str_digits``
+    lowers what Python's ``int`` reads), else the default."""
     env = os.environ.get(PATH_CAP_ENV_VAR)
     if env is None:
         return DEFAULT_PATH_CAP
     digits = env.strip().lstrip("0")
-    if not (env.isascii() and env.strip().isdecimal() and len(digits) <= 4300):
+    # a limit of 0 lifts Python's bound, and early 3.10 releases have none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = min(4300, limit) if limit else 4300
+    if not (env.isascii() and env.strip().isdecimal() and len(digits) <= bound):
         raise ValidationError(
-            f"{PATH_CAP_ENV_VAR} must be a non-negative integer of at most 4,300 "
+            f"{PATH_CAP_ENV_VAR} must be a non-negative integer of at most {bound:,} "
             f"digits, got {env!r}"
         )
     return int(digits or "0")

@@ -12,6 +12,7 @@ import pytest
 
 import edge_embed
 from edge_embed import (
+    ValidationError,
     augment_dummy_tail,
     brute_force_embed,
     build_catalog,
@@ -20,6 +21,7 @@ from edge_embed import (
     heft_schedule,
     passive_routes,
     placement_only_embed,
+    resolve_path_cap,
 )
 from edge_embed.cli import main
 from edge_embed.model import dag_from_json, network_to_json
@@ -145,6 +147,28 @@ def test_zero_padded_cap_counts_its_digits_after_the_zeros(
     assert code == want
     if want:
         assert capsys.readouterr().err == "error: simple-path count exceeded the cap of 5\n"
+
+
+def test_a_lowered_int_digit_limit_bounds_the_cap(tmp_path, capsys, monkeypatch):
+    # PYTHONINTMAXSTRDIGITS=640 lowers the digits int() reads from 4,300: a
+    # 700-digit cap exits 2 by name, where int()'s ValueError was a traceback
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on the digits int() reads")
+    net = write_triangle(tmp_path)
+    argv = ["paths", "--network", net, "--src", "0", "--dst", "1"]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        monkeypatch.setenv("EDGE_EMBED_PATH_CAP", "9" * 640)
+        assert resolve_path_cap() == int("9" * 640)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("EDGE_EMBED_PATH_CAP", "9" * 700)
+        with pytest.raises(ValidationError, match="of at most 640 digits"):
+            resolve_path_cap()
+        assert_one_error(capsys, main(argv))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_paths_missing_network_file(tmp_path, capsys):

@@ -34,7 +34,7 @@ from edge_embed import (
 )
 from edge_embed import model
 from edge_embed.cli import EMBEDDERS
-from edge_embed.embedder import _processing_table
+from edge_embed.embedder import _forward, _processing_table, _walk
 from edge_embed.model import validate_time_range
 
 from conftest import (
@@ -623,6 +623,52 @@ def test_finish_times_past_the_float_range_place_on_server_0(algo):
     result = EMBEDDERS[algo](aug, net, catalog, ready)
     assert result.placements == dp.placements == {0: 0, 1: 0, 2: 0}
     assert result.makespan == dp.makespan == math.inf
+
+
+def test_the_walk_overflows_without_a_warning_where_the_rows_do_not():
+    # f0 (1 flop) ends at 0.5 max on server 0 and 0.9 max on server 1, and
+    # f1's row adds its 0.3 max seconds after the min over sources: 0.8 max
+    # on both servers. The walk adds them to every source's sum instead, so
+    # f0 on server 1 gives 1.2 max, past the float range: inf, not a warning
+    big = sys.float_info.max
+    net = make_network([Server(0, 1.0), Server(1, 1.0)], [Link(0, 0, 1, 1.0)])
+    validate_network(net)
+    aug = chain_dag([1.0, 0.3 * big], sizes=[1.0])
+    ready = {0: 0.5 * big, 1: 0.9 * big}
+    catalog = build_catalog(net)
+    for embed in (dpe_embed, placement_only_embed):
+        result = embed(aug, net, catalog, ready=ready)
+        assert result.placements == {0: 0, 1: 0, 2: 0}
+        assert result.makespan == 1.4381545078898524e308
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "whole"])
+def test_the_walk_reads_the_embedding_from_the_forward_state(split):
+    # the desk suite idle and with each DAG's servers busy for U(0, 3) s:
+    # the collector's least finish is the makespan, every fan-out function
+    # sits on its commitment and every finish time is read off its row
+    spec = WorkloadSpec(seed=0)
+    net = generate_network(spec)
+    catalog = build_catalog(net)
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(spec.seed, spawn_key=(3,)))
+    )
+    draws = rng.uniform(0.0, 3.0, size=(spec.n_dags, net.n_servers))
+    embed = dpe_embed if split else placement_only_embed
+    for record, row in zip(generate_dag_records(spec), draws):
+        aug = record.augmented()
+        consumers = aug.stream_table[1]
+        for ready in (None, {server: float(t) for server, t in enumerate(row)}):
+            finish, committed, priced, procs = _forward(aug, net, catalog, split, ready)
+            placements = _walk(aug, finish, committed, priced, procs)
+            result = embed(aug, net, catalog, ready=ready)
+            assert placements == result.placements
+            assert finish[aug.dummy_id].min() == result.makespan
+            for f in aug.functions:
+                if consumers[f.id] >= 2:
+                    assert committed[f.id] is not None
+                    assert placements[f.id] == committed[f.id]
+                assert result.finish_times[f.id] == finish[f.id][placements[f.id]]
 
 
 # ---------------------------------------------------------------------------
