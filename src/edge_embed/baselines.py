@@ -13,7 +13,9 @@ from __future__ import annotations
 from bisect import insort
 from itertools import chain
 
-from .embedder import EmbeddingResult, _dynamic_embed, _map_streams, _processing_table
+from .embedder import (
+    EmbeddingResult, _check_catalog, _dynamic_embed, _map_streams, _processing_table,
+)
 from .model import AugmentedDag, EdgeNetwork, _ready_row, _sum_left
 from .pathfind import PathCatalog
 
@@ -68,6 +70,7 @@ def heft_schedule(
     makespan. Processing times come from the dynamic program's table, so both
     price a function with the same floats.
     """
+    _check_catalog(catalog, net)
     # Python floats keep finish times plain
     procs = _processing_table(dag, net).tolist()
     coeff = catalog.cheapest_coefficient.tolist()

@@ -3,8 +3,9 @@
 Subcommands: paths (enumerate routes between two servers), split (divide a
 stream across path coefficients), embed (schedule one workload), gen
 (write a seeded workload to disk), bench (run algorithms over a workload
-and emit reports). Exit codes: 0 success, 1 output closed early (a reader
-such as ``head`` left the pipe), 2 invalid input, 3 path-count explosion.
+and emit reports). Exit codes: 0 success, 1 output could not be written (a
+reader such as ``head`` left the pipe, or the device is full), 2 invalid
+input, 3 path-count explosion.
 """
 
 from __future__ import annotations
@@ -110,22 +111,29 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# bench's options for a generated workload: WorkloadSpec field -> flag
+_GENERATION = {"seed": "--seed", "n_servers": "--servers", "connectivity": "--connectivity",
+               "n_dags": "--n-dags"}
+
+
 def _cmd_bench(args) -> int:
     algos = [a for a in args.algos.split(",") if a]
+    drawn = {field: value for field in _GENERATION if (value := getattr(args, field)) is not None}
     if args.network or args.dags:
         if not (args.network and args.dags):
             raise ValidationError("--network and --dags must be given together")
+        if drawn:
+            given = ", ".join(map(_GENERATION.get, drawn))
+            raise ValidationError(
+                f"a generated workload's options do not apply to --network/--dags: {given}"
+            )
         bundle = run_benchmark(
             algos,
             network=load_network(args.network),
             dag_records=load_dag_records(args.dags),
         )
     else:
-        spec = WorkloadSpec(
-            seed=args.seed, n_servers=args.servers, connectivity=args.connectivity,
-            n_dags=args.n_dags,
-        )
-        bundle = run_benchmark(algos, spec=spec)
+        bundle = run_benchmark(algos, spec=WorkloadSpec(**drawn))
     for path in emit_report(bundle, args.out):
         print(f"wrote {path}")
     return 0
@@ -187,10 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dags")
     p_bench.add_argument("--algos", default=",".join(ALGORITHMS))
     p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--seed", type=_integer, default=WorkloadSpec.seed)
-    p_bench.add_argument("--servers", type=_integer, default=WorkloadSpec.n_servers)
-    p_bench.add_argument("--connectivity", type=_number, default=WorkloadSpec.connectivity)
-    p_bench.add_argument("--n-dags", type=_integer, default=WorkloadSpec.n_dags)
+    # None when not given: then WorkloadSpec's default, and no clash with --network/--dags
+    p_bench.add_argument("--seed", type=_integer)
+    p_bench.add_argument("--servers", dest="n_servers", type=_integer)
+    p_bench.add_argument("--connectivity", type=_number)
+    p_bench.add_argument("--n-dags", type=_integer)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 
@@ -199,14 +208,16 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at the exit's own flush
+        sys.stdout.flush()  # a failed write fails here, not at the exit's own flush
         return code
-    except BrokenPipeError as exc:
-        # what stdout still buffers goes to devnull, so the exit's flush cannot raise again
+    except OSError as exc:
+        # the library turns every failed file read or write into ValidationError,
+        # so this is stdout: a closed pipe or a full device. What stdout still
+        # buffers goes to devnull, so the exit's flush cannot raise again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print(f"error: output closed early: {exc}", file=sys.stderr)
+        print(f"error: output could not be written: {exc}", file=sys.stderr)
         return 1
     except PathExplosionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,11 +19,12 @@ reuse it, so every finish time is one embedding's (``_forward``, ``_walk``).
 Every embedder reads the same shared tables: the path catalog for pair
 costs and splits (a split stream is mapped by ``optimal_split``'s closed
 form on the catalog's terms), ``_processing_table`` for processing times
-and the DAG's ``stream_table`` for each function's inputs. An exhaustive
-search over all placement vectors is the optimality oracle, and a forward
-replay of any returned embedding is the independent check: it re-derives
-every finish time from the placements, the mapped paths, the flops and the
-raw link throughputs alone.
+and the DAG's ``stream_table`` for each function's inputs; a catalog sized
+for another server count raises ValidationError (``_check_catalog``). An
+exhaustive search over all placement vectors is the optimality oracle, and
+a forward replay of any returned embedding is the independent check: it
+re-derives every finish time from the placements, the mapped paths, the
+flops and the raw link throughputs alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import itertools
 
 import numpy as np
 
-from .errors import EdgeEmbedError
+from .errors import EdgeEmbedError, ValidationError
 from .model import AugmentedDag, EdgeNetwork, _ready_row, _record
 from .pathfind import PathCatalog, SimplePath
 from .splitter import _equalize
@@ -85,6 +86,17 @@ def _map_streams(
         else:
             mappings[key] = EdgeMapping((catalog.cheapest_path(m, n),), (float(e.size),))
     return mappings
+
+
+def _check_catalog(catalog: PathCatalog, net: EdgeNetwork) -> None:
+    """ValidationError unless ``catalog`` covers ``net``'s server count. Only
+    the count is compared: the catalog of another network with as many
+    servers goes undetected."""
+    if len(catalog.path_count) != net.n_servers:
+        raise ValidationError(
+            f"the catalog covers {len(catalog.path_count)} servers but the network has "
+            f"{net.n_servers}"
+        )
 
 
 def _processing_table(dag: AugmentedDag, net: EdgeNetwork) -> np.ndarray:
@@ -193,6 +205,7 @@ def _dynamic_embed(
 ) -> EmbeddingResult:
     """Shared DP driver: ``_forward``, then ``_walk``. Returns the embedding,
     its streams mapped by ``_map_streams`` under the same ``split``."""
+    _check_catalog(catalog, net)
     finish, committed, priced, procs = _forward(dag, net, catalog, split, ready)
     placements = _walk(dag, finish, committed, priced, procs)
     finish_times = {f.id: float(finish[f.id][placements[f.id]]) for f in dag.functions}
@@ -231,6 +244,7 @@ def brute_force_embed(
     in stored function order. Guarded by ``EXHAUSTIVE_LIMIT`` on the
     number of placement vectors.
     """
+    _check_catalog(catalog, net)
     n, q = net.n_servers, len(dag.functions)
     if (count := n**q) > EXHAUSTIVE_LIMIT:
         shown = count if count < 10**100 else f"{n}**{q}"  # int's str stops at 4,300 digits

@@ -552,5 +552,5 @@ def dag_to_json(dag: WorkloadDag, dst_out: Mapping[int, float]) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Stable serialization used for fingerprints and report files."""
+    """Stable serialization hashed into the network fingerprint."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

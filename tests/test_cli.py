@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import json
-import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
 
-import edge_embed
 from edge_embed import (
     ValidationError,
     augment_dummy_tail,
@@ -99,26 +95,6 @@ def test_paths_cap_bounds_the_listing_work(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EDGE_EMBED_PATH_CAP", "1000")
     code = main(["paths", "--network", str(path), "--src", "0", "--dst", "9"])
     assert_one_error(capsys, code, want=3)
-
-
-def test_paths_into_a_closed_pipe_ends_in_one_error_line(tmp_path, capsys):
-    # K_9 lists 13,701 paths from 0 to 1, far more than a pipe buffers, so
-    # the command is still writing when its reader leaves after one line
-    assert main(["gen", "--seed", "0", "--servers", "9", "--connectivity", "1.0",
-                 "--dags", "1", "--out", str(tmp_path / "k9")]) == 0
-    env = {k: v for k, v in os.environ.items() if k != "EDGE_EMBED_PATH_CAP"}
-    env["PYTHONPATH"] = str(pathlib.Path(edge_embed.__file__).parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "edge_embed.cli", "paths", "--network",
-         str(tmp_path / "k9" / "net.json"), "--src", "0", "--dst", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"0-1 coeff=2.47853e-08\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert err.splitlines() == ["error: output closed early: [Errno 32] Broken pipe"]
 
 
 @pytest.mark.parametrize(
@@ -853,6 +829,19 @@ def test_bench_requires_both_workload_files(tmp_path, capsys):
         ["bench", "--network", "net.json", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "option", ["--seed=0", "--servers=9", "--connectivity=0.5", "--n-dags=7"]
+)
+def test_bench_files_refuse_the_generation_options(tmp_path, capsys, option):
+    # these options only shape a generated workload, so files refuse them
+    dags = tmp_path / "dags.json"
+    dags.write_text(json.dumps([DIAMOND]), encoding="utf-8")
+    code = main(["bench", "--network", write_triangle(tmp_path), "--dags", str(dags), option,
+                 "--out", str(tmp_path / "report")])
+    assert_one_error(capsys, code)
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize(

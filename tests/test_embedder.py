@@ -625,6 +625,19 @@ def test_finish_times_past_the_float_range_place_on_server_0(algo):
     assert result.makespan == dp.makespan == math.inf
 
 
+@pytest.mark.parametrize("algo", sorted(EMBEDDERS))
+def test_a_catalog_of_another_server_count_is_rejected(algo):
+    # a 4-server catalog on the 6-server desk network: unchecked, the dynamic
+    # program fails on numpy's broadcast, brute on an index, and heft
+    # schedules the DAG on the catalog's 4 servers without a word
+    net = generate_network(WorkloadSpec(seed=0))
+    catalog = build_catalog(generate_network(WorkloadSpec(seed=0, n_servers=4)))
+    small = (r for r in generate_dag_records(WorkloadSpec(seed=0)) if len(r.dag.functions) < 6)
+    aug = next(small).augmented()  # 6**6 placement vectors at most, so brute searches
+    with pytest.raises(ValidationError, match="covers 4 servers but the network has 6$"):
+        EMBEDDERS[algo](aug, net, catalog)
+
+
 def test_the_walk_overflows_without_a_warning_where_the_rows_do_not():
     # f0 (1 flop) ends at 0.5 max on server 0 and 0.9 max on server 1, and
     # f1's row adds its 0.3 max seconds after the min over sources: 0.8 max
