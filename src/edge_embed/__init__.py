@@ -21,8 +21,6 @@ from .bench import (
     generate_dag_records,
     generate_network,
     load_dag_records,
-    load_network,
-    network_fingerprint,
     run_benchmark,
     write_workload,
 )
@@ -102,9 +100,7 @@ __all__ = [
     "generate_network",
     "heft_schedule",
     "load_dag_records",
-    "load_network",
     "make_network",
-    "network_fingerprint",
     "network_from_json",
     "network_to_json",
     "optimal_split",

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .model import (
     Server,
     StreamEdge,
     WorkloadDag,
+    _int_digit_limit,
     _is_integer,
     _is_real,
     _reached_from_0,
@@ -48,7 +49,6 @@ from .model import (
     dag_from_json,
     dag_to_json,
     make_network,
-    network_from_json,
     network_to_json,
     validate_time_range,
     validate_network,
@@ -87,8 +87,10 @@ class WorkloadSpec:
         for name, x in counts + [("dag_size_range", x) for x in self.dag_size_range]:
             if not _is_integer(x):
                 raise ValidationError(f"{name}: {_shown(x)} is not an integer")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        # a report writes a seed of at most ``limit`` digits; 10**limit has > 3 * limit bits
+        limit = _int_digit_limit()
+        if self.seed < 0 or int(self.seed).bit_length() > 3 * limit and self.seed >= 10**limit:
+            raise ValidationError(f"seed must be >= 0 and have at most {limit:,} digits")
         for name, x in [("connectivity", self.connectivity)] + [
             (name, x) for name in reals for x in getattr(self, name)
         ]:
@@ -291,10 +293,6 @@ def load_dag_records(path) -> list[DagRecord]:
     return records
 
 
-def load_network(path) -> EdgeNetwork:
-    return network_from_json(_read_json(path))
-
-
 def _write_texts(out_dir, texts: Mapping[str, str]) -> list[Path]:
     """Write each named text under ``out_dir``, creating it if needed."""
     out = Path(out_dir)
@@ -313,8 +311,7 @@ def _write_texts(out_dir, texts: Mapping[str, str]) -> list[Path]:
 def write_workload(spec: WorkloadSpec, out_dir) -> tuple[Path, Path]:
     """Generate and persist net.json plus dags.json under ``out_dir``."""
     net = generate_network(spec)
-    records = generate_dag_records(spec)
-    dags = [dag_to_json(r.dag, r.dst_out) for r in records]
+    dags = [dag_to_json(r.dag, r.dst_out) for r in generate_dag_records(spec)]
     net_path, dags_path = _write_texts(
         out_dir,
         {
@@ -323,13 +320,6 @@ def write_workload(spec: WorkloadSpec, out_dir) -> tuple[Path, Path]:
         },
     )
     return net_path, dags_path
-
-
-def network_fingerprint(net: EdgeNetwork) -> str:
-    digest = hashlib.sha256(
-        canonical_json(network_to_json(net)).encode("utf-8")
-    )
-    return digest.hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +335,6 @@ class TrialRecord:
     algo: str
     makespan_s: float
     dag_size: int
-
-    def __post_init__(self):
-        if self.makespan_s <= 0:
-            raise ValidationError(
-                f"dag {self.dag_id} / {self.algo}: non-positive makespan"
-            )
 
 
 @dataclass(frozen=True)
@@ -381,13 +365,13 @@ def run_benchmark(
     *,
     spec: WorkloadSpec | None = None,
     network: EdgeNetwork | None = None,
-    dag_records: Sequence[DagRecord] | None = None,
+    dag_records: Iterable[DagRecord] | None = None,
 ) -> ReportBundle:
     """Embed every DAG with every requested algorithm and aggregate.
 
     The workload comes either from ``spec`` (regenerated from its seed) or
-    from an explicit ``network``, validated first, plus ``dag_records``. The
-    bundle depends on nothing else: it records no wall time, which
+    from an explicit ``network``, validated first, plus ``dag_records``, read
+    once. The bundle depends on nothing else: it records no wall time, which
     ``benchmark/run.py`` measures instead.
     """
     algos = list(algorithms)
@@ -412,13 +396,14 @@ def run_benchmark(
             raise ValidationError(
                 "without a spec, network and dag_records are required"
             )
-        validate_network(network)
+        dag_records = list(dag_records)
         seed = None
+    # network_to_json validates an explicit network before the catalog is built
+    digest = hashlib.sha256(canonical_json(network_to_json(network)).encode("utf-8"))
     if not dag_records:
         raise ValidationError("the DAG set is empty")
 
     catalog: PathCatalog = build_catalog(network)
-    fingerprint = network_fingerprint(network)
 
     trials: list[TrialRecord] = []
     for dag_id, record in enumerate(dag_records):
@@ -432,8 +417,7 @@ def run_benchmark(
         trials += [TrialRecord(dag_id, algo, span, size) for algo, span in zip(algos, makespans)]
     trials.sort(key=lambda t: (t.dag_id, t.algo))
 
-    mean_makespan = {}
-    cdf = {}
+    mean_makespan, cdf = {}, {}
     for algo in algos:
         spans = sorted(t.makespan_s for t in trials if t.algo == algo)
         mean_makespan[algo] = _sum_left(spans) / len(spans)
@@ -453,7 +437,7 @@ def run_benchmark(
         mean_makespan=mean_makespan,
         cdf=cdf,
         reductions=reductions,
-        network_fingerprint=fingerprint,
+        network_fingerprint=digest.hexdigest()[:12],
         seed=seed,
     )
 

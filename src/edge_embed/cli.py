@@ -21,13 +21,13 @@ from .bench import (
     _read_json,
     emit_report,
     load_dag_records,
-    load_network,
     run_benchmark,
     write_workload,
 )
 from .embedder import brute_force_embed, embedding_to_json
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import _json_key, augment_dummy_tail, dag_from_json, validate_time_range
+from .model import (_json_key, augment_dummy_tail, dag_from_json, network_from_json,
+                    validate_time_range)
 from .pathfind import build_catalog, enumerate_simple_paths
 from .splitter import SplitProblem, bisection_oracle, optimal_split
 
@@ -46,7 +46,8 @@ def _load_ready(raw) -> dict:
 
 
 def _cmd_paths(args) -> int:
-    paths, coefficients = enumerate_simple_paths(load_network(args.network), args.src, args.dst)
+    net = network_from_json(_read_json(args.network))
+    paths, coefficients = enumerate_simple_paths(net, args.src, args.dst)
     for p, coeff in zip(paths, coefficients):
         print(f"{'-'.join(str(n) for n in p.nodes)} coeff={coeff:.6g}")
     print(f"{len(paths)} simple paths from {args.src} to {args.dst}")
@@ -90,7 +91,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    net = load_network(args.network)
+    net = network_from_json(_read_json(args.network))
     dag, dst_out = dag_from_json(_read_json(args.dag))
     aug = augment_dummy_tail(dag, dst_out)
     ready = _load_ready(_read_json(args.ready)) if args.ready else None
@@ -129,7 +130,7 @@ def _cmd_bench(args) -> int:
             )
         bundle = run_benchmark(
             algos,
-            network=load_network(args.network),
+            network=network_from_json(_read_json(args.network)),
             dag_records=load_dag_records(args.dags),
         )
     else:

@@ -112,6 +112,12 @@ def _shown(value) -> str:
         return f"a {type(value).__name__} holding an int past the float range"
 
 
+def _int_digit_limit() -> int:
+    """4,300, or fewer where ``sys.set_int_max_str_digits`` lowers Python's bound on
+    an int's digits in a string (0 lifts it; early 3.10 releases have none)."""
+    return min(4300, getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+
+
 def _within_floats(value) -> bool:
     """``abs(value) <= _FLOAT_MAX`` for a real ``value``, exact on ints and
     ``Fraction``s. A numpy float16 or float32 is widened first: NEP 50 casts

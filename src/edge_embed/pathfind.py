@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -30,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EdgeEmbedError, PathExplosionError, ValidationError
-from .model import EdgeNetwork, _is_integer, _shown
+from .model import EdgeNetwork, _int_digit_limit, _is_integer, _shown
 
 DEFAULT_PATH_CAP = 10**6
 PATH_CAP_ENV_VAR = "EDGE_EMBED_PATH_CAP"
@@ -227,9 +226,7 @@ def resolve_path_cap() -> int:
     if env is None:
         return DEFAULT_PATH_CAP
     digits = env.strip().lstrip("0")
-    # a limit of 0 lifts Python's bound, and early 3.10 releases have none
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = min(4300, limit) if limit else 4300
+    bound = _int_digit_limit()
     if not (env.isascii() and env.strip().isdecimal() and len(digits) <= bound):
         raise ValidationError(
             f"{PATH_CAP_ENV_VAR} must be a non-negative integer of at most {bound:,} "

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,7 +17,9 @@ import pytest
 from edge_embed import (
     EdgeEmbedError,
     FunctionNode,
+    Link,
     ReportBundle,
+    Server,
     SplitProblem,
     ValidationError,
     WorkloadSpec,
@@ -25,8 +28,8 @@ from edge_embed import (
     emit_report,
     generate_network,
     load_dag_records,
-    load_network,
-    network_fingerprint,
+    make_network,
+    network_from_json,
     optimal_split,
     run_benchmark,
     validate_dag,
@@ -37,7 +40,6 @@ from edge_embed import bench, model
 from edge_embed.bench import (
     ALGORITHMS,
     MAX_DAG_SIZE,
-    TrialRecord,
     _bounded,
     _floyd_sample,
     _uniform,
@@ -144,6 +146,28 @@ def test_spec_validation():
     for name, bad in pairs:
         with pytest.raises(ValidationError, match=rf"^{name}: .* is not a \(lo, hi\) pair"):
             WorkloadSpec(**{name: bad})
+
+
+def test_spec_rejects_a_seed_no_report_can_write(tmp_path):
+    # summary.json holds the seed, and json.dumps writes an int of at most
+    # 4,300 digits, or fewer where sys.set_int_max_str_digits lowers that bound
+    for seed in (10**5000, 10**4300):
+        with pytest.raises(ValidationError, match="at most 4,300 digits"):
+            WorkloadSpec(seed=seed)
+    longest = 10**4300 - 1
+    emit_report(run_benchmark(["dpe"], spec=replace(SMALL, seed=longest, n_dags=1)), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["seed"] == longest
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return  # this Python has no bound to lower
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValidationError, match="at most 640 digits"):
+            WorkloadSpec(seed=10**699)
+        assert WorkloadSpec(seed=10**640 - 1).seed == 10**640 - 1
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize(
@@ -349,7 +373,7 @@ def test_records_augment_cleanly():
 
 def test_write_workload_round_trips(tmp_path):
     net_path, dags_path = write_workload(SMALL, tmp_path)
-    net = load_network(net_path)
+    net = network_from_json(json.loads(net_path.read_text(encoding="utf-8")))
     assert net.servers == generate_network(SMALL).servers
     records = load_dag_records(dags_path)
     assert len(records) == SMALL.n_dags
@@ -468,10 +492,15 @@ def test_scale_network_scales_uniformly():
 
 def test_network_fingerprint_tracks_content():
     net = generate_network(SMALL)
-    fp = network_fingerprint(net)
+    records = generate_dag_records(SMALL)[:1]
+
+    def fingerprint(network) -> str:
+        return run_benchmark(["dpe"], network=network, dag_records=records).network_fingerprint
+
+    fp = fingerprint(net)
     assert len(fp) == 12
-    assert fp == network_fingerprint(net)
-    assert fp != network_fingerprint(scale_network(net, psi_factor=2.0))
+    assert fp == fingerprint(net)
+    assert fp != fingerprint(scale_network(net, psi_factor=2.0))
 
 
 def test_nested_networks_grow_by_extension():
@@ -529,7 +558,34 @@ def test_run_benchmark_accepts_explicit_workload():
     bundle = run_benchmark(["dpe"], network=net, dag_records=records)
     assert bundle.seed is None
     assert bundle.n_dags == len(records)
-    assert bundle.network_fingerprint == network_fingerprint(net)
+    assert bundle.network_fingerprint == run_benchmark(["dpe"], spec=SMALL).network_fingerprint
+
+
+def test_run_benchmark_reads_the_dag_records_once():
+    # any iterable of records: a generator gives the list's bundle, and an
+    # empty iterator is the empty DAG set, not a mean over no makespans
+    net = generate_network(SMALL)
+    records = generate_dag_records(SMALL)
+    listed = run_benchmark(ALGOS, network=net, dag_records=records)
+    assert run_benchmark(ALGOS, network=net, dag_records=iter(records)) == listed
+    assert run_benchmark(ALGOS, network=net, dag_records=(r for r in records)) == listed
+    with pytest.raises(ValidationError, match="^the DAG set is empty$"):
+        run_benchmark(ALGOS, network=net, dag_records=iter([]))
+
+
+def test_run_benchmark_checks_an_explicit_network_before_the_catalog(monkeypatch):
+    def no_catalog(net):
+        raise AssertionError("build_catalog ran on an unchecked network")
+
+    monkeypatch.setattr(bench, "build_catalog", no_catalog)
+    islands = make_network(
+        [Server(i, 1.0) for i in range(4)], [Link(0, 0, 1, 1.0), Link(1, 2, 3, 1.0)]
+    )
+    with pytest.raises(ValidationError) as expected:
+        validate_network(islands)
+    with pytest.raises(ValidationError) as raised:
+        run_benchmark(["dpe"], network=islands, dag_records=generate_dag_records(SMALL))
+    assert str(raised.value) == str(expected.value)
 
 
 def test_run_benchmark_rejects_bad_requests():
@@ -588,14 +644,6 @@ def test_float_totals_never_go_through_builtin_sum(monkeypatch):
     optimal_split(SplitProblem((0.1, 0.2, 0.3), stream_size=7.0))
     run_benchmark(ALGOS, spec=SMALL)
     assert _sum_left([1e16, 1.0, -1e16]) == 0.0  # 1.0 by sum from 3.12 on
-
-
-def test_trial_record_rejects_impossible_values():
-    # run_benchmark never builds these (validate_time_range keeps makespans
-    # > 0), so a direct caller gets exit 2's type
-    for makespan in (0.0, -1.0):
-        with pytest.raises(ValidationError):
-            TrialRecord(dag_id=0, algo="dpe", makespan_s=makespan, dag_size=2)
 
 
 def test_emit_report_files_and_headers(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import dataclasses
 import json
@@ -860,6 +861,46 @@ def test_all_names_exactly_the_public_attributes():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(names) == public
+
+
+def test_src_has_no_unused_imports_or_private_definitions():
+    # every module of the package, as ``{file name: its top-level statements}``
+    modules = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")).body
+        for path in sorted(pathlib.Path(edge_embed.__file__).parent.glob("*.py"))
+    }
+
+    def names_in(node) -> set[str]:
+        """The names ``node`` reads, bare or as an attribute."""
+        return {
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        }
+
+    dead = []
+    for module, body in modules.items():
+        read = set().union(*map(names_in, body))
+        for stmt in body:
+            imported = isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            )
+            if imported and module != "__init__.py":
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        dead.append(f"{module}: {name} is imported but never read")
+    for module, body in modules.items():
+        for stmt in body:
+            defined = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if defined and stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                elsewhere = [
+                    other for other_body in modules.values() for other in other_body
+                    if other is not stmt and stmt.name in names_in(other)
+                ]
+                if not elsewhere:
+                    dead.append(f"{module}: {stmt.name} is defined but never read")
+    assert dead == []
 
 
 @pytest.mark.parametrize(
